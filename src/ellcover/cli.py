@@ -5,8 +5,9 @@ generating functions (``genfun``), graph series (``igamma``), Hurwitz series
 by any of the three computation paths (``fg``), graph enumeration
 (``graphs``), tropical cover dumps (``covers``) and Eisenstein fits
 (``qfit``).  All numbers are printed exactly; ``--json`` switches to
-machine-readable output.  ``--threads`` fans the vertex-order sum out over
-worker processes; the library itself stays sequential and pure.
+machine-readable output.  ``--threads`` fans the sum over vertex-order
+orbits out over worker processes; the library itself stays sequential and
+pure.
 """
 
 from __future__ import annotations
@@ -49,26 +50,27 @@ def _pool_map(func, tasks, threads):
 
 
 def _integral_task(task):
-    graph, a, order = task
-    return integrals.integral_coeff(graph, a, order)
+    graph, a, order, weight = task
+    return weight * integrals.integral_coeff(graph, a, order, bridgeless=True)
 
 
 def _igamma_task(task):
-    graph, order, d_max = task
-    return integrals.i_gamma_coeffs_for_order(graph, order, d_max)
+    graph, order, weight, d_max = task
+    coeffs = integrals.i_gamma_coeffs_for_order(graph, order, d_max, bridgeless=True)
+    return {d: weight * c for d, c in coeffs.items()}
 
 
 def _gw_total(graph, a, threads):
     if graphs_mod.bridges(graph):
         return 0, "bridge"
-    tasks = [(graph, a, order) for order in integrals.all_orders(graph)]
+    tasks = [(graph, a, order, weight) for order, weight in integrals.order_orbits(graph, symmetric=False)]
     return sum(_pool_map(_integral_task, tasks, threads)), None
 
 
 def _igamma(graph, d_max, threads) -> QSeries:
     if graphs_mod.bridges(graph):
         return QSeries.zero(2 * d_max + 2)
-    tasks = [(graph, order, d_max) for order in integrals.all_orders(graph)]
+    tasks = [(graph, order, weight, d_max) for order, weight in integrals.order_orbits(graph)]
     coeffs = {}
     for partial in _pool_map(_igamma_task, tasks, threads):
         for d, c in partial.items():
@@ -105,10 +107,11 @@ def cmd_gw(args):
         if graphs_mod.bridges(graph):
             value, reason = 0, "bridge"
         else:
+            orbits = integrals.order_orbits(graph)
             tasks = [
-                (graph, a, order)
+                (graph, a, order, weight)
                 for a in integrals.compositions(args.degree, len(graph.edges))
-                for order in integrals.all_orders(graph)
+                for order, weight in orbits
             ]
             value, reason = sum(_pool_map(_integral_task, tasks, args.threads)), None
         payload = {"degree": args.degree, "count": value}

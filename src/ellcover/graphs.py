@@ -167,6 +167,23 @@ def has_bridge(graph: FeynmanGraph):
     return bool(b), b
 
 
+def vertex_automorphisms(graph: FeynmanGraph) -> list:
+    """Vertex permutations preserving the adjacency multiset, each as a tuple
+    ``img`` with ``img[v]`` the image of vertex v (``img[0]`` is 0)."""
+    n = graph.vertex_count
+    m = graph.multiplicity_matrix()
+    out = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        img = (0,) + perm
+        if all(
+            m[img[u]][img[v]] == m[u][v]
+            for u in range(1, n + 1)
+            for v in range(u, n + 1)
+        ):
+            out.append(img)
+    return out
+
+
 def automorphism_count(graph: FeynmanGraph) -> int:
     """Order of the multigraph automorphism group.
 
@@ -176,21 +193,12 @@ def automorphism_count(graph: FeynmanGraph) -> int:
     """
     n = graph.vertex_count
     m = graph.multiplicity_matrix()
-    vertex_perms = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        img = (0,) + perm
-        if all(
-            m[img[u]][img[v]] == m[u][v]
-            for u in range(1, n + 1)
-            for v in range(u, n + 1)
-        ):
-            vertex_perms += 1
     edge_factor = 1
     for u in range(1, n + 1):
         edge_factor *= factorial(m[u][u]) * 2 ** m[u][u]
         for v in range(u + 1, n + 1):
             edge_factor *= factorial(m[u][v])
-    return vertex_perms * edge_factor
+    return len(vertex_automorphisms(graph)) * edge_factor
 
 
 def _vertex_classes(graph: FeynmanGraph):

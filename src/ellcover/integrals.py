@@ -10,9 +10,20 @@ result.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
-the graph series.  Graphs with a bridge contribute zero and are
-short-circuited (their loop edges, whose factors would be singular, are never
-expanded).
+the graph series.  Most orders repeat work, so the sums run over orbits of
+orders (:func:`order_orbits`), one representative each, weighted by the
+orbit size:
+
+* reversing an order maps the integrand to its image under x -> 1/x, which
+  keeps the constant term, so reversal is used for every sum, including a
+  fixed branch type (:func:`gromov_witten_a`, :func:`generating_function`);
+* a vertex automorphism phi gives I(a, phi o order) = I(a o psi, order) for
+  an edge map psi induced by phi, so it is used only for sums that are
+  symmetric in the edges, that is over all compositions of d
+  (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).
+
+Graphs with a bridge contribute zero and are short-circuited (their loop
+edges, whose factors would be singular, are never expanded).
 """
 
 from __future__ import annotations
@@ -21,15 +32,36 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate
-from .laurent import LaurentPoly
-from .propagator import edge_factor
+from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
+from .propagator import oriented_terms
 from .quasimodular import QSeries
 
 
 def all_orders(graph: FeynmanGraph):
     """All total orders of the vertices, as tuples of 1-based labels."""
     return itertools.permutations(range(1, graph.vertex_count + 1))
+
+
+def order_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
+    """(representative order, weight) for every orbit of the vertex orders
+    under order reversal and, when ``symmetric``, the vertex automorphisms
+    of ``graph``.  The representative is the orbit's lexicographically first
+    order and the weight its size, so the weights sum to n!.
+    """
+    maps = vertex_automorphisms(graph) if symmetric else [tuple(range(graph.vertex_count + 1))]
+    seen = set()
+    out = []
+    for order in all_orders(graph):
+        if order in seen:
+            continue
+        orbit = set()
+        for img in maps:
+            image = tuple(img[v] for v in order)
+            orbit.add(image)
+            orbit.add(image[::-1])
+        seen |= orbit
+        out.append((order, len(orbit)))
+    return out
 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
@@ -59,26 +91,66 @@ def compositions(d: int, parts: int):
             yield (first,) + rest
 
 
-def _eliminate(graph, factors, elimination_order):
-    """Multiply edge factors in lazily and extract the x^0 coefficient of
-    each vertex variable in turn.  Returns the resulting constant."""
-    poly = LaurentPoly.one(graph.vertex_count)
-    used = set()
-    for v in elimination_order:
+def _eliminate(graph, order, elimination, degrees, w_max, d_max) -> dict:
+    """Total branch degree t -> constant term, in every vertex variable, of
+    the product of the edge factors, for t <= d_max.
+
+    Edge k's factor is the sum of its factors over the branch degrees in
+    ``degrees[k]``, each tagged with its degree; degree-0 expansions stop at
+    weight ``w_max``.  A monomial is packed into one int (Kronecker
+    substitution): vertex ``elimination[i]`` owns digit i, in base R = 2B+1
+    with every exponent biased by B, and the top digit (weight ``top``) holds
+    the total degree.  Multiplying monomials adds their keys, truncation is
+    one comparison and extracting x_v^0 is a digit test.  No digit carries:
+    a vertex meets three edge ends of weight at most W each, so its exponent
+    stays within 6W < B.
+    """
+    n = graph.vertex_count
+    weight = max([w_max] + [max(ds) for ds in degrees])
+    bias = 6 * weight + 1
+    radix = 2 * bias + 1
+    place = {v: radix**i for i, v in enumerate(elimination)}
+    top = radix**n
+    limit = (d_max + 1) * top
+    rank = {v: i for i, v in enumerate(order)}
+    zero = (top - 1) // 2  # every vertex digit at the bias: the monomial 1
+    state = {zero: 1}
+    used = [False] * len(graph.edges)
+    for v in elimination:
         for k in graph.incident_edges(v):
-            if k not in used:
-                used.add(k)
-                poly = poly * factors[k]
-                if poly.is_zero():
-                    return 0
-        poly = poly.coeff_in(v - 1, 0)
-        if poly.is_zero():
-            return 0
-    assert len(used) == len(graph.edges)
-    return poly.constant_term()
+            if used[k]:
+                continue
+            used[k] = True
+            factor = []
+            for a in degrees[k]:
+                src, snk, terms = oriented_terms(graph.edges[k], a, rank, w_max)
+                shift = place[src] - place[snk]
+                factor.extend((a * top + e * shift, c) for e, c in terms)
+            # sorted, so past the first offset that overshoots d_max every
+            # later one does too
+            factor.sort()
+            product = {}
+            get = product.get
+            for key, c in state.items():
+                for offset, c2 in factor:
+                    s = key + offset
+                    if s >= limit:
+                        break
+                    # all coefficients are positive, so nothing cancels
+                    product[s] = get(s, 0) + c * c2
+            state = product
+            if not state:
+                return {}
+        p = place[v]
+        state = {key: c for key, c in state.items() if key // p % radix == bias}
+        if not state:
+            return {}
+    return {(key - zero) // top: c for key, c in state.items()}
 
 
-def integral_coeff(graph: FeynmanGraph, a, order, w_max=None, elimination_order=None) -> int:
+def integral_coeff(
+    graph: FeynmanGraph, a, order, w_max=None, elimination_order=None, *, bridgeless=False
+) -> int:
     """Coefficient of the branch-type monomial in the single-order integral.
 
     ``order`` fixes the one-sided expansion of every degree-0 edge factor.
@@ -86,10 +158,13 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None, elimination_order=
     vertex variables are extracted; any choice yields the same value.
     ``w_max`` bounds the degree-0 expansions and defaults to sum(a), which is
     exact: no balanced monomial can involve a larger weight.
+    ``bridgeless=True`` skips the bridge test when the caller has made it;
+    the value is the same either way, but a graph with a loop may then
+    raise :class:`~ellcover.propagator.LoopEdge`.
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    if bridges(graph):
+    if not bridgeless and bridges(graph):
         return 0
     total = sum(a)
     if total == 0:
@@ -97,35 +172,34 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None, elimination_order=
         return 0
     if w_max is None:
         w_max = total
-    n = graph.vertex_count
-    factors = [
-        edge_factor(n, k, graph.edges[k], a[k], order, w_max).expansion
-        for k in range(len(graph.edges))
-    ]
     elim = order if elimination_order is None else check_order(graph, elimination_order)
-    return _eliminate(graph, factors, elim)
+    return _eliminate(graph, order, elim, [(x,) for x in a], w_max, total).get(total, 0)
+
+
+def _labelled_count(graph, a, orbits) -> int:
+    """Sum of weight * single-order integral over (order, weight) pairs."""
+    return sum(weight * integral_coeff(graph, a, order, bridgeless=True) for order, weight in orbits)
 
 
 def gromov_witten_a(graph: FeynmanGraph, a) -> int:
     """Labelled count for one branch type: the sum of the single-order
-    integrals over all vertex orders."""
+    integrals over all vertex orders, one per reversal orbit."""
     a = check_branch_type(graph, a)
     if bridges(graph):
         return 0
-    total = 0
-    for order in all_orders(graph):
-        total += integral_coeff(graph, a, order)
-    return total
+    return _labelled_count(graph, a, order_orbits(graph, symmetric=False))
 
 
 def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     """Degree-d count scaled by |Aut|: the sum of the labelled counts over
-    every composition of d into one part per edge."""
+    every composition of d into one part per edge.  The sum is symmetric in
+    the edges, so one order per automorphism-and-reversal orbit suffices."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     if bridges(graph):
         return 0
-    return sum(gromov_witten_a(graph, a) for a in compositions(d, len(graph.edges)))
+    orbits = order_orbits(graph)
+    return sum(_labelled_count(graph, a, orbits) for a in compositions(d, len(graph.edges)))
 
 
 @dataclass(frozen=True)
@@ -164,70 +238,36 @@ def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     """All labelled counts with total branch degree at most d_max."""
     coeffs = {}
     if not bridges(graph):
+        orbits = order_orbits(graph, symmetric=False)
         for d in range(d_max + 1):
             for a in compositions(d, len(graph.edges)):
-                coeffs[a] = gromov_witten_a(graph, a)
+                coeffs[a] = _labelled_count(graph, a, orbits)
     return MultiSeries(len(graph.edges), coeffs)
 
 
-def _graded_edge_series(graph, order, d_max):
-    """Per edge, the map branch-degree -> expanded factor, all degrees up to
-    d_max at once (degree-0 slots truncated at weight d_max)."""
-    n = graph.vertex_count
-    out = []
-    for k in range(len(graph.edges)):
-        slots = {
-            a_k: edge_factor(n, k, graph.edges[k], a_k, order, d_max).expansion
-            for a_k in range(d_max + 1)
-        }
-        out.append(slots)
-    return out
-
-
-def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
+def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int, *, bridgeless=False) -> dict:
     """Degree -> coefficient of the single-order integral, all degrees up to
-    d_max in one pass.
-
-    Works with the total-degree grading alongside the vertex variables: the
-    running product is a map (degree so far) -> Laurent polynomial, convolved
-    with each edge's graded factor and truncated at d_max.
+    d_max in one pass: every edge runs over all its branch degrees at once,
+    graded by total degree and truncated at d_max (degree-0 slots at weight
+    d_max).  ``bridgeless`` is as for :func:`integral_coeff`.
     """
     order = check_order(graph, order)
-    if bridges(graph) or d_max < 1:
+    if d_max < 1 or (not bridgeless and bridges(graph)):
         return {}
-    factors = _graded_edge_series(graph, order, d_max)
-    state = {0: LaurentPoly.one(graph.vertex_count)}
-    used = set()
-    for v in order:
-        for k in graph.incident_edges(v):
-            if k in used:
-                continue
-            used.add(k)
-            new_state = {}
-            for t1, p1 in state.items():
-                for t2, p2 in factors[k].items():
-                    t = t1 + t2
-                    if t > d_max:
-                        continue
-                    prod = p1 * p2
-                    if prod.is_zero():
-                        continue
-                    acc = new_state.get(t)
-                    new_state[t] = prod if acc is None else acc + prod
-            state = new_state
-        state = {t: q for t, p in state.items() if not (q := p.coeff_in(v - 1, 0)).is_zero()}
-    return {t: p.constant_term() for t, p in state.items() if p.constant_term() != 0}
+    degrees = [range(d_max + 1)] * len(graph.edges)
+    return _eliminate(graph, order, order, degrees, d_max, d_max)
 
 
 def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     """The graph series: coefficient of q^{2d} is the total labelled count in
-    degree d, summed over all vertex orders, for d <= d_max."""
+    degree d, summed over all vertex orders (one per automorphism-and-reversal
+    orbit, weighted by its size), for d <= d_max."""
     validate(graph)
     coeffs = {}
     if not bridges(graph):
-        for order in all_orders(graph):
-            for d, c in i_gamma_coeffs_for_order(graph, order, d_max).items():
-                coeffs[2 * d] = coeffs.get(2 * d, 0) + c
+        for order, weight in order_orbits(graph):
+            for d, c in i_gamma_coeffs_for_order(graph, order, d_max, bridgeless=True).items():
+                coeffs[2 * d] = coeffs.get(2 * d, 0) + weight * c
     return QSeries(coeffs, 2 * d_max + 2)
 
 

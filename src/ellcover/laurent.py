@@ -212,14 +212,3 @@ def _raw(arity: int, terms: dict) -> LaurentPoly:
     object.__setattr__(p, "terms", terms)
     return p
 
-
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def coeff_in(p: LaurentPoly, var: int, exponent: int) -> LaurentPoly:
-    return p.coeff_in(var, exponent)

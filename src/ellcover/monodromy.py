@@ -142,7 +142,9 @@ def conjugacy_class_size(d: int, cycle_type) -> int:
 
 
 def _estimated_work(d: int, g: int) -> int:
-    return len(transpositions(d)) ** (2 * g - 2) * factorial(d) ** 2
+    """Tuples the full enumeration visits: one alpha and one sigma per
+    permutation, one transposition per branch point (there are d(d-1)/2)."""
+    return (d * (d - 1) // 2) ** (2 * g - 2) * factorial(d) ** 2
 
 
 def _budget(budget):
@@ -185,9 +187,10 @@ def hurwitz_count(d: int, g: int, class_reduction: bool = True, budget=None) -> 
     if g < 2:
         raise ValueError("genus must be at least 2")
     limit = _budget(budget)
-    if _estimated_work(d, g) > limit:
+    work = _estimated_work(d, g)
+    if work > limit:
         raise BudgetExceeded(
-            f"estimated work {_estimated_work(d, g)} exceeds budget {limit}"
+            f"estimated work {work} exceeds budget {limit}"
             f" (raise {BUDGET_ENV_VAR} to override)"
         )
     total = 0

@@ -45,6 +45,49 @@ class ZeroDegreeFactor:
     y_index: int
 
 
+def _factor_terms(a_k: int, w_max: int) -> tuple:
+    """The edge factor at branch degree a_k as (exponent, coefficient) pairs,
+    each standing for coefficient * (x_source / x_sink)^exponent.
+
+    For a_k > 0 this is the divisor sum, symmetric in source and sink.  For
+    a_k = 0 it is the one-sided expansion truncated at weight ``w_max``, with
+    the earlier vertex as source.  Every coefficient is a positive int.
+    """
+    if a_k < 0:
+        raise ValueError("branch degree must be non-negative")
+    if a_k:
+        return tuple((s * 2 * w, w) for w in divisors(a_k) for s in (1, -1))
+    if w_max < 1:
+        raise ValueError("w_max must be at least 1")
+    return tuple((2 * w, w) for w in range(1, w_max + 1))
+
+
+def oriented_terms(endpoints, a_k: int, rank, w_max: int) -> tuple:
+    """(source, sink, terms) of an edge under a vertex order.
+
+    ``endpoints`` are vertex labels, ``rank`` maps each label to its position
+    in the order, and ``terms`` are the :func:`_factor_terms`.  The source is
+    the earlier endpoint, which is what the one-sided degree-0 expansion
+    needs.
+    """
+    u, v = endpoints
+    if u == v:
+        raise LoopEdge(f"edge {u}-{v} is a loop; its factor is singular")
+    src, snk = (u, v) if rank[u] < rank[v] else (v, u)
+    return src, snk, _factor_terms(a_k, w_max)
+
+
+def _laurent(arity: int, source: int, sink: int, terms) -> LaurentPoly:
+    """LaurentPoly of sum c * (x_source / x_sink)^e over 0-based slots."""
+    out = {}
+    for e, c in terms:
+        exps = [0] * arity
+        exps[source] += e
+        exps[sink] -= e
+        out[tuple(exps)] = out.get(tuple(exps), 0) + c
+    return LaurentPoly(arity, out)
+
+
 def propagator_coeff(arity: int, x: int, y: int, d: int):
     """Degree-2d weight coefficient of the edge factor in variables x, y
     (0-based slots).
@@ -56,17 +99,7 @@ def propagator_coeff(arity: int, x: int, y: int, d: int):
         raise ValueError("branch degree must be non-negative")
     if d == 0:
         return ZeroDegreeFactor(x, y)
-    terms = {}
-    for w in divisors(d):
-        e1 = [0] * arity
-        e1[x] += 2 * w
-        e1[y] -= 2 * w
-        e2 = [0] * arity
-        e2[x] -= 2 * w
-        e2[y] += 2 * w
-        terms[tuple(e1)] = terms.get(tuple(e1), 0) + w
-        terms[tuple(e2)] = terms.get(tuple(e2), 0) + w
-    return LaurentPoly(arity, terms)
+    return _laurent(arity, x, y, _factor_terms(d, 0))
 
 
 def expand_zero_term(arity: int, source: int, sink: int, w_max: int) -> LaurentPoly:
@@ -74,17 +107,10 @@ def expand_zero_term(arity: int, source: int, sink: int, w_max: int) -> LaurentP
 
     ``source`` must be the vertex slot earlier in the active vertex order.
     """
-    if w_max < 1:
-        raise ValueError("w_max must be at least 1")
+    terms = _factor_terms(0, w_max)
     if source == sink:
         raise LoopEdge("cannot expand the degree-0 factor of a loop")
-    terms = {}
-    for w in range(1, w_max + 1):
-        e = [0] * arity
-        e[source] = 2 * w
-        e[sink] = -2 * w
-        terms[tuple(e)] = w
-    return LaurentPoly(arity, terms)
+    return _laurent(arity, source, sink, terms)
 
 
 @dataclass(frozen=True)
@@ -110,13 +136,6 @@ def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: 
     endpoint becomes the numerator of the expansion; for a_k > 0 the factor
     is symmetric and the order is irrelevant.
     """
-    u, v = endpoints
-    if u == v:
-        raise LoopEdge(f"edge {edge_index} is a loop; its factor is singular")
-    if a_k == 0:
-        rank = {lab: i for i, lab in enumerate(order)}
-        src, snk = (u, v) if rank[u] < rank[v] else (v, u)
-        exp = expand_zero_term(arity, src - 1, snk - 1, w_max)
-    else:
-        exp = propagator_coeff(arity, u - 1, v - 1, a_k)
-    return EdgeFactor(edge_index, (u, v), a_k, exp)
+    rank = {lab: i for i, lab in enumerate(order)}
+    src, snk, terms = oriented_terms(endpoints, a_k, rank, w_max)
+    return EdgeFactor(edge_index, tuple(endpoints), a_k, _laurent(arity, src - 1, snk - 1, terms))

@@ -1,11 +1,13 @@
 import itertools
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from ellcover import (
     FeynmanGraph,
+    bridges,
+    enumerate_genus,
     f_g,
     generating_function,
     gromov_witten_a,
@@ -13,7 +15,9 @@ from ellcover import (
     i_gamma_series,
     integral_coeff,
 )
-from ellcover.integrals import MultiSeries, all_orders, compositions, i_gamma_coeffs_for_order
+from ellcover.integrals import MultiSeries, all_orders, compositions, i_gamma_coeffs_for_order, order_orbits
+from ellcover.laurent import LaurentPoly
+from ellcover.propagator import edge_factor
 
 
 BRANCH = (0, 0, 0, 0, 1, 1)
@@ -211,3 +215,104 @@ def test_per_order_graded_extraction_matches_single(caterpillar):
 def test_f_g_rejects_small_genus():
     with pytest.raises(ValueError):
         f_g(1, 3)
+
+
+# -- the orbit-reduced path against a reference over every vertex order ----
+
+
+def reference_coeffs(graph, order, degrees, d_max):
+    """Total branch degree -> single-order integral, with ``LaurentPoly``
+    edge factors and ``coeff_in``: edge k runs over ``degrees[k]``, and the
+    running product is graded by degree and truncated at d_max, as are the
+    degree-0 expansions.  Independent of the packed kernel and of orbit
+    reduction."""
+    n = graph.vertex_count
+    factors = [
+        {a: edge_factor(n, k, graph.edges[k], a, order, d_max).expansion for a in degrees[k]}
+        for k in range(len(graph.edges))
+    ]
+    state = {0: LaurentPoly.one(n)}
+    used = set()
+    for v in order:
+        for k in graph.incident_edges(v):
+            if k in used:
+                continue
+            used.add(k)
+            product = {}
+            for t1, p1 in state.items():
+                for t2, p2 in factors[k].items():
+                    if t1 + t2 <= d_max:
+                        product[t1 + t2] = product.get(t1 + t2, LaurentPoly.zero(n)) + p1 * p2
+            state = product
+        state = {t: p.coeff_in(v - 1, 0) for t, p in state.items()}
+    return {t: c for t, p in state.items() if (c := p.constant_term())}
+
+
+def reference_series(graph, d_max):
+    """Degree -> labelled count summed over all n! vertex orders."""
+    total = {}
+    for order in all_orders(graph):
+        for t, c in reference_coeffs(graph, order, [range(d_max + 1)] * len(graph.edges), d_max).items():
+            total[t] = total.get(t, 0) + c
+    return total
+
+
+@pytest.fixture(scope="module")
+def genus4_bridgeless():
+    return enumerate_genus(4, bridgeless=True)
+
+
+def test_orbit_reduced_series_matches_all_orders(genus4_bridgeless):
+    for graphs, d_max in ((enumerate_genus(3, bridgeless=True), 6), (genus4_bridgeless, 2)):
+        for graph in graphs:
+            series = i_gamma_series(graph, d_max)
+            want = {2 * t: c for t, c in reference_series(graph, d_max).items()}
+            assert series.coeffs == want
+            assert all(type(c) is int for c in series.coeffs.values())
+
+
+def test_reversal_orbits_match_all_orders_for_fixed_branch_type(genus4_bridgeless):
+    rng = random.Random(23)
+    cases = [(graph, 4) for graph in enumerate_genus(3, bridgeless=True)] + [(genus4_bridgeless[0], 2)]
+    for graph, draws in cases:
+        for _ in range(draws):
+            a = tuple(rng.randint(0, 2) for _ in graph.edges)
+            if not any(a):
+                continue
+            want = sum(
+                reference_coeffs(graph, order, [(x,) for x in a], sum(a)).get(sum(a), 0)
+                for order in all_orders(graph)
+            )
+            assert gromov_witten_a(graph, a) == want
+
+
+def test_order_orbit_structure(k4, caterpillar, theta, genus4_bridgeless):
+    assert len(order_orbits(k4)) == 1
+    assert len(order_orbits(caterpillar)) == 6
+    assert order_orbits(theta) == [((1, 2), 2)]
+    assert sorted(len(order_orbits(graph)) for graph in genus4_bridgeless) == [7, 38, 72, 96, 102]
+    for graph in enumerate_genus(3) + genus4_bridgeless:
+        n = graph.vertex_count
+        for symmetric in (True, False):
+            orbits = order_orbits(graph, symmetric)
+            assert sum(w for _, w in orbits) == factorial(n)
+            assert len({order for order, _ in orbits}) == len(orbits)
+        # reversal alone pairs every order with a different one
+        assert all(w == 2 for _, w in order_orbits(graph, symmetric=False))
+
+
+def test_skipping_the_bridge_test_gives_the_same_value():
+    # loopless graphs with a bridge first appear at genus 4: their integrals
+    # vanish without the short-circuit too
+    loopless = [graph for graph in enumerate_genus(4) if bridges(graph) and not graph.has_loop()]
+    assert loopless
+    for graph in loopless:
+        order = tuple(range(1, graph.vertex_count + 1))
+        assert integral_coeff(graph, (1,) * len(graph.edges), order, bridgeless=True) == 0
+        assert i_gamma_coeffs_for_order(graph, order, 3, bridgeless=True) == {}
+
+
+def test_f4_through_degree_four():
+    # the q^8 coefficient also follows from the character formula
+    # sum over partitions of c(lambda)^6, followed by a log in q
+    assert f_g(4, 4).coeffs == {4: 2, 6: 1456, 8: 91920}

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from ellcover import monodromy
 from ellcover.monodromy import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -147,6 +149,26 @@ def test_budget_guard(monkeypatch):
         hurwitz_count(3, 2)
     monkeypatch.delenv(BUDGET_ENV_VAR)
     assert hurwitz_count(2, 2, budget=10**6) == 2
+
+
+def test_work_estimate_counts_transpositions_without_building_them(monkeypatch):
+    for d in range(1, 9):
+        for g in (2, 3, 4):
+            want = len(transpositions(d)) ** (2 * g - 2) * factorial(d) ** 2
+            assert monodromy._estimated_work(d, g) == want
+
+    def refuse(d):
+        raise AssertionError(f"transposition table for d={d} built")
+
+    monkeypatch.setattr(monodromy, "transpositions", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            hurwitz_count(300, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_input_validation():
