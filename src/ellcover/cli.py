@@ -5,17 +5,14 @@ generating functions (``genfun``), graph series (``igamma``), Hurwitz series
 by any of the three computation paths (``fg``), graph enumeration
 (``graphs``), tropical cover dumps (``covers``) and Eisenstein fits
 (``qfit``).  All numbers are printed exactly; ``--json`` switches to
-machine-readable output.  ``--threads`` fans the sum over vertex-order
-orbits out over worker processes; the library itself stays sequential and
-pure.
+machine-readable output.  Everything runs sequentially in one process;
+``--threads`` is still accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
 from fractions import Fraction
 
@@ -41,43 +38,6 @@ def _parse_ints(text: str) -> tuple:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _pool_map(func, tasks, threads):
-    if threads <= 1 or len(tasks) <= 1:
-        return [func(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork") if sys.platform != "win32" else multiprocessing
-    with ctx.Pool(min(threads, len(tasks))) as pool:
-        return pool.map(func, tasks)
-
-
-def _integral_task(task):
-    graph, a, order, weight = task
-    return weight * integrals.integral_coeff(graph, a, order, bridgeless=True)
-
-
-def _igamma_task(task):
-    graph, order, weight, d_max = task
-    coeffs = integrals.i_gamma_coeffs_for_order(graph, order, d_max, bridgeless=True)
-    return {d: weight * c for d, c in coeffs.items()}
-
-
-def _gw_total(graph, a, threads):
-    if graphs_mod.bridges(graph):
-        return 0, "bridge"
-    tasks = [(graph, a, order, weight) for order, weight in integrals.order_orbits(graph, symmetric=False)]
-    return sum(_pool_map(_integral_task, tasks, threads)), None
-
-
-def _igamma(graph, d_max, threads) -> QSeries:
-    if graphs_mod.bridges(graph):
-        return QSeries.zero(2 * d_max + 2)
-    tasks = [(graph, order, weight, d_max) for order, weight in integrals.order_orbits(graph)]
-    coeffs = {}
-    for partial in _pool_map(_igamma_task, tasks, threads):
-        for d, c in partial.items():
-            coeffs[2 * d] = coeffs.get(2 * d, 0) + c
-    return QSeries(coeffs, 2 * d_max + 2)
-
-
 def _emit(args, human: str, payload: dict):
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -98,25 +58,13 @@ def cmd_gw(args):
         raise ValueError("specify exactly one of --branch and --degree")
     if args.branch is not None:
         a = _parse_ints(args.branch)
-        integrals.check_branch_type(graph, a)
-        value, reason = _gw_total(graph, a, args.threads)
+        value = integrals.gromov_witten_a(graph, a)
         payload = {"branch_type": list(a), "count": value}
     else:
-        if args.degree < 0:
-            raise ValueError("degree must be non-negative")
-        if graphs_mod.bridges(graph):
-            value, reason = 0, "bridge"
-        else:
-            orbits = integrals.order_orbits(graph)
-            tasks = [
-                (graph, a, order, weight)
-                for a in integrals.compositions(args.degree, len(graph.edges))
-                for order, weight in orbits
-            ]
-            value, reason = sum(_pool_map(_integral_task, tasks, args.threads)), None
+        value = integrals.gromov_witten_d(graph, args.degree)
         payload = {"degree": args.degree, "count": value}
-    if reason:
-        payload["reason"] = reason
+    if graphs_mod.bridges(graph):
+        payload["reason"] = "bridge"
     _emit(args, str(value), payload)
 
 
@@ -132,7 +80,7 @@ def cmd_genfun(args):
 
 def cmd_igamma(args):
     graph = _load_graph(args.graph)
-    series = _igamma(graph, args.max_degree, args.threads)
+    series = integrals.i_gamma_series(graph, args.max_degree)
     _emit(args, str(series), _series_payload(series))
 
 
@@ -206,7 +154,7 @@ def cmd_covers(args):
 def cmd_qfit(args):
     graph = _load_graph(args.graph)
     g = graphs_mod.validate(graph)
-    series = _igamma(graph, args.max_degree, args.threads)
+    series = integrals.i_gamma_series(graph, args.max_degree)
     rep = quasimodular.fit(series, g)
     payload = {
         "weight": rep.weight,
@@ -226,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for the vertex-order fan-out (default: all cores)",
+        default=1,
+        help="accepted for compatibility and ignored: every command runs in one process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

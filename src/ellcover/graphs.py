@@ -6,15 +6,15 @@ which formal variable q_k belongs to which edge).  Loops and parallel edges
 are allowed at the type level; validation enforces trivalence, connectedness
 and the vertex/edge cardinalities.
 
-Besides validation this module provides bridge detection, multigraph
-automorphism counting, enumeration of isomorphism classes per genus, and the
-construction of balanced positive integer flows (which exist exactly on the
-bridgeless graphs).
+Besides validation this module provides bridge detection, one
+refinement-and-individualisation search behind the canonical form, the
+isomorphism test and the automorphism group, enumeration of isomorphism
+classes by genus induction, and the construction of balanced positive
+integer flows (which exist exactly on the bridgeless graphs).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -45,6 +45,14 @@ class HasBridge(GraphError):
     pass
 
 
+class MalformedGraph(GraphError):
+    """Graph input of the wrong shape or type; the message names the field."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FeynmanGraph:
     """A labelled multigraph: ``vertex_count`` vertices 1..n, edges as an
@@ -55,19 +63,37 @@ class FeynmanGraph:
 
     @classmethod
     def from_edges(cls, vertex_count, edges) -> "FeynmanGraph":
+        """Build from a vertex count and a list of vertex pairs; integers
+        only (no floats, no booleans), else MalformedGraph."""
+        if not _is_int(vertex_count):
+            raise MalformedGraph(f'"vertices" must be an integer, got {vertex_count!r}')
+        if not isinstance(edges, (list, tuple)):
+            raise MalformedGraph(f'"edges" must be a list of vertex pairs, got {edges!r}')
         norm = []
-        for e in edges:
+        for k, e in enumerate(edges):
+            if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(x) for x in e)):
+                raise MalformedGraph(f'"edges"[{k}] must be a pair of integer vertices, got {e!r}')
             u, v = e
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-                raise GraphError(f"edge {e!r} references a vertex outside 1..{vertex_count}")
+                raise MalformedGraph(f'"edges"[{k}] = {e!r} references a vertex outside 1..{vertex_count}')
             norm.append((u, v) if u <= v else (v, u))
         return cls(vertex_count, tuple(norm))
 
     @classmethod
     def from_json(cls, data) -> "FeynmanGraph":
+        """From a ``{"vertices": n, "edges": [[u, v], ...]}`` object or its
+        JSON text; any other shape raises MalformedGraph."""
         if isinstance(data, str):
-            data = json.loads(data)
-        return cls.from_edges(int(data["vertices"]), data["edges"])
+            try:
+                data = json.loads(data)
+            except ValueError as exc:
+                raise MalformedGraph(f"graph JSON does not parse: {exc}") from None
+        if not isinstance(data, dict):
+            raise MalformedGraph(f"graph JSON must be an object, got {type(data).__name__}")
+        for key in ("vertices", "edges"):
+            if key not in data:
+                raise MalformedGraph(f'graph JSON has no "{key}" field')
+        return cls.from_edges(data["vertices"], data["edges"])
 
     def to_json(self) -> dict:
         return {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}
@@ -167,21 +193,81 @@ def has_bridge(graph: FeynmanGraph):
     return bool(b), b
 
 
-def vertex_automorphisms(graph: FeynmanGraph) -> list:
-    """Vertex permutations preserving the adjacency multiset, each as a tuple
-    ``img`` with ``img[v]`` the image of vertex v (``img[0]`` is 0)."""
+def _search(graph: FeynmanGraph) -> list:
+    """Leaves of the refinement-and-individualisation search, as
+    (relabelled sorted edge tuple, labelling) pairs with ``lab[v]`` the new
+    label of vertex v (``lab[0]`` is 0).
+
+    An ordered vertex partition starts with the vertices grouped by loop
+    count and is refined until equitable: a vertex's signature is its sorted
+    (neighbour cell, multiplicity) pairs, and every cell splits in place into
+    new cells ordered by signature.  Each vertex of the first non-singleton
+    cell is then individualised in turn (put in a cell of its own, first)
+    and the search recurses; a discrete partition is a leaf, labelling the
+    vertices by their cell positions.  Nothing in this depends on the input
+    labels, so an isomorphism maps the leaves of one graph onto those of the
+    other with the same edge tuples.
+    """
     n = graph.vertex_count
     m = graph.multiplicity_matrix()
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        img = (0,) + perm
-        if all(
-            m[img[u]][img[v]] == m[u][v]
-            for u in range(1, n + 1)
-            for v in range(u, n + 1)
-        ):
-            out.append(img)
-    return out
+    neighbours = [[(u, m[v][u]) for u in range(1, n + 1) if u != v and m[v][u]] for v in range(n + 1)]
+    leaves = []
+
+    def refine(cells):
+        while True:
+            cell_of = [0] * (n + 1)
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    cell_of[v] = i
+            split = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                by_sig = {}
+                for v in cell:
+                    sig = tuple(sorted([(cell_of[u], k) for u, k in neighbours[v]]))
+                    by_sig.setdefault(sig, []).append(v)
+                split.extend(by_sig[sig] for sig in sorted(by_sig))
+            if len(split) == len(cells):
+                return cells
+            cells = split
+
+    def descend(cells):
+        cells = refine(cells)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                for v in cell:
+                    descend(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :])
+                return
+        lab = [0] * (n + 1)
+        for i, (v,) in enumerate(cells):
+            lab[v] = i + 1
+        form = tuple(sorted((lab[u], lab[v]) if lab[u] <= lab[v] else (lab[v], lab[u]) for u, v in graph.edges))
+        leaves.append((form, lab))
+
+    by_loops = {}
+    for v in range(1, n + 1):
+        by_loops.setdefault(m[v][v], []).append(v)
+    descend([by_loops[k] for k in sorted(by_loops)])
+    return leaves
+
+
+def vertex_automorphisms(graph: FeynmanGraph) -> list:
+    """Vertex permutations preserving the adjacency multiset, each as a tuple
+    ``img`` with ``img[v]`` the image of vertex v (``img[0]`` is 0); the
+    identity comes first.
+
+    These are the search leaves that reach the canonical form, each composed
+    with the inverse of the first such leaf.
+    """
+    leaves = _search(graph)
+    best = min(form for form, _ in leaves)
+    matching = [lab for form, lab in leaves if form == best]
+    inverse = [0] * len(matching[0])
+    for v, label in enumerate(matching[0]):
+        inverse[label] = v
+    return [tuple(inverse[label] for label in lab) for lab in matching]
 
 
 def automorphism_count(graph: FeynmanGraph) -> int:
@@ -201,46 +287,15 @@ def automorphism_count(graph: FeynmanGraph) -> int:
     return len(vertex_automorphisms(graph)) * edge_factor
 
 
-def _vertex_classes(graph: FeynmanGraph):
-    """Group vertices by an isomorphism-invariant local key; returns the
-    classes in a canonical order."""
-    m = graph.multiplicity_matrix()
-    n = graph.vertex_count
-    keyed = {}
-    for v in range(1, n + 1):
-        key = (m[v][v], tuple(sorted(m[v][u] for u in range(1, n + 1) if u != v and m[v][u])))
-        keyed.setdefault(key, []).append(v)
-    return [keyed[k] for k in sorted(keyed)]
-
-
 def canonical_form(graph: FeynmanGraph) -> tuple:
-    """Lexicographically minimal sorted edge tuple over vertex relabelings.
+    """The least relabelled sorted edge tuple over the leaves of the
+    refinement search (:func:`_search`).
 
-    Equal canonical forms characterise isomorphic multigraphs.  Relabelings
-    are restricted to maps matching vertices of equal local invariants, which
-    prunes the search without changing the result (every isomorphism
-    preserves the invariants).
+    Equal canonical forms characterise isomorphic multigraphs.  The form is
+    minimal over the search leaves only, not over all n! relabelings, and
+    ``FeynmanGraph(n, canonical_form(graph))`` has the same canonical form.
     """
-    classes = _vertex_classes(graph)
-    blocks = []
-    start = 1
-    for cls in classes:
-        blocks.append(list(range(start, start + len(cls))))
-        start += len(cls)
-    best = None
-    for assignment in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        relabel = {}
-        for cls, labels in zip(classes, assignment):
-            for v, lab in zip(cls, labels):
-                relabel[v] = lab
-        edges = sorted(
-            (relabel[u], relabel[v]) if relabel[u] <= relabel[v] else (relabel[v], relabel[u])
-            for u, v in graph.edges
-        )
-        edges = tuple(edges)
-        if best is None or edges < best:
-            best = edges
-    return best
+    return min(form for form, _ in _search(graph))
 
 
 def is_isomorphic(a: FeynmanGraph, b: FeynmanGraph) -> bool:
@@ -251,139 +306,49 @@ def is_isomorphic(a: FeynmanGraph, b: FeynmanGraph) -> bool:
     )
 
 
-def _refined_colors(graph: FeynmanGraph, rounds: int = 3):
-    """Iterated neighborhood refinement.  Returns a vertex -> color map whose
-    colors are isomorphism-invariant nested tuples (loop count, incident
-    multiplicities, then neighbor colors, repeated)."""
-    n = graph.vertex_count
-    m = graph.multiplicity_matrix()
-    neighbors = {
-        v: [u for u in range(1, n + 1) if u != v and m[v][u]] for v in range(1, n + 1)
-    }
-    colors = {
-        v: (m[v][v], tuple(sorted(m[v][u] for u in neighbors[v]))) for v in range(1, n + 1)
-    }
-    for _ in range(rounds):
-        new = {
-            v: (colors[v], tuple(sorted((m[v][u], colors[u]) for u in neighbors[v])))
-            for v in range(1, n + 1)
-        }
-        if len(set(new.values())) == len(set(colors.values())):
-            break
-        colors = new
-    return colors
+def _extensions(n: int, edges: tuple):
+    """Edge lists on n + 2 vertices made from a trivalent graph on n by the
+    two genus-raising moves, with new vertices a = n + 1 and b = n + 2:
 
+    (a) subdivide edge i by a and edge j by b and join a to b, or subdivide
+        edge i twice (by a, then b) and join a to b;
+    (b) subdivide edge i by a and hang b, carrying a loop, from a.
 
-def _find_isomorphism(g1, colors1, g2, colors2) -> bool:
-    """Backtracking isomorphism test guided by refinement colors."""
-    n = g1.vertex_count
-    if n != g2.vertex_count or sorted(colors1.values()) != sorted(colors2.values()):
-        return False
-    m1 = g1.multiplicity_matrix()
-    m2 = g2.multiplicity_matrix()
-    by_color = {}
-    for u in range(1, n + 1):
-        by_color.setdefault(colors2[u], []).append(u)
-    # assign the most constrained vertices first
-    order = sorted(range(1, n + 1), key=lambda v: (len(by_color[colors1[v]]), colors1[v], v))
-    image = {}
-    used = set()
-
-    def extend(i):
-        if i == n:
-            return True
-        v = order[i]
-        for u in by_color[colors1[v]]:
-            if u in used or m2[u][u] != m1[v][v]:
-                continue
-            if all(m2[u][image[w]] == m1[v][w] for w in image):
-                image[v] = u
-                used.add(u)
-                if extend(i + 1):
-                    return True
-                del image[v]
-                used.remove(u)
-        return False
-
-    return extend(0)
-
-
-def _trivalent_matrices(n):
-    """All symmetric multiplicity matrices with every valence 3 (loops count
-    twice), generated by backtracking over vertices."""
-    m = [[0] * (n + 1) for _ in range(n + 1)]
-    left = [0] + [3] * n
-
-    def rec(v):
-        if v > n:
-            yield [row[:] for row in m]
-            return
-        # distribute the remaining valence of v over loops and higher vertices
-        for loops in range(left[v] // 2 + 1):
-            rest = left[v] - 2 * loops
-            targets = list(range(v + 1, n + 1))
-
-            def place(i, todo):
-                if todo == 0:
-                    yield from rec(v + 1)
-                    return
-                if i == len(targets):
-                    return
-                u = targets[i]
-                for k in range(min(todo, left[u]) + 1):
-                    m[v][u] = m[u][v] = k
-                    left[u] -= k
-                    yield from place(i + 1, todo - k)
-                    left[u] += k
-                    m[v][u] = m[u][v] = 0
-
-            m[v][v] = loops
-            yield from place(0, rest)
-            m[v][v] = 0
-
-    yield from rec(1)
-
-
-def _matrix_to_edges(m, n):
-    edges = []
-    for u in range(1, n + 1):
-        edges.extend([(u, u)] * m[u][u])
-        for v in range(u + 1, n + 1):
-            edges.extend([(u, v)] * m[u][v])
-    return tuple(edges)
+    Every connected trivalent graph of genus g >= 3 arises from one of
+    genus g - 1: undo (a) by deleting an edge that is neither a loop nor a
+    bridge and smoothing its endpoints, otherwise undo (b) at a vertex with
+    a loop.
+    """
+    a, b = n + 1, n + 2
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1 :]
+        yield rest + ((u, a), (v, a), (a, b), (b, b))
+        yield rest + ((u, a), (a, b), (a, b), (v, b))
+        for j in range(i + 1, len(edges)):
+            x, y = edges[j]
+            yield rest[: j - 1] + rest[j:] + ((u, a), (v, a), (x, b), (y, b), (a, b))
 
 
 def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> list:
     """One canonical representative per isomorphism class of trivalent
     connected multigraphs of genus g (loops allowed).
 
-    The representatives carry their canonical (sorted) edge list, so output
-    is deterministic.  ``bridgeless=True`` keeps only the classes without a
-    bridge.
+    Classes are built by genus induction from the dumbbell and the theta
+    graph with the moves of :func:`_extensions`, deduplicated by canonical
+    form.  Each representative carries its canonical (sorted) edge list and
+    the list is sorted by it, so output is deterministic.
+    ``bridgeless=True`` keeps only the classes without a bridge.
     """
     if g < 2:
         raise BadCardinality("genus must be at least 2")
     if g > max_genus:
         raise GenusTooLarge(f"genus {g} exceeds the configured bound {max_genus}")
-    n = 2 * g - 2
-    # deduplicate with refinement-color fingerprints plus a direct
-    # isomorphism test per bucket; the (much more expensive) canonical
-    # labeling then runs only once per class
-    buckets = {}
-    for m in _trivalent_matrices(n):
-        edges = _matrix_to_edges(m, n)
-        if not _is_connected(n, edges):
-            continue
-        graph = FeynmanGraph(n, edges)
-        colors = _refined_colors(graph)
-        fingerprint = tuple(sorted(colors.values()))
-        reps = buckets.setdefault(fingerprint, [])
-        if not any(_find_isomorphism(graph, colors, rep, rep_colors) for rep, rep_colors in reps):
-            reps.append((graph, colors))
-    forms = sorted(
-        canonical_form(graph) for reps in buckets.values() for graph, _ in reps
-    )
-    out = [FeynmanGraph(n, edges) for edges in forms]
+    forms = [((1, 1), (1, 2), (2, 2)), ((1, 2), (1, 2), (1, 2))]
+    for n in range(2, 2 * g - 2, 2):
+        forms = sorted(
+            {canonical_form(FeynmanGraph(n + 2, edges)) for form in forms for edges in _extensions(n, form)}
+        )
+    out = [FeynmanGraph(2 * g - 2, form) for form in forms]
     if bridgeless:
         out = [gr for gr in out if not bridges(gr)]
     return out

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ellcover
 from ellcover.cli import main
 
 
@@ -108,6 +113,14 @@ def test_graphs_listing(capsys):
     assert sorted(row["aut"] for row in rows) == [16, 24]
 
 
+def test_graphs_genus_5_json(capsys):
+    code, out, _ = run(capsys, "--json", "graphs", "--genus", "5")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 71
+    assert len({json.dumps(row["edges"]) for row in rows}) == 71
+
+
 def test_covers_json_lines(capsys, graph_file, caterpillar):
     path = graph_file(caterpillar)
     code, out, _ = run(
@@ -154,6 +167,32 @@ def test_invalid_graph_error(capsys, tmp_path):
     path.write_text(json.dumps({"vertices": 2, "edges": [[1, 2], [1, 2]]}))
     code, _, err = run(capsys, "gw", "--graph", str(path), "--degree", "1")
     assert code == 2 and "BadCardinality" in err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"vertices": 2.9, "edges": [[1, 2]] * 3}, '"vertices"'),
+        ({"vertices": True, "edges": [[1, 2]] * 3}, '"vertices"'),
+        ({"edges": [[1, 2]] * 3}, '"vertices"'),
+        ({"vertices": 2, "edges": [["a", 2], [1, 2], [1, 2]]}, '"edges"[0]'),
+        ({"vertices": 2, "edges": [[1, 2], [1, 2], [1, 2.0]]}, '"edges"[2]'),
+        ([1, 2], "object"),
+    ],
+)
+def test_malformed_graph_json_exits_without_traceback(tmp_path, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellcover.cli", "igamma", "--graph", str(path), "--max-degree", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(ellcover.__file__).resolve().parent.parent)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: MalformedGraph") and field in proc.stderr
 
 
 def test_bad_branch_length(capsys, graph_file, theta):

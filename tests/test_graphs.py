@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -10,6 +11,7 @@ from ellcover import (
     GenusTooLarge,
     GraphError,
     HasBridge,
+    MalformedGraph,
     NotConnected,
     NotTrivalent,
     automorphism_count,
@@ -21,7 +23,7 @@ from ellcover import (
     is_isomorphic,
     validate,
 )
-from ellcover.graphs import _is_connected, is_balanced
+from ellcover.graphs import _is_connected, is_balanced, vertex_automorphisms
 
 
 def test_validate_genus(theta, dumbbell, caterpillar, k4):
@@ -49,6 +51,31 @@ def test_json_roundtrip(caterpillar):
     assert FeynmanGraph.from_json(data) == caterpillar
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"vertices": 2.9, "edges": [[1, 2]] * 3}, '"vertices"'),
+        ({"vertices": True, "edges": []}, '"vertices"'),
+        ({"vertices": "2", "edges": [[1, 2]] * 3}, '"vertices"'),
+        ({"edges": [[1, 2]] * 3}, '"vertices"'),
+        ({"vertices": 2}, '"edges"'),
+        ({"vertices": 2, "edges": 3}, '"edges"'),
+        ({"vertices": 2, "edges": [["1", 2], [1, 2], [1, 2]]}, '"edges"[0]'),
+        ({"vertices": 2, "edges": [[1, 2], [1.0, 2], [1, 2]]}, '"edges"[1]'),
+        ({"vertices": 2, "edges": [[1, 2], [1, 2], [1, True]]}, '"edges"[2]'),
+        ({"vertices": 2, "edges": [[1, 2, 2]]}, '"edges"[0]'),
+        ({"vertices": 2, "edges": [[1, 3]]}, '"edges"[0]'),
+        ([2, [[1, 2]]], "object"),
+        ("{not json", "parse"),
+    ],
+)
+def test_malformed_json_names_the_field(data, field):
+    with pytest.raises(MalformedGraph) as info:
+        FeynmanGraph.from_json(data)
+    assert isinstance(info.value, GraphError)
+    assert field in str(info.value)
+
+
 def test_bridges(theta, dumbbell, caterpillar):
     assert bridges(theta) == ()
     assert has_bridge(dumbbell) == (True, (1,))
@@ -72,15 +99,75 @@ def test_automorphism_counts(theta, dumbbell, caterpillar, k4):
 def test_automorphism_count_relabeling_invariant(caterpillar, dumbbell):
     rng = random.Random(3)
     for graph in (caterpillar, dumbbell):
-        n = graph.vertex_count
         for _ in range(5):
-            relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
-            edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
-            rng.shuffle(edges)
-            other = FeynmanGraph.from_edges(n, edges)
+            other = _relabelled(rng, graph)
             assert automorphism_count(other) == automorphism_count(graph)
             assert canonical_form(other) == canonical_form(graph)
             assert is_isomorphic(other, graph)
+
+
+def _reference_maps(a, b):
+    """Every vertex bijection ``img`` (``img[0]`` is 0) carrying a's
+    multiplicity matrix onto b's, by a scan of all n! permutations."""
+    n = a.vertex_count
+    ma, mb = a.multiplicity_matrix(), b.multiplicity_matrix()
+    for perm in itertools.permutations(range(1, n + 1)):
+        img = (0,) + perm
+        if all(mb[img[u]][img[v]] == ma[u][v] for u in range(1, n + 1) for v in range(u, n + 1)):
+            yield img
+
+
+def _reference_isomorphic(a, b):
+    return a.vertex_count == b.vertex_count and any(True for _ in _reference_maps(a, b))
+
+
+def _relabelled(rng, graph):
+    n = graph.vertex_count
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return FeynmanGraph.from_edges(n, edges)
+
+
+def _random_genus5_graphs(rng, count):
+    out = []
+    while len(out) < count:
+        points = list(range(24))
+        rng.shuffle(points)
+        G = _pairing_to_graph(8, [(points[2 * i], points[2 * i + 1]) for i in range(12)])
+        if _is_connected(8, G.edges):
+            out.append(_relabelled(rng, G))
+    return out
+
+
+@pytest.fixture(scope="module")
+def search_test_graphs():
+    """Every class of genus <= 4, seeded random genus-5 pairings, and a
+    relabelled twin of each."""
+    rng = random.Random(5)
+    graphs = [G for g in (2, 3, 4) for G in enumerate_genus(g)] + _random_genus5_graphs(rng, 10)
+    return [(G, _relabelled(rng, G)) for G in graphs]
+
+
+def test_automorphisms_match_reference_scan(search_test_graphs):
+    for graph, twin in search_test_graphs:
+        for G in (graph, twin):
+            found = vertex_automorphisms(G)
+            assert found[0] == tuple(range(G.vertex_count + 1))
+            assert len(set(found)) == len(found)
+            assert set(found) == set(_reference_maps(G, G)), G.edges
+
+
+def test_canonical_form_decides_isomorphism_like_reference_scan(search_test_graphs):
+    for i, (graph, twin) in enumerate(search_test_graphs):
+        assert canonical_form(graph) == canonical_form(twin)
+        assert _reference_isomorphic(graph, twin)
+        # the next graph of the same vertex count: another class, or for
+        # random genus-5 pairings possibly the same one
+        other = search_test_graphs[(i + 1) % len(search_test_graphs)][1]
+        if other.vertex_count == graph.vertex_count:
+            same = canonical_form(graph) == canonical_form(other)
+            assert same == _reference_isomorphic(graph, other) == is_isomorphic(graph, other)
 
 
 def test_enumerate_genus_2():
@@ -103,9 +190,9 @@ def test_enumerate_genus_3(caterpillar, k4):
 
 
 def test_enumerate_validates_and_dedupes():
-    # class counts 2, 5, 17 are certified by the mass formula below
-    expected_classes = {2: 2, 3: 5, 4: 17}
-    for g in (2, 3, 4):
+    # class counts 2, 5, 17, 71 are certified by the mass formula below
+    expected_classes = {2: 2, 3: 5, 4: 17, 5: 71}
+    for g in (2, 3, 4, 5):
         found = enumerate_genus(g)
         assert len(found) == expected_classes[g]
         forms = [canonical_form(G) for G in found]
@@ -113,6 +200,16 @@ def test_enumerate_validates_and_dedupes():
         for G in found:
             assert validate(G) == g
             assert G.edges == canonical_form(G)
+
+
+def test_enumerate_genus_6_matches_oeis():
+    # OEIS A005967: 388 connected trivalent multigraphs with loops on 10
+    # vertices; the mass formula certifies the count independently
+    found = enumerate_genus(6, max_genus=6)
+    assert len(found) == 388
+    assert len({G.edges for G in found}) == 388
+    mass = sum(Fraction(factorial(10) * 6**10, automorphism_count(G)) for G in found)
+    assert mass == _connected_pairing_count(10)
 
 
 def test_genus_bounds():
@@ -179,7 +276,7 @@ def test_exhaustive_pairings_map_onto_enumeration(g):
     assert connected == _connected_pairing_count(n)
 
 
-@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_mass_formula(g):
     # each isomorphism class accounts for n! 6^n / |Aut| labelled half-edge
     # pairings, so the automorphism-weighted class count must reproduce the
