@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import graphs as graphs_mod
-from . import integrals, monodromy, quasimodular, tropical
+from . import integrals, quasimodular, tropical
 from .graphs import FeynmanGraph
 from .laurent import coeff_str
 from .quasimodular import QSeries
@@ -85,34 +84,7 @@ def cmd_igamma(args):
 
 
 def cmd_fg(args):
-    if args.oracle == "integral":
-        series = integrals.f_g(args.genus, args.max_degree)
-    elif args.oracle == "tropical":
-        total = {}
-        for graph in graphs_mod.enumerate_genus(args.genus):
-            if graphs_mod.bridges(graph):
-                continue
-            aut = graphs_mod.automorphism_count(graph)
-            for d in range(1, args.max_degree + 1):
-                s = sum(
-                    tropical.count_covers_total(graph, a)
-                    for a in integrals.compositions(d, len(graph.edges))
-                )
-                total[2 * d] = total.get(2 * d, 0) + Fraction(s, aut)
-        coeffs = {}
-        for e, c in total.items():
-            if c != 0:
-                if c.denominator != 1:
-                    raise ArithmeticError(f"coefficient of q^{e} is {c}, expected an integer")
-                coeffs[e] = c.numerator
-        series = QSeries(coeffs, 2 * args.max_degree + 2)
-    else:
-        coeffs = {}
-        for d in range(1, args.max_degree + 1):
-            value = monodromy.hurwitz_count(d, args.genus)
-            if value:
-                coeffs[2 * d] = value
-        series = QSeries(coeffs, 2 * args.max_degree + 2)
+    series = integrals.f_g(args.genus, args.max_degree, oracle=args.oracle)
     _emit(args, str(series), _series_payload(series))
 
 
@@ -198,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fg", help="Hurwitz number series for a genus")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--oracle", choices=("integral", "tropical", "sym"), default="integral")
+    p.add_argument("--oracle", choices=integrals.ORACLES, default="integral")
     p.set_defaults(func=cmd_fg)
 
     p = sub.add_parser("graphs", help="enumerate trivalent graphs of a genus")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
+from .monodromy import hurwitz_count
 from .propagator import oriented_terms
 from .quasimodular import QSeries
 
@@ -69,6 +70,12 @@ def check_order(graph: FeynmanGraph, order) -> tuple:
     if sorted(order) != list(range(1, graph.vertex_count + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{graph.vertex_count}")
     return order
+
+
+def check_degree(d: int, name: str) -> int:
+    if d < 0:
+        raise ValueError(f"{name} must be non-negative, got {d}")
+    return d
 
 
 def check_branch_type(graph: FeynmanGraph, a) -> tuple:
@@ -236,6 +243,7 @@ class MultiSeries:
 
 def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     """All labelled counts with total branch degree at most d_max."""
+    check_degree(d_max, "d_max")
     coeffs = {}
     if not bridges(graph):
         orbits = order_orbits(graph, symmetric=False)
@@ -258,36 +266,67 @@ def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int, *, bridgele
     return _eliminate(graph, order, order, degrees, d_max, d_max)
 
 
-def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
-    """The graph series: coefficient of q^{2d} is the total labelled count in
-    degree d, summed over all vertex orders (one per automorphism-and-reversal
-    orbit, weighted by its size), for d <= d_max."""
+def orbit_series(graph: FeynmanGraph, d_max: int, counts_for_order) -> QSeries:
+    """A graph series from per-order counts: coefficient of q^{2d} is the sum
+    of ``counts_for_order(order)[d]`` over all vertex orders (one per
+    automorphism-and-reversal orbit, weighted by its size), for d <= d_max.
+    Validates the graph and d_max; a graph with a bridge gives zero and
+    ``counts_for_order`` is never called on it."""
     validate(graph)
+    check_degree(d_max, "d_max")
     coeffs = {}
     if not bridges(graph):
         for order, weight in order_orbits(graph):
-            for d, c in i_gamma_coeffs_for_order(graph, order, d_max, bridgeless=True).items():
+            for d, c in counts_for_order(order).items():
                 coeffs[2 * d] = coeffs.get(2 * d, 0) + weight * c
     return QSeries(coeffs, 2 * d_max + 2)
 
 
-def f_g(g: int, d_max: int, max_genus: int = 5) -> QSeries:
-    """Generating series of the genus-g Hurwitz numbers of an elliptic curve,
-    assembled as the automorphism-weighted sum of the graph series over all
-    trivalent genus-g graphs.
+def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
+    """The graph series: coefficient of q^{2d} is the total labelled count in
+    degree d, summed over all vertex orders (one per automorphism-and-reversal
+    orbit, weighted by its size), for d <= d_max."""
+    return orbit_series(
+        graph, d_max, lambda order: i_gamma_coeffs_for_order(graph, order, d_max, bridgeless=True)
+    )
+
+
+ORACLES = ("integral", "tropical", "sym")
+
+
+def f_g(g: int, d_max: int, max_genus: int = 5, oracle: str = "integral") -> QSeries:
+    """Generating series of the genus-g Hurwitz numbers of an elliptic curve
+    up to q^{2 d_max}, by one of three independent paths:
+
+    * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
+      over the trivalent genus-g graphs (genus at most ``max_genus``);
+    * ``"tropical"``: the same sum of
+      :func:`~ellcover.tropical.tropical_series`;
+    * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_count` per degree (no
+      graphs, so ``max_genus`` does not apply).
 
     Every coefficient is checked to be a non-negative integer.
     """
+    if oracle not in ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}, expected one of {', '.join(ORACLES)}")
     if g < 2:
         raise ValueError("genus must be at least 2")
+    check_degree(d_max, "d_max")
     total = {}
-    for graph in enumerate_genus(g, max_genus=max_genus):
-        if bridges(graph):
-            continue
-        aut = automorphism_count(graph)
-        series = i_gamma_series(graph, d_max)
-        for e, c in series.coeffs.items():
-            total[e] = total.get(e, 0) + Fraction(c, aut)
+    if oracle == "sym":
+        for d in range(1, d_max + 1):
+            total[2 * d] = hurwitz_count(d, g)
+    else:
+        series_of = i_gamma_series
+        if oracle == "tropical":
+            # tropical imports this module, so it is imported here
+            from .tropical import tropical_series as series_of
+        for graph in enumerate_genus(g, max_genus=max_genus):
+            if bridges(graph):
+                continue
+            aut = automorphism_count(graph)
+            for e, c in series_of(graph, d_max).coeffs.items():
+                total[e] = total.get(e, 0) + Fraction(c, aut)
     out = {}
     for e, c in total.items():
         if c != 0:

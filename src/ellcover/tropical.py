@@ -11,16 +11,42 @@ This is a complete combinatorial description of the labelled tropical covers
 with the given branch profile over the base point, and it never touches
 Laurent-polynomial arithmetic, so it serves as an independent oracle for the
 integral path.
+
+All enumeration runs on one graded depth-first search (:func:`_search`).
+Each edge carries its choices for every branch degree it may take, sorted
+by degree, and the search keeps the running total degree: the first choice
+that would push it past the cap ends that edge's loop, since every later
+choice does too.  Edges are assigned in an order that saturates vertices
+early, and a saturated vertex must balance, which prunes the search.  A
+fixed branch type gives every edge one degree (:func:`enumerate_tuples`,
+:func:`count_covers`); the graph series gives every edge all degrees up to
+d_max and adds each tuple's weight product to its degree
+(:func:`tropical_series`).  Degree-0 weights stop at the cap, which is
+exact: every degree-0 edge crossing a cut of the vertex order between two
+consecutive positions points forward, so balance makes their total weight
+equal to the net weight carried back across the cut by edges of positive
+branch degree, at most sum(a) = d (each such weight divides its a_k).
+
+Summing over vertex orders uses orbits, as on the integral path
+(:func:`~ellcover.integrals.order_orbits`):
+
+* reversing the order and flipping every source is a bijection between the
+  tuples of an order and those of its reverse, weights kept, so reversal is
+  used for every sum, including a fixed branch type
+  (:func:`count_covers_total`);
+* a vertex automorphism maps the tuples of one order onto the tuples of the
+  image order for a permuted branch type, so it is used only for sums over
+  all compositions of a degree (:func:`tropical_series`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import FeynmanGraph, bridges
-from .integrals import check_branch_type, check_order
+from .integrals import check_branch_type, check_order, orbit_series, order_orbits
 from .propagator import divisors
+from .quasimodular import QSeries
 
 
 @dataclass(frozen=True)
@@ -69,22 +95,73 @@ class TropicalCover:
         }
 
 
-def _edge_candidates(graph, a, order, w_bound):
-    """Per edge, the admissible (weight, source, wrap) choices."""
-    rank = {lab: i for i, lab in enumerate(order)}
-    cands = []
+def _options(graph, rank, degrees, w_max):
+    """Per edge, its (branch degree, weight, source, wrap) choices over the
+    branch degrees in ``degrees[k]``, sorted by branch degree; degree-0
+    choices point from the vertex of lower ``rank`` and stop at weight
+    ``w_max``."""
+    out = []
     for k, (u, v) in enumerate(graph.edges):
-        if a[k] > 0:
-            options = []
-            for w in divisors(a[k]):
-                options.append((w, u, a[k] // w))
-                if u != v:
-                    options.append((w, v, a[k] // w))
-            cands.append(options)
-        else:
-            src = u if rank[u] < rank[v] else v
-            cands.append([(w, src, 0) for w in range(1, w_bound + 1)])
-    return cands
+        options = []
+        for a in degrees[k]:
+            if a > 0:
+                for w in divisors(a):
+                    options.append((a, w, u, a // w))
+                    if u != v:
+                        options.append((a, w, v, a // w))
+            else:
+                src = u if rank[u] < rank[v] else v
+                options.extend((0, w, src, 0) for w in range(1, w_max + 1))
+        options.sort(key=lambda opt: opt[0])
+        out.append(options)
+    return out
+
+
+def _search(graph, order, degrees, d_max, w_max, leaf):
+    """Call ``leaf(degree, multiplicity, chosen)`` for every admissible
+    tuple of total branch degree at most ``d_max``, where ``chosen[k]`` is
+    edge k's (branch degree, weight, source, wrap) choice.  The caller has
+    checked the order and that the graph has no bridge."""
+    rank = {lab: i for i, lab in enumerate(order)}
+    options = _options(graph, rank, degrees, w_max)
+    edges = graph.edges
+    m = len(edges)
+    # assign edges in an order that completes vertices early, so balance can
+    # be checked (and the search pruned) as soon as a vertex is saturated
+    edge_seq = sorted(range(m), key=lambda k: (max(rank[edges[k][0]], rank[edges[k][1]]), k))
+    remaining = [0] * (graph.vertex_count + 1)
+    for u, v in edges:
+        remaining[u] += 1
+        remaining[v] += 1
+    balance = [0] * (graph.vertex_count + 1)
+    chosen = [None] * m
+
+    def assign(i, degree, mult):
+        if i == m:
+            leaf(degree, mult, chosen)
+            return
+        k = edge_seq[i]
+        u, v = edges[k]
+        remaining[u] -= 1
+        remaining[v] -= 1
+        u_open = remaining[u] > 0
+        v_open = remaining[v] > 0
+        for opt in options[k]:
+            a, w, src, _ = opt
+            if degree + a > d_max:
+                break
+            snk = v if src == u else u
+            balance[src] += w
+            balance[snk] -= w
+            if (u_open or balance[u] == 0) and (v_open or balance[v] == 0):
+                chosen[k] = opt
+                assign(i + 1, degree + a, mult * w)
+            balance[src] -= w
+            balance[snk] += w
+        remaining[u] += 1
+        remaining[v] += 1
+
+    assign(0, 0, 1)
 
 
 def enumerate_tuples(graph: FeynmanGraph, a, order, w_bound=None) -> list:
@@ -99,67 +176,61 @@ def enumerate_tuples(graph: FeynmanGraph, a, order, w_bound=None) -> list:
     if bridges(graph):
         return []
     total = sum(a)
-    if w_bound is None:
-        w_bound = total
-    cands = _edge_candidates(graph, a, order, w_bound)
-    m = len(graph.edges)
-
-    # assign edges in an order that completes vertices early, so balance can
-    # be checked (and the search pruned) as soon as a vertex is saturated
-    rank = {lab: i for i, lab in enumerate(order)}
-    edge_seq = sorted(range(m), key=lambda k: (max(rank[x] for x in graph.edges[k]), k))
-    remaining = {v: 0 for v in range(1, graph.vertex_count + 1)}
-    for u, v in graph.edges:
-        remaining[u] += 1
-        remaining[v] += 1
-
     results = []
-    weights = [0] * m
-    sources = [0] * m
-    wraps = [0] * m
-    balance = {v: 0 for v in remaining}
 
-    def assign(i):
-        if i == m:
-            results.append(CoverTuple(tuple(weights), tuple(sources), tuple(wraps)))
-            return
-        k = edge_seq[i]
-        u, v = graph.edges[k]
-        for w, src, wrap in cands[k]:
-            snk = v if src == u else u
-            weights[k], sources[k], wraps[k] = w, src, wrap
-            balance[src] += w
-            balance[snk] -= w
-            remaining[u] -= 1
-            remaining[v] -= 1
-            ok = (remaining[u] > 0 or balance[u] == 0) and (remaining[v] > 0 or balance[v] == 0)
-            if ok:
-                assign(i + 1)
-            balance[src] -= w
-            balance[snk] += w
-            remaining[u] += 1
-            remaining[v] += 1
-        weights[k] = sources[k] = wraps[k] = 0
+    def collect(degree, mult, chosen):
+        _, weights, sources, wraps = zip(*chosen)
+        results.append(CoverTuple(weights, sources, wraps))
 
-    assign(0)
+    _search(graph, order, [(x,) for x in a], total, total if w_bound is None else w_bound, collect)
     return results
+
+
+def _graded_counts(graph, order, degrees, d_max) -> dict:
+    """Total branch degree -> sum of the weight products of the tuples of
+    that degree, for degrees up to d_max."""
+    counts = {}
+
+    def add(degree, mult, chosen):
+        counts[degree] = counts.get(degree, 0) + mult
+
+    _search(graph, order, degrees, d_max, d_max, add)
+    return counts
+
+
+def _type_count(graph, a, order) -> int:
+    """Weighted tuple count for a checked branch type and order on a graph
+    without bridges."""
+    total = sum(a)
+    return _graded_counts(graph, order, [(x,) for x in a], total).get(total, 0)
 
 
 def count_covers(graph: FeynmanGraph, a, order) -> int:
     """Weighted tuple count for one vertex order: the sum of weight products."""
-    return sum(t.multiplicity for t in enumerate_tuples(graph, a, order))
-
-
-def count_covers_total(graph: FeynmanGraph, a) -> int:
-    """Weighted tuple count summed over all (2g-2)! vertex orders."""
+    order = check_order(graph, order)
     a = check_branch_type(graph, a)
     if bridges(graph):
         return 0
-    n = graph.vertex_count
-    return sum(
-        count_covers(graph, a, order)
-        for order in itertools.permutations(range(1, n + 1))
-    )
+    return _type_count(graph, a, order)
+
+
+def count_covers_total(graph: FeynmanGraph, a) -> int:
+    """Weighted tuple count summed over all (2g-2)! vertex orders, one per
+    reversal orbit (the branch type is fixed, so automorphisms are not used)."""
+    a = check_branch_type(graph, a)
+    if bridges(graph):
+        return 0
+    orbits = order_orbits(graph, symmetric=False)
+    return sum(weight * _type_count(graph, a, order) for order, weight in orbits)
+
+
+def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
+    """The graph series by tropical enumeration: coefficient of q^{2d} is
+    the weighted tuple count in total degree d, summed over all vertex
+    orders (one per automorphism-and-reversal orbit, weighted by its size),
+    for d <= d_max.  Equal to :func:`~ellcover.integrals.i_gamma_series`."""
+    degrees = [range(d_max + 1)] * len(graph.edges)
+    return orbit_series(graph, d_max, lambda order: _graded_counts(graph, order, degrees, d_max))
 
 
 def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> TropicalCover:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ellcover
 from ellcover.cli import main
@@ -207,3 +212,68 @@ def test_json_error_output(capsys, graph_file, theta):
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fg", "--genus", "3", "--max-degree", "-1"],
+        ["igamma", "--graph", "{graph}", "--max-degree", "-2"],
+        ["genfun", "--graph", "{graph}", "--degree", "-1"],
+    ],
+)
+def test_negative_degree_exits_2_without_traceback(graph_file, k4, argv):
+    path = graph_file(k4)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellcover.cli"] + [arg.replace("{graph}", path) for arg in argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(ellcover.__file__).resolve().parent.parent)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ValueError") and "must be non-negative" in proc.stderr
+
+
+# genus 5 is left out of the fuzz range because enumerating its orders takes
+# over a second, and so is the tropical f_g(4, 3) (about one second)
+_FG_ARGS = st.tuples(
+    st.sampled_from([-1, 0, 1, 2, 3, 4, 6]),
+    st.integers(-2, 3),
+    st.sampled_from(["integral", "tropical", "sym"]),
+).filter(lambda t: t != (4, 3, "tropical"))
+
+
+def test_cli_integer_flags_fuzz(theta, dumbbell, caterpillar, k4):
+    # every integer a flag may take exits 0 or 2 and raises nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, graph in enumerate((theta, dumbbell, caterpillar, k4)):
+            path = Path(tmp) / f"graph{k}.json"
+            path.write_text(json.dumps(graph.to_json()))
+            paths.append(str(path))
+
+        def with_graph(command, flag, low, high):
+            return st.tuples(st.sampled_from(paths), st.integers(low, high)).map(
+                lambda t: [command, "--graph", t[0], flag, str(t[1])]
+            )
+
+        argvs = st.one_of(
+            _FG_ARGS.map(lambda t: ["fg", "--genus", str(t[0]), "--max-degree", str(t[1]), "--oracle", t[2]]),
+            with_graph("igamma", "--max-degree", -3, 6),
+            with_graph("gw", "--degree", -3, 4),
+            with_graph("genfun", "--degree", -3, 3),
+        )
+
+        @settings(max_examples=60, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(argv=argvs, as_json=st.booleans())
+        def check(argv, as_json):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main((["--json"] if as_json else []) + argv)
+            assert code in (0, 2)
+            assert (code == 0) == (err.getvalue() == "")
+
+        check()

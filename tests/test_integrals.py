@@ -316,3 +316,16 @@ def test_f4_through_degree_four():
     # the q^8 coefficient also follows from the character formula
     # sum over partitions of c(lambda)^6, followed by a log in q
     assert f_g(4, 4).coeffs == {4: 2, 6: 1456, 8: 91920}
+
+
+def test_negative_degrees_are_rejected(k4):
+    with pytest.raises(ValueError, match="d_max"):
+        i_gamma_series(k4, -2)
+    with pytest.raises(ValueError, match="d_max"):
+        generating_function(k4, -1)
+    for oracle in ("integral", "tropical", "sym"):
+        with pytest.raises(ValueError, match="d_max"):
+            f_g(3, -1, oracle=oracle)
+    with pytest.raises(ValueError, match="degree"):
+        gromov_witten_d(k4, -1)
+    assert i_gamma_series(k4, 0).coeffs == {} and f_g(3, 0).coeffs == {}

@@ -1,12 +1,19 @@
+import random
+
 import pytest
 
 from ellcover import (
     CoverTuple,
+    FeynmanGraph,
     count_covers,
     count_covers_total,
+    enumerate_genus,
     enumerate_tuples,
+    f_g,
+    i_gamma_series,
     integral_coeff,
     reconstruct_cover,
+    tropical_series,
 )
 from ellcover.integrals import all_orders, compositions
 
@@ -142,3 +149,74 @@ def test_oracle_equivalence_genus3(graph_name, request):
         for a in compositions(d, 6):
             for order in orders:
                 assert count_covers(graph, a, order) == integral_coeff(graph, a, order)
+
+
+# -- the graded, orbit-reduced oracle against per-branch-type counts -------
+
+
+def reference_series(graph, d_max):
+    """q-exponent -> labelled count: the sum of ``count_covers_total`` over
+    every composition of every degree up to d_max, one search per branch
+    type.  ``count_covers_total`` itself is checked against all n! orders in
+    ``test_count_covers_total_matches_all_orders``."""
+    total = {}
+    for d in range(1, d_max + 1):
+        s = sum(count_covers_total(graph, a) for a in compositions(d, len(graph.edges)))
+        if s:
+            total[2 * d] = s
+    return total
+
+
+def _relabelled(rng, graph):
+    n = graph.vertex_count
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    edges = [(relabel[u], relabel[v]) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return FeynmanGraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("genus, d_max", [(3, 4), (4, 2)])
+def test_tropical_series_matches_per_type_reference(genus, d_max):
+    rng = random.Random(genus)
+    for graph in enumerate_genus(genus, bridgeless=True):
+        want = reference_series(graph, d_max)
+        series = tropical_series(graph, d_max)
+        assert series.coeffs == want and series.order == 2 * d_max + 2
+        assert all(type(c) is int for c in series.coeffs.values())
+        for _ in range(2):
+            assert tropical_series(_relabelled(rng, graph), d_max).coeffs == want
+
+
+def test_tropical_series_equals_integral_series(caterpillar, k4, theta, dumbbell):
+    for graph in (caterpillar, k4, theta):
+        assert tropical_series(graph, 6) == i_gamma_series(graph, 6)
+    assert tropical_series(dumbbell, 4).coeffs == {}
+
+
+def test_count_covers_total_matches_all_orders():
+    rng = random.Random(5)
+    genus4 = enumerate_genus(4, bridgeless=True)
+    cases = [(graph, 4) for graph in enumerate_genus(3, bridgeless=True)] + [(genus4[0], 2), (genus4[-1], 2)]
+    for graph, draws in cases:
+        orders = list(all_orders(graph))
+        for _ in range(draws):
+            a = tuple(rng.randint(0, 2) for _ in graph.edges)
+            want = sum(count_covers(graph, a, order) for order in orders)
+            assert count_covers_total(graph, a) == want
+
+
+def test_f_g_oracles_agree():
+    assert f_g(3, 6, oracle="tropical") == f_g(3, 6)
+    assert f_g(4, 3, oracle="tropical") == f_g(4, 3)
+    assert f_g(2, 4, oracle="sym") == f_g(2, 4)
+
+
+def test_f_g_rejects_unknown_oracle():
+    with pytest.raises(ValueError, match="oracle"):
+        f_g(2, 2, oracle="character")
+
+
+def test_tropical_series_rejects_negative_degree(k4):
+    with pytest.raises(ValueError, match="d_max"):
+        tropical_series(k4, -1)
+    assert tropical_series(k4, 0).coeffs == {}
