@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from math import factorial
+
+from ._frozen import Frozen
 
 
 class GraphError(ValueError):
@@ -53,13 +54,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class FeynmanGraph:
+class FeynmanGraph(Frozen):
     """A labelled multigraph: ``vertex_count`` vertices 1..n, edges as an
     ordered tuple of unordered pairs (stored min-first)."""
 
-    vertex_count: int
-    edges: tuple
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: tuple):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, vertex_count, edges) -> "FeynmanGraph":
@@ -354,23 +357,27 @@ def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> lis
     return out
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Frozen):
     """Per-edge source vertex; ``None`` flags a loop (no orientation)."""
 
-    sources: tuple
+    __slots__ = ("sources",)
+
+    def __init__(self, sources: tuple):
+        object.__setattr__(self, "sources", sources)
 
     def source(self, k):
         return self.sources[k]
 
 
-@dataclass(frozen=True)
-class BalancedFlow:
+class BalancedFlow(Frozen):
     """An orientation together with positive integer edge weights whose
     in-flow equals out-flow at every vertex."""
 
-    orientation: Orientation
-    weights: tuple
+    __slots__ = ("orientation", "weights")
+
+    def __init__(self, orientation: Orientation, weights: tuple):
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "weights", weights)
 
 
 def _dfs_orientation(graph: FeynmanGraph):

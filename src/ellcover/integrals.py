@@ -29,11 +29,11 @@ edges, whose factors would be singular, are never expanded).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
-from .monodromy import hurwitz_count
+from .monodromy import check_budget, hurwitz_count
 from .propagator import oriented_terms
 from .quasimodular import QSeries
 
@@ -72,7 +72,14 @@ def check_order(graph: FeynmanGraph, order) -> tuple:
     return order
 
 
+def check_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_degree(d: int, name: str) -> int:
+    check_int(d, name)
     if d < 0:
         raise ValueError(f"{name} must be non-negative, got {d}")
     return d
@@ -199,25 +206,26 @@ def gromov_witten_a(graph: FeynmanGraph, a) -> int:
 
 def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     """Degree-d count scaled by |Aut|: the sum of the labelled counts over
-    every composition of d into one part per edge.  The sum is symmetric in
-    the edges, so one order per automorphism-and-reversal orbit suffices."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    every composition of d into one part per edge, read off the degree-graded
+    single-order integrals.  The sum is symmetric in the edges, so one order
+    per automorphism-and-reversal orbit suffices."""
+    check_degree(d, "degree")
     if bridges(graph):
         return 0
-    orbits = order_orbits(graph)
-    return sum(_labelled_count(graph, a, orbits) for a in compositions(d, len(graph.edges)))
+    return sum(
+        weight * i_gamma_coeffs_for_order(graph, order, d, bridgeless=True).get(d, 0)
+        for order, weight in order_orbits(graph)
+    )
 
 
-@dataclass(frozen=True)
-class MultiSeries:
+class MultiSeries(Frozen):
     """Multigraded generating function: branch type -> count."""
 
-    arity: int
-    coeffs: dict
+    __slots__ = ("arity", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", {tuple(a): c for a, c in self.coeffs.items() if c != 0})
+    def __init__(self, arity: int, coeffs: dict):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "coeffs", {tuple(a): c for a, c in coeffs.items() if c != 0})
 
     def coeff(self, a) -> int:
         return self.coeffs.get(tuple(a), 0)
@@ -309,11 +317,13 @@ def f_g(g: int, d_max: int, max_genus: int = 5, oracle: str = "integral") -> QSe
     """
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}, expected one of {', '.join(ORACLES)}")
-    if g < 2:
+    if check_int(g, "g") < 2:
         raise ValueError("genus must be at least 2")
     check_degree(d_max, "d_max")
     total = {}
     if oracle == "sym":
+        # refuse before counting any degree: the work grows with d
+        check_budget(d_max, g)
         for d in range(1, d_max + 1):
             total[2 * d] = hurwitz_count(d, g)
     else:

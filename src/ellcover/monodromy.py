@@ -8,9 +8,14 @@ of permutations (tau_1, ..., tau_{2g-2}, alpha, sigma) of {1..d} with
       (composition right to left: sigma acts first),
   (3) the subgroup generated by all of tau_i, sigma, alpha transitive.
 
-The Hurwitz number is the tuple count divided by d!.  This path shares no
-code or ideas with the graph-integral and tropical-cover paths, so agreement
-across all three is a strong end-to-end check.
+The Hurwitz number is the tuple count divided by d!.  The transpositions are
+not enumerated one tuple at a time: only their product and the orbit
+partition they generate enter (2) and (3), so :func:`hurwitz_count` counts
+transposition tuples by (product, orbit partition) state, one transposition
+per step, and then checks (2) and (3) once per (sigma, alpha, state).  There
+are at most d! * Bell(d) states.  This path shares no code or ideas with the
+graph-integral and tropical-cover paths, so agreement across all three is a
+strong end-to-end check.
 
 Permutations are tuples of images on 0-based points.
 """
@@ -37,7 +42,7 @@ def identity(d: int) -> tuple:
 
 def compose(p, q):
     """p o q: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[x] for x in q])
 
 
 def inverse(p):
@@ -76,24 +81,26 @@ def transpositions(d: int) -> list:
     return out
 
 
+def orbit_labels(maps, d: int) -> tuple:
+    """The orbits of the group generated by ``maps`` as block labels: point
+    i -> the least point of its orbit.  Each pair (i, p[i]) of a map p joins
+    two blocks.  A block-label tuple is itself such a map, so it can stand in
+    for the permutations with those orbits."""
+    labels = list(range(d))
+    for p in maps:
+        for i, j in enumerate(p):
+            a, b = labels[i], labels[j]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                labels = [a if x == b else x for x in labels]
+    return tuple(labels)
+
+
 def is_transitive(perms, d: int) -> bool:
     """Whether the group generated by ``perms`` acts transitively on the d
-    points, via union-find over the orbits of the generators."""
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i in range(d):
-            ri, rj = find(i), find(p[i])
-            if ri != rj:
-                parent[ri] = rj
-    root = find(0)
-    return all(find(i) == root for i in range(d))
+    points."""
+    return not any(orbit_labels(perms, d))
 
 
 def verify_tuple(taus, alpha, sigma) -> bool:
@@ -154,38 +161,11 @@ def _budget(budget):
     return int(env) if env else DEFAULT_BUDGET
 
 
-def _count_for_sigma(d, g, sigma):
-    """Number of (taus, alpha) completing a fixed sigma to a valid tuple."""
-    perms = list(itertools.permutations(range(d)))
-    # alpha grouped by the conjugate it produces, so only transitivity
-    # remains to be checked per candidate
-    by_conjugate = {}
-    for alpha in perms:
-        by_conjugate.setdefault(conjugate(alpha, sigma), []).append(alpha)
-    count = 0
-    for taus in itertools.product(transpositions(d), repeat=2 * g - 2):
-        product = sigma
-        for t in taus:
-            product = compose(t, product)
-        for alpha in by_conjugate.get(product, ()):
-            if is_transitive(list(taus) + [sigma, alpha], d):
-                count += 1
-    return count
-
-
-def hurwitz_count(d: int, g: int, class_reduction: bool = True, budget=None) -> Fraction:
-    """The degree-d genus-g Hurwitz number as an exact rational (an integer
-    tuple count divided by d!).
-
-    With ``class_reduction`` (the default) sigma runs over one representative
-    per cycle type, scaled by the class size; this is valid because
-    conjugating a whole tuple preserves validity.  The naive full enumeration
-    remains available with ``class_reduction=False`` for auditing.
-    """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+def check_budget(d: int, g: int, budget=None) -> None:
+    """Raise :class:`BudgetExceeded` if the (d, g) count's estimated work
+    exceeds ``budget`` (default: ``HURWITZ_WORK_BUDGET`` or
+    ``DEFAULT_BUDGET``).  The estimate grows with d, so one check at the
+    largest degree covers a whole series."""
     limit = _budget(budget)
     work = _estimated_work(d, g)
     if work > limit:
@@ -193,12 +173,83 @@ def hurwitz_count(d: int, g: int, class_reduction: bool = True, budget=None) -> 
             f"estimated work {work} exceeds budget {limit}"
             f" (raise {BUDGET_ENV_VAR} to override)"
         )
-    total = 0
+
+
+def _product_orbit_counts(d, steps, perms, index) -> dict:
+    """N(P, B) over all tuples of ``steps`` transpositions, as
+    {P: [(B, count), ...]}: P is the index in ``perms`` of the product
+    tau_steps o ... o tau_1 and B the tuple's orbit partition as block labels
+    (:func:`orbit_labels`).  Built one transposition at a time; the states
+    are grouped by B, since appending (i j) merges the same two blocks of B
+    whatever P is."""
+    pairs = list(itertools.combinations(range(d), 2))
+    # swaps[k][P] = index of (i j) o P for the k-th pair (i, j)
+    swaps = [[index[compose(t, p)] for p in perms] for t in (from_cycles(d, [pair]) for pair in pairs)]
+    state = {identity(d): {index[identity(d)]: 1}}
+    for _ in range(steps):
+        step = {}
+        for blocks, counts in state.items():
+            for (i, j), swap in zip(pairs, swaps):
+                lo, hi = sorted((blocks[i], blocks[j]))
+                merged = tuple([lo if b == hi else b for b in blocks])
+                target = step.setdefault(merged, {})
+                get = target.get
+                for p, c in counts.items():
+                    q = swap[p]
+                    target[q] = get(q, 0) + c
+        state = step
+    out = {}
+    for blocks, counts in state.items():
+        for p, c in counts.items():
+            out.setdefault(p, []).append((blocks, c))
+    return out
+
+
+def hurwitz_count(d: int, g: int, class_reduction: bool = True, budget=None) -> Fraction:
+    """The degree-d genus-g Hurwitz number as an exact rational (an integer
+    tuple count divided by d!).
+
+    The transpositions enter only through their product P and their orbit
+    partition B, so their tuples are counted once per (P, B) state
+    (:func:`_product_orbit_counts`).  Condition (2) fixes
+    P = alpha o sigma o alpha^{-1} o sigma^{-1} and condition (3) asks that
+    B, the orbits of sigma and those of alpha join to one block, so
+
+      count = sum over sigma, alpha, B of N(P, B) [B v sigma v alpha = 1].
+
+    With ``class_reduction`` (the default) sigma runs over one representative
+    per cycle type, scaled by the class size; this is valid because
+    conjugating a whole tuple preserves validity.  ``class_reduction=False``
+    runs sigma over all of S_d, for auditing.
+    """
+    for name, value in (("d", d), ("g", g)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if d < 1:
+        raise ValueError(f"degree d must be positive, got {d}")
+    if g < 2:
+        raise ValueError(f"genus g must be at least 2, got {g}")
+    check_budget(d, g, budget)
+    perms = list(itertools.permutations(range(d)))
+    index = {p: k for k, p in enumerate(perms)}
+    counts = _product_orbit_counts(d, 2 * g - 2, perms, index)
     if class_reduction:
-        for cycle_type in partitions(d):
-            sigma = partition_representative(d, cycle_type)
-            total += conjugacy_class_size(d, cycle_type) * _count_for_sigma(d, g, sigma)
+        sigmas = [(partition_representative(d, ct), conjugacy_class_size(d, ct)) for ct in partitions(d)]
     else:
-        for sigma in itertools.permutations(range(d)):
-            total += _count_for_sigma(d, g, sigma)
+        sigmas = [(sigma, 1) for sigma in perms]
+    joins_to_one = {}
+    total = 0
+    for sigma, weight in sigmas:
+        sigma_inv = inverse(sigma)
+        for alpha in perms:
+            entries = counts.get(index[compose(conjugate(alpha, sigma), sigma_inv)])
+            if not entries:
+                continue
+            orbits = orbit_labels((sigma, alpha), d)
+            for blocks, c in entries:
+                key = (blocks, orbits)
+                if key not in joins_to_one:
+                    joins_to_one[key] = not any(orbit_labels(key, d))
+                if joins_to_one[key]:
+                    total += weight * c
     return Fraction(total, factorial(d))

@@ -19,8 +19,7 @@ multiplies plain factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .laurent import LaurentPoly
 
 
@@ -33,16 +32,18 @@ def divisors(n: int) -> list:
     return [w for w in range(1, n + 1) if n % w == 0]
 
 
-@dataclass(frozen=True)
-class ZeroDegreeFactor:
+class ZeroDegreeFactor(Frozen):
     """Tag for the unexpanded degree-0 factor x^2 y^2 / (x^2 - y^2)^2.
 
     Stands in for a rational function; turning it into a series requires an
     orientation choice, see :func:`expand_zero_term`.
     """
 
-    x_index: int
-    y_index: int
+    __slots__ = ("x_index", "y_index")
+
+    def __init__(self, x_index: int, y_index: int):
+        object.__setattr__(self, "x_index", x_index)
+        object.__setattr__(self, "y_index", y_index)
 
 
 def _factor_terms(a_k: int, w_max: int) -> tuple:
@@ -113,8 +114,7 @@ def expand_zero_term(arity: int, source: int, sink: int, w_max: int) -> LaurentP
     return _laurent(arity, source, sink, terms)
 
 
-@dataclass(frozen=True)
-class EdgeFactor:
+class EdgeFactor(Frozen):
     """An edge's expanded integrand factor.
 
     Every monomial of ``expansion`` has even exponents and its two nonzero
@@ -122,10 +122,13 @@ class EdgeFactor:
     other.
     """
 
-    edge_index: int
-    endpoints: tuple
-    branch_degree: int
-    expansion: LaurentPoly
+    __slots__ = ("edge_index", "endpoints", "branch_degree", "expansion")
+
+    def __init__(self, edge_index: int, endpoints: tuple, branch_degree: int, expansion: LaurentPoly):
+        object.__setattr__(self, "edge_index", edge_index)
+        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "branch_degree", branch_degree)
+        object.__setattr__(self, "expansion", expansion)
 
 
 def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: int) -> EdgeFactor:

@@ -15,9 +15,9 @@ overdetermined and provide a consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .laurent import coeff_str
 
 
@@ -45,8 +45,7 @@ def divisor_sigma(n: int, power: int = 1) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Frozen):
     """Power series in q, truncated: coefficients are known exactly for all
     exponents < ``order`` (the series is O(q^order)).
 
@@ -54,14 +53,14 @@ class QSeries:
     or beyond the truncation order raises, rather than silently returning 0.
     """
 
-    coeffs: dict
-    order: int
+    __slots__ = ("coeffs", "order")
 
-    def __post_init__(self):
-        clean = {e: c for e, c in self.coeffs.items() if c != 0 and e < self.order}
+    def __init__(self, coeffs: dict, order: int):
+        clean = {e: c for e, c in coeffs.items() if c != 0 and e < order}
         if any(e < 0 for e in clean):
             raise ValueError("negative exponents are not allowed in a QSeries")
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -170,21 +169,20 @@ def weight_monomials(weight: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class QuasimodularRep:
+class QuasimodularRep(Frozen):
     """Exact coefficients over the monomial basis E2^i E4^j E6^k of one
     weight-homogeneous graded piece."""
 
-    weight: int
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("weight", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, weight: int, coeffs: dict | None = None):
         clean = {}
-        for (i, j, k), c in self.coeffs.items():
-            if 2 * i + 4 * j + 6 * k != self.weight:
-                raise ValueError(f"monomial {(i, j, k)} is not of weight {self.weight}")
+        for (i, j, k), c in (coeffs or {}).items():
+            if 2 * i + 4 * j + 6 * k != weight:
+                raise ValueError(f"monomial {(i, j, k)} is not of weight {weight}")
             if c != 0:
                 clean[(i, j, k)] = Fraction(c)
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "coeffs", clean)
 
     def coeff(self, ijk):

@@ -41,23 +41,24 @@ Summing over vertex orders uses orbits, as on the integral path
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .graphs import FeynmanGraph, bridges
 from .integrals import check_branch_type, check_order, orbit_series, order_orbits
 from .propagator import divisors
 from .quasimodular import QSeries
 
 
-@dataclass(frozen=True)
-class CoverTuple:
+class CoverTuple(Frozen):
     """One admissible choice per edge: weight, source vertex (the direction
     of flow) and wrap count (number of times the edge passes over the base
     point: a_k / w_k, or 0 for branch degree 0)."""
 
-    weights: tuple
-    sources: tuple
-    wraps: tuple
+    __slots__ = ("weights", "sources", "wraps")
+
+    def __init__(self, weights: tuple, sources: tuple, wraps: tuple):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "wraps", wraps)
 
     @property
     def multiplicity(self) -> int:
@@ -71,18 +72,29 @@ class CoverTuple:
         return sum(w * l for w, l in zip(self.weights, self.wraps))
 
 
-@dataclass(frozen=True)
-class TropicalCover:
+class TropicalCover(Frozen):
     """A cover tuple spelled out as a cover description: per-edge weights,
     base-point fiber counts, total degree and multiplicity."""
 
-    graph: FeynmanGraph
-    order: tuple
-    weights: tuple
-    sources: tuple
-    fiber_counts: tuple
-    degree: int
-    multiplicity: int
+    __slots__ = ("graph", "order", "weights", "sources", "fiber_counts", "degree", "multiplicity")
+
+    def __init__(
+        self,
+        graph: FeynmanGraph,
+        order: tuple,
+        weights: tuple,
+        sources: tuple,
+        fiber_counts: tuple,
+        degree: int,
+        multiplicity: int,
+    ):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "fiber_counts", fiber_counts)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     def to_json(self) -> dict:
         return {

@@ -107,6 +107,33 @@ def test_fg_oracles_agree(capsys, oracle):
     assert code == 0 and out.strip() == "2*q^4+16*q^6"
 
 
+def test_fg_sym_over_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("HURWITZ_WORK_BUDGET", raising=False)
+    code, out, err = run(capsys, "fg", "--genus", "4", "--max-degree", "5", "--oracle", "sym")
+    assert code == 2 and out == ""
+    assert err.startswith("error: BudgetExceeded: estimated work 14400000000 exceeds budget 100000000")
+
+
+def test_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, which every cold CLI call
+    # would pay for
+    code = (
+        "import json, sys; before = set(sys.modules); import ellcover.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(ellcover.__file__).resolve().parent.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "ellcover.cli" in added
+    assert "dataclasses" not in added
+
+
 def test_graphs_listing(capsys):
     code, out, _ = run(capsys, "graphs", "--genus", "3")
     assert code == 0

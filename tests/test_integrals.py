@@ -51,6 +51,25 @@ def test_gromov_witten_degree(caterpillar, theta, dumbbell):
     assert gromov_witten_d(dumbbell, 2) == 0
 
 
+def reference_gromov_witten_d(graph, d):
+    """The degree-d count as one single-type integral per composition of d
+    and automorphism-and-reversal orbit of vertex orders."""
+    if bridges(graph):
+        return 0
+    orbits = order_orbits(graph)
+    return sum(
+        weight * integral_coeff(graph, a, order, bridgeless=True)
+        for a in compositions(d, len(graph.edges))
+        for order, weight in orbits
+    )
+
+
+def test_graded_degree_count_matches_composition_sum(caterpillar, theta, k4, dumbbell):
+    for graph in (caterpillar, theta, k4, dumbbell):
+        for d in range(5):
+            assert gromov_witten_d(graph, d) == reference_gromov_witten_d(graph, d)
+
+
 def test_zero_branch_type_gives_zero(theta, caterpillar, k4):
     for graph in (theta, caterpillar, k4):
         zero = (0,) * len(graph.edges)
@@ -215,6 +234,16 @@ def test_per_order_graded_extraction_matches_single(caterpillar):
 def test_f_g_rejects_small_genus():
     with pytest.raises(ValueError):
         f_g(1, 3)
+
+
+@pytest.mark.parametrize("oracle", ["integral", "tropical", "sym"])
+def test_f_g_rejects_non_integer_arguments(oracle):
+    for g in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="^g must be an integer"):
+            f_g(g, 2, oracle=oracle)
+    for d_max in (True, False, 2.0, None):
+        with pytest.raises(ValueError, match="^d_max must be an integer"):
+            f_g(3, d_max, oracle=oracle)
 
 
 # -- the orbit-reduced path against a reference over every vertex order ----

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from ellcover import monodromy
+from ellcover import integrals, monodromy
+from ellcover.integrals import f_g
 from ellcover.monodromy import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -18,6 +20,7 @@ from ellcover.monodromy import (
     inverse,
     is_transitive,
     is_transposition,
+    orbit_labels,
     partition_representative,
     partitions,
     transpositions,
@@ -111,9 +114,59 @@ def test_known_counts():
     assert hurwitz_count(2, 2) == 2
     assert hurwitz_count(3, 2) == 16
     assert hurwitz_count(3, 3) == 160
+    assert hurwitz_count(4, 4) == 91920
+    assert f_g(4, 4, oracle="sym").coeffs == {4: 2, 6: 1456, 8: 91920}
+    # past the default budget; the integral oracle's f_g(2, 7) and f_g(3, 5)
+    # give the same numbers
+    assert hurwitz_count(6, 2, budget=10**9) == 360
+    assert hurwitz_count(5, 3, budget=10**9) == 18304
 
 
-@pytest.mark.parametrize("d,g", [(2, 2), (3, 2), (2, 3)])
+def reference_count(d, g, class_reduction=True):
+    """The tuple count of :func:`hurwitz_count`, one (taus, alpha) tuple at a
+    time: alpha is grouped by the conjugate it makes of sigma, so only
+    transitivity is checked per candidate."""
+    perms = list(itertools.permutations(range(d)))
+    if class_reduction:
+        sigmas = [(partition_representative(d, ct), conjugacy_class_size(d, ct)) for ct in partitions(d)]
+    else:
+        sigmas = [(sigma, 1) for sigma in perms]
+    count = 0
+    for sigma, weight in sigmas:
+        by_conjugate = {}
+        for alpha in perms:
+            by_conjugate.setdefault(conjugate(alpha, sigma), []).append(alpha)
+        for taus in itertools.product(transpositions(d), repeat=2 * g - 2):
+            product = sigma
+            for t in taus:
+                product = compose(t, product)
+            for alpha in by_conjugate.get(product, ()):
+                if is_transitive(list(taus) + [sigma, alpha], d):
+                    count += weight
+    return Fraction(count, factorial(d))
+
+
+# every (d, g) the tuple-by-tuple reference reaches within 2 * 10^6 tuples:
+# (2..5, 2), (2..4, 3), (2..3, 4) and (2..3, 5)
+REFERENCE_CASES = [
+    (d, g) for g in range(2, 6) for d in range(2, 7) if monodromy._estimated_work(d, g) <= 2 * 10**6
+]
+
+
+@pytest.mark.parametrize("d,g", REFERENCE_CASES)
+def test_state_count_matches_tuple_by_tuple_reference(d, g):
+    assert hurwitz_count(d, g) == reference_count(d, g)
+
+
+def test_orbit_labels_name_each_orbit_by_its_least_point():
+    assert orbit_labels([from_cycles(5, [(1, 3)]), from_cycles(5, [(3, 4)])], 5) == (0, 1, 2, 1, 1)
+    assert orbit_labels([from_cycles(4, [(0, 3), (1, 2)])], 4) == (0, 1, 1, 0)
+    assert orbit_labels([], 3) == (0, 1, 2)
+    # a label tuple stands in for the permutations with its orbits
+    assert orbit_labels([(0, 1, 1, 0), from_cycles(4, [(2, 3)])], 4) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("d,g", [(2, 2), (3, 2), (2, 3), (4, 3)])
 def test_class_reduction_matches_naive(d, g):
     assert hurwitz_count(d, g, class_reduction=True) == hurwitz_count(
         d, g, class_reduction=False
@@ -176,3 +229,25 @@ def test_input_validation():
         hurwitz_count(0, 2)
     with pytest.raises(ValueError):
         hurwitz_count(2, 1)
+    for d in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError, match="^d must be an integer"):
+            hurwitz_count(d, 2)
+    for g in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^g must be an integer"):
+            hurwitz_count(2, g)
+
+
+def test_sym_oracle_refuses_before_counting_any_degree(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    counted = []
+
+    def spy(d, g, *args, **kwargs):
+        counted.append(d)
+        return hurwitz_count(d, g, *args, **kwargs)
+
+    monkeypatch.setattr(integrals, "hurwitz_count", spy)
+    with pytest.raises(BudgetExceeded, match=f"estimated work {monodromy._estimated_work(5, 4)} exceeds"):
+        f_g(4, 5, oracle="sym")
+    assert counted == []
+    assert f_g(2, 3, oracle="sym").coeffs == {4: 2, 6: 16}
+    assert counted == [1, 2, 3]
