@@ -10,9 +10,10 @@ result.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
-the graph series.  Most orders repeat work, so the sums run over orbits of
-orders (:func:`order_orbits`), one representative each, weighted by the
-orbit size:
+the graph series.  Every such sum is one call to :func:`orbit_sum`, which
+validates the graph, returns nothing for a graph with a bridge (its counts
+all vanish) and otherwise visits one order per orbit (:func:`order_orbits`),
+weighted by the orbit size:
 
 * reversing an order maps the integrand to its image under x -> 1/x, which
   keeps the constant term, so reversal is used for every sum, including a
@@ -22,8 +23,12 @@ orbit size:
   symmetric in the edges, that is over all compositions of d
   (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).
 
-Graphs with a bridge contribute zero and are short-circuited (their loop
-edges, whose factors would be singular, are never expanded).
+The single-order entry points (:func:`integral_coeff`,
+:func:`i_gamma_coeffs_for_order`) make no bridge test.  They return zero for
+a graph with a loop, whose factor is singular; a loop of a connected
+trivalent graph always sits behind a bridge.  On any other graph with a
+bridge the extraction gives zero by itself: balance at the cut forces the
+bridge's weight to 0, and every weight is positive.
 """
 
 from __future__ import annotations
@@ -65,8 +70,27 @@ def order_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
     return out
 
 
+def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> dict:
+    """key -> the sum over all vertex orders of ``counts_for_order(order)[key]``,
+    taken over :func:`order_orbits` (``symmetric`` as there), one order per
+    orbit weighted by its size.  The keys are the caller's: degrees for a
+    series, branch types for :func:`generating_function`.
+
+    Validates the graph.  A graph with a bridge gives ``{}`` and
+    ``counts_for_order`` is never called on it.
+    """
+    validate(graph)
+    total = {}
+    if bridges(graph):
+        return total
+    for order, weight in order_orbits(graph, symmetric):
+        for key, c in counts_for_order(order).items():
+            total[key] = total.get(key, 0) + weight * c
+    return total
+
+
 def check_order(graph: FeynmanGraph, order) -> tuple:
-    order = tuple(order)
+    order = tuple(check_int(v, "order entry") for v in order)
     if sorted(order) != list(range(1, graph.vertex_count + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{graph.vertex_count}")
     return order
@@ -86,7 +110,7 @@ def check_degree(d: int, name: str) -> int:
 
 
 def check_branch_type(graph: FeynmanGraph, a) -> tuple:
-    a = tuple(a)
+    a = tuple(check_int(x, "branch type entry") for x in a)
     if len(a) != len(graph.edges):
         raise ValueError(f"branch type has {len(a)} entries, expected {len(graph.edges)}")
     if any(x < 0 for x in a):
@@ -162,9 +186,7 @@ def _eliminate(graph, order, elimination, degrees, w_max, d_max) -> dict:
     return {(key - zero) // top: c for key, c in state.items()}
 
 
-def integral_coeff(
-    graph: FeynmanGraph, a, order, w_max=None, elimination_order=None, *, bridgeless=False
-) -> int:
+def integral_coeff(graph: FeynmanGraph, a, order, w_max=None, elimination_order=None) -> int:
     """Coefficient of the branch-type monomial in the single-order integral.
 
     ``order`` fixes the one-sided expansion of every degree-0 edge factor.
@@ -172,17 +194,14 @@ def integral_coeff(
     vertex variables are extracted; any choice yields the same value.
     ``w_max`` bounds the degree-0 expansions and defaults to sum(a), which is
     exact: no balanced monomial can involve a larger weight.
-    ``bridgeless=True`` skips the bridge test when the caller has made it;
-    the value is the same either way, but a graph with a loop may then
-    raise :class:`~ellcover.propagator.LoopEdge`.
+    A graph with a loop gives 0 (see the module docstring).
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    if not bridgeless and bridges(graph):
-        return 0
     total = sum(a)
-    if total == 0:
-        # positive weights on an acyclically oriented factor set cannot balance
+    if total == 0 or graph.has_loop():
+        # at total 0, positive weights on an acyclically oriented factor set
+        # cannot balance
         return 0
     if w_max is None:
         w_max = total
@@ -190,18 +209,11 @@ def integral_coeff(
     return _eliminate(graph, order, elim, [(x,) for x in a], w_max, total).get(total, 0)
 
 
-def _labelled_count(graph, a, orbits) -> int:
-    """Sum of weight * single-order integral over (order, weight) pairs."""
-    return sum(weight * integral_coeff(graph, a, order, bridgeless=True) for order, weight in orbits)
-
-
 def gromov_witten_a(graph: FeynmanGraph, a) -> int:
     """Labelled count for one branch type: the sum of the single-order
     integrals over all vertex orders, one per reversal orbit."""
     a = check_branch_type(graph, a)
-    if bridges(graph):
-        return 0
-    return _labelled_count(graph, a, order_orbits(graph, symmetric=False))
+    return orbit_sum(graph, lambda order: {a: integral_coeff(graph, a, order)}, symmetric=False).get(a, 0)
 
 
 def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
@@ -210,12 +222,7 @@ def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     single-order integrals.  The sum is symmetric in the edges, so one order
     per automorphism-and-reversal orbit suffices."""
     check_degree(d, "degree")
-    if bridges(graph):
-        return 0
-    return sum(
-        weight * i_gamma_coeffs_for_order(graph, order, d, bridgeless=True).get(d, 0)
-        for order, weight in order_orbits(graph)
-    )
+    return orbit_sum(graph, lambda order: i_gamma_coeffs_for_order(graph, order, d)).get(d, 0)
 
 
 class MultiSeries(Frozen):
@@ -252,66 +259,54 @@ class MultiSeries(Frozen):
 def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     """All labelled counts with total branch degree at most d_max."""
     check_degree(d_max, "d_max")
-    coeffs = {}
-    if not bridges(graph):
-        orbits = order_orbits(graph, symmetric=False)
-        for d in range(d_max + 1):
-            for a in compositions(d, len(graph.edges)):
-                coeffs[a] = _labelled_count(graph, a, orbits)
+    types = [a for d in range(d_max + 1) for a in compositions(d, len(graph.edges))]
+    coeffs = orbit_sum(
+        graph, lambda order: {a: integral_coeff(graph, a, order) for a in types}, symmetric=False
+    )
     return MultiSeries(len(graph.edges), coeffs)
 
 
-def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int, *, bridgeless=False) -> dict:
+def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
     """Degree -> coefficient of the single-order integral, all degrees up to
     d_max in one pass: every edge runs over all its branch degrees at once,
     graded by total degree and truncated at d_max (degree-0 slots at weight
-    d_max).  ``bridgeless`` is as for :func:`integral_coeff`.
+    d_max).  A graph with a loop gives ``{}``, as for :func:`integral_coeff`.
     """
     order = check_order(graph, order)
-    if d_max < 1 or (not bridgeless and bridges(graph)):
+    if d_max < 1 or graph.has_loop():
         return {}
     degrees = [range(d_max + 1)] * len(graph.edges)
     return _eliminate(graph, order, order, degrees, d_max, d_max)
 
 
 def orbit_series(graph: FeynmanGraph, d_max: int, counts_for_order) -> QSeries:
-    """A graph series from per-order counts: coefficient of q^{2d} is the sum
-    of ``counts_for_order(order)[d]`` over all vertex orders (one per
-    automorphism-and-reversal orbit, weighted by its size), for d <= d_max.
-    Validates the graph and d_max; a graph with a bridge gives zero and
-    ``counts_for_order`` is never called on it."""
-    validate(graph)
+    """A graph series from per-order counts: coefficient of q^{2d} is the
+    :func:`orbit_sum` of ``counts_for_order`` at d, for d <= d_max."""
     check_degree(d_max, "d_max")
-    coeffs = {}
-    if not bridges(graph):
-        for order, weight in order_orbits(graph):
-            for d, c in counts_for_order(order).items():
-                coeffs[2 * d] = coeffs.get(2 * d, 0) + weight * c
-    return QSeries(coeffs, 2 * d_max + 2)
+    return QSeries({2 * d: c for d, c in orbit_sum(graph, counts_for_order).items()}, 2 * d_max + 2)
 
 
 def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     """The graph series: coefficient of q^{2d} is the total labelled count in
     degree d, summed over all vertex orders (one per automorphism-and-reversal
     orbit, weighted by its size), for d <= d_max."""
-    return orbit_series(
-        graph, d_max, lambda order: i_gamma_coeffs_for_order(graph, order, d_max, bridgeless=True)
-    )
+    return orbit_series(graph, d_max, lambda order: i_gamma_coeffs_for_order(graph, order, d_max))
 
 
 ORACLES = ("integral", "tropical", "sym")
 
 
-def f_g(g: int, d_max: int, max_genus: int = 5, oracle: str = "integral") -> QSeries:
+def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     """Generating series of the genus-g Hurwitz numbers of an elliptic curve
     up to q^{2 d_max}, by one of three independent paths:
 
     * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
-      over the trivalent genus-g graphs (genus at most ``max_genus``);
+      over the trivalent genus-g graphs (genus at most 5, the bound of
+      :func:`~ellcover.graphs.enumerate_genus`);
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`;
     * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_count` per degree (no
-      graphs, so ``max_genus`` does not apply).
+      graphs, so the genus bound does not apply).
 
     Every coefficient is checked to be a non-negative integer.
     """
@@ -331,7 +326,7 @@ def f_g(g: int, d_max: int, max_genus: int = 5, oracle: str = "integral") -> QSe
         if oracle == "tropical":
             # tropical imports this module, so it is imported here
             from .tropical import tropical_series as series_of
-        for graph in enumerate_genus(g, max_genus=max_genus):
+        for graph in enumerate_genus(g):
             if bridges(graph):
                 continue
             aut = automorphism_count(graph)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen
+
 
 class ArityMismatch(ValueError):
     """Raised when combining polynomials over different variable sets."""
@@ -32,7 +34,7 @@ def coeff_str(c) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Immutable sparse Laurent polynomial of fixed arity."""
 
     __slots__ = ("arity", "terms")
@@ -53,9 +55,6 @@ class LaurentPoly:
                 clean[exps] = clean.get(exps, 0) + c
             clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -146,11 +145,6 @@ class LaurentPoly:
             if k:
                 base = base * base
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))

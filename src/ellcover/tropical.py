@@ -27,8 +27,13 @@ consecutive positions points forward, so balance makes their total weight
 equal to the net weight carried back across the cut by edges of positive
 branch degree, at most sum(a) = d (each such weight divides its a_k).
 
-Summing over vertex orders uses orbits, as on the integral path
-(:func:`~ellcover.integrals.order_orbits`):
+Every sum over vertex orders is one call to
+:func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
+the graph, gives zero for a graph with a bridge, and visits one order per
+orbit, weighted by the orbit size.  The per-order functions make no bridge
+test, since the search finds no tuple on such a graph: the bridge carries a
+positive weight across a cut that balance says no net weight may cross.
+The orbits are sound for these counts:
 
 * reversing the order and flipping every source is a bijection between the
   tuples of an order and those of its reverse, weights kept, so reversal is
@@ -42,8 +47,8 @@ Summing over vertex orders uses orbits, as on the integral path
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .graphs import FeynmanGraph, bridges
-from .integrals import check_branch_type, check_order, orbit_series, order_orbits
+from .graphs import FeynmanGraph
+from .integrals import check_branch_type, check_order, orbit_series, orbit_sum
 from .propagator import divisors
 from .quasimodular import QSeries
 
@@ -133,7 +138,7 @@ def _search(graph, order, degrees, d_max, w_max, leaf):
     """Call ``leaf(degree, multiplicity, chosen)`` for every admissible
     tuple of total branch degree at most ``d_max``, where ``chosen[k]`` is
     edge k's (branch degree, weight, source, wrap) choice.  The caller has
-    checked the order and that the graph has no bridge."""
+    checked the order."""
     rank = {lab: i for i, lab in enumerate(order)}
     options = _options(graph, rank, degrees, w_max)
     edges = graph.edges
@@ -176,17 +181,15 @@ def _search(graph, order, degrees, d_max, w_max, leaf):
     assign(0, 0, 1)
 
 
-def enumerate_tuples(graph: FeynmanGraph, a, order, w_bound=None) -> list:
+def enumerate_tuples(graph: FeynmanGraph, a, order) -> list:
     """All admissible tuples for the branch type and vertex order.
 
-    Bridged graphs admit none.  The weight bound for degree-0 edges defaults
-    to the total degree sum(a), which is exhaustive: every edge of a cover of
-    degree d has weight at most d.
+    Bridged graphs admit none.  Degree-0 weights stop at the total degree
+    sum(a), which is exhaustive: every edge of a cover of degree d has
+    weight at most d.
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    if bridges(graph):
-        return []
     total = sum(a)
     results = []
 
@@ -194,7 +197,7 @@ def enumerate_tuples(graph: FeynmanGraph, a, order, w_bound=None) -> list:
         _, weights, sources, wraps = zip(*chosen)
         results.append(CoverTuple(weights, sources, wraps))
 
-    _search(graph, order, [(x,) for x in a], total, total if w_bound is None else w_bound, collect)
+    _search(graph, order, [(x,) for x in a], total, total, collect)
     return results
 
 
@@ -210,30 +213,22 @@ def _graded_counts(graph, order, degrees, d_max) -> dict:
     return counts
 
 
-def _type_count(graph, a, order) -> int:
-    """Weighted tuple count for a checked branch type and order on a graph
-    without bridges."""
-    total = sum(a)
-    return _graded_counts(graph, order, [(x,) for x in a], total).get(total, 0)
-
-
 def count_covers(graph: FeynmanGraph, a, order) -> int:
     """Weighted tuple count for one vertex order: the sum of weight products."""
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    if bridges(graph):
-        return 0
-    return _type_count(graph, a, order)
+    total = sum(a)
+    return _graded_counts(graph, order, [(x,) for x in a], total).get(total, 0)
 
 
 def count_covers_total(graph: FeynmanGraph, a) -> int:
     """Weighted tuple count summed over all (2g-2)! vertex orders, one per
     reversal orbit (the branch type is fixed, so automorphisms are not used)."""
     a = check_branch_type(graph, a)
-    if bridges(graph):
-        return 0
-    orbits = order_orbits(graph, symmetric=False)
-    return sum(weight * _type_count(graph, a, order) for order, weight in orbits)
+    total = sum(a)
+    degrees = [(x,) for x in a]
+    counts = orbit_sum(graph, lambda order: _graded_counts(graph, order, degrees, total), symmetric=False)
+    return counts.get(total, 0)
 
 
 def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:

@@ -1,0 +1,47 @@
+"""Every per-graph sum goes through ``integrals.orbit_sum``: it alone picks
+the vertex orders and their weights and makes the bridge decision, so a new
+way of summing over orders (acyclic orientations, say) is a change to one
+function.  ``f_g`` keeps its own bridge test, which spares it the
+automorphism count of a bridged class."""
+
+import ast
+from pathlib import Path
+
+import ellcover
+
+PACKAGE = Path(ellcover.__file__).parent
+
+
+def callers(module_file, name):
+    """Names of the top-level functions and classes of a module whose
+    bodies (nested lambdas and functions included) call ``name``; other
+    module-level calls count as ``<module>``."""
+    tree = ast.parse((PACKAGE / module_file).read_text())
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(owner)
+    return found
+
+
+def test_order_orbits_is_called_only_by_orbit_sum():
+    assert callers("integrals.py", "order_orbits") == {"orbit_sum"}
+    for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
+        if module_file != "integrals.py":
+            assert callers(module_file, "order_orbits") == set(), module_file
+
+
+def test_bridges_is_called_only_by_orbit_sum_and_f_g():
+    assert callers("integrals.py", "bridges") == {"orbit_sum", "f_g"}
+    assert callers("tropical.py", "bridges") == set()
+
+
+def test_the_guard_sees_calls_inside_lambdas():
+    # gromov_witten_a calls integral_coeff only from the lambda it passes to
+    # orbit_sum
+    assert "gromov_witten_a" in callers("integrals.py", "integral_coeff")

@@ -5,15 +5,21 @@ from math import comb, factorial
 import pytest
 
 from ellcover import (
+    BadCardinality,
     FeynmanGraph,
+    NotConnected,
     bridges,
+    count_covers,
+    count_covers_total,
     enumerate_genus,
+    enumerate_tuples,
     f_g,
     generating_function,
     gromov_witten_a,
     gromov_witten_d,
     i_gamma_series,
     integral_coeff,
+    tropical_series,
 )
 from ellcover.integrals import MultiSeries, all_orders, compositions, i_gamma_coeffs_for_order, order_orbits
 from ellcover.laurent import LaurentPoly
@@ -58,7 +64,7 @@ def reference_gromov_witten_d(graph, d):
         return 0
     orbits = order_orbits(graph)
     return sum(
-        weight * integral_coeff(graph, a, order, bridgeless=True)
+        weight * integral_coeff(graph, a, order)
         for a in compositions(d, len(graph.edges))
         for order, weight in orbits
     )
@@ -223,6 +229,44 @@ def test_branch_type_validation(caterpillar):
         integral_coeff(caterpillar, BRANCH, (1, 2, 3))
 
 
+PER_ORDER = (integral_coeff, count_covers, enumerate_tuples)
+BAD_BRANCH_TYPES = ((2.0, 1, 0), (True, 1, 0), (1.5, 1, 0), "210")
+BAD_ORDERS = ((1.0, 2.0), (True, 2))
+BAD_INTEGER_CASES = (
+    [(f, (a, (1, 2)), "branch type") for f in PER_ORDER for a in BAD_BRANCH_TYPES]
+    + [(f, ((2, 1, 0), order), "order") for f in PER_ORDER for order in BAD_ORDERS]
+    + [(f, (a,), "branch type") for f in (gromov_witten_a, count_covers_total) for a in BAD_BRANCH_TYPES]
+)
+
+
+@pytest.mark.parametrize(
+    "fn, args, name", BAD_INTEGER_CASES, ids=[f"{f.__name__}{args!r}" for f, args, _ in BAD_INTEGER_CASES]
+)
+def test_orders_and_branch_types_take_integers_only(theta, fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} entry must be an integer"):
+        fn(theta, *args)
+
+
+GRAPH_SUMS = {
+    "gromov_witten_a": lambda g: gromov_witten_a(g, (1,) * len(g.edges)),
+    "gromov_witten_d": lambda g: gromov_witten_d(g, 2),
+    "generating_function": lambda g: generating_function(g, 2),
+    "i_gamma_series": lambda g: i_gamma_series(g, 2),
+    "count_covers_total": lambda g: count_covers_total(g, (1,) * len(g.edges)),
+    "tropical_series": lambda g: tropical_series(g, 2),
+}
+
+
+@pytest.mark.parametrize("graph_sum", GRAPH_SUMS.values(), ids=list(GRAPH_SUMS))
+def test_every_graph_sum_rejects_an_invalid_graph(graph_sum):
+    triangle = FeynmanGraph.from_edges(3, [[1, 2], [2, 3], [1, 3]])
+    with pytest.raises(BadCardinality):
+        graph_sum(triangle)
+    two_thetas = FeynmanGraph.from_edges(4, [[1, 2], [1, 2], [1, 2], [3, 4], [3, 4], [3, 4]])
+    with pytest.raises(NotConnected):
+        graph_sum(two_thetas)
+
+
 def test_per_order_graded_extraction_matches_single(caterpillar):
     order = (3, 1, 2, 4)
     graded = i_gamma_coeffs_for_order(caterpillar, order, 3)
@@ -337,8 +381,20 @@ def test_skipping_the_bridge_test_gives_the_same_value():
     assert loopless
     for graph in loopless:
         order = tuple(range(1, graph.vertex_count + 1))
-        assert integral_coeff(graph, (1,) * len(graph.edges), order, bridgeless=True) == 0
-        assert i_gamma_coeffs_for_order(graph, order, 3, bridgeless=True) == {}
+        assert integral_coeff(graph, (1,) * len(graph.edges), order) == 0
+        assert i_gamma_coeffs_for_order(graph, order, 3) == {}
+
+
+def test_single_order_entry_points_give_zero_on_a_graph_with_a_loop():
+    # a loop's factor is singular, so it must never be expanded
+    looped = [graph for graph in enumerate_genus(2) + enumerate_genus(3) if graph.has_loop()]
+    assert looped
+    for graph in looped:
+        ones = (1,) * len(graph.edges)
+        for order in all_orders(graph):
+            assert integral_coeff(graph, ones, order) == 0
+            assert i_gamma_coeffs_for_order(graph, order, 3) == {}
+            assert count_covers(graph, ones, order) == 0
 
 
 def test_f4_through_degree_four():

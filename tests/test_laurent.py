@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -83,6 +85,16 @@ def test_power():
     u = P(1, {(1,): 1}) + P(1, {(0,): 1})
     assert u**3 == P(1, {(0,): 1, (1,): 3, (2,): 3, (3,): 1})
     assert u**0 == LaurentPoly.one(1)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    for p in (LaurentPoly.one(2), P(2, {(1, -3): 5, (0, 2): Fraction(1, 3)}), LaurentPoly.zero(3)):
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert twin == p and twin is not p
+            assert twin.terms is not p.terms
+            assert hash(twin) == hash(p)
+    with pytest.raises(AttributeError, match="immutable"):
+        LaurentPoly.one(1).terms = {}
 
 
 exponents = st.integers(min_value=-3, max_value=3)

@@ -21,7 +21,7 @@ from ellcover import (
 THETA = FeynmanGraph(2, ((1, 2), (1, 2), (1, 2)))
 
 # (class, constructor keywords in field order, hashable, picklable); a dict
-# field makes a value unhashable, and LaurentPoly does not unpickle
+# field makes a value unhashable
 VALUES = [
     (FeynmanGraph, {"vertex_count": 2, "edges": ((1, 2), (1, 2), (1, 2))}, True, True),
     (Orientation, {"sources": (1, 2, None)}, True, True),
@@ -32,7 +32,7 @@ VALUES = [
         EdgeFactor,
         {"edge_index": 0, "endpoints": (1, 2), "branch_degree": 1, "expansion": LaurentPoly.one(2)},
         True,
-        False,
+        True,
     ),
     (QSeries, {"coeffs": {2: 5}, "order": 4}, False, True),
     (QuasimodularRep, {"weight": 4, "coeffs": {(0, 1, 0): Fraction(1, 2)}}, False, True),
