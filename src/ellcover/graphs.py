@@ -342,6 +342,8 @@ def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> lis
     the list is sorted by it, so output is deterministic.
     ``bridgeless=True`` keeps only the classes without a bridge.
     """
+    if not _is_int(g):
+        raise ValueError(f"g must be an integer, got {g!r}")
     if g < 2:
         raise BadCardinality("genus must be at least 2")
     if g > max_genus:

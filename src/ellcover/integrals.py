@@ -305,8 +305,10 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
       :func:`~ellcover.graphs.enumerate_genus`);
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`;
-    * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_count` per degree (no
-      graphs, so the genus bound does not apply).
+    * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_count` per degree, the
+      symmetric-group character formula (no graphs, so the genus bound does
+      not apply); its work budget is checked once, at ``d_max``, before any
+      degree is counted.
 
     Every coefficient is checked to be a non-negative integer.
     """

@@ -8,28 +8,36 @@ of permutations (tau_1, ..., tau_{2g-2}, alpha, sigma) of {1..d} with
       (composition right to left: sigma acts first),
   (3) the subgroup generated by all of tau_i, sigma, alpha transitive.
 
-The Hurwitz number is the tuple count divided by d!.  The transpositions are
-not enumerated one tuple at a time: only their product and the orbit
-partition they generate enter (2) and (3), so :func:`hurwitz_count` counts
-transposition tuples by (product, orbit partition) state, one transposition
-per step, and then checks (2) and (3) once per (sigma, alpha, state).  There
-are at most d! * Bell(d) states.  This path shares no code or ideas with the
+The Hurwitz number is the tuple count divided by d!.  :func:`hurwitz_count`
+enumerates no tuple; it evaluates Dijkgraaf's character formula (1995).
+By Frobenius, the pairs (alpha, sigma) with [alpha, sigma] = P number
+d! sum_chi chi(P) / chi(1), and the sum of all transpositions, being central,
+acts on the irreducible representation lambda by the content sum
+c(lambda) = sum of j - i over the boxes (i, j) of lambda.  So the tuples with (1) and (2) number d! Z_d[2g - 2], where
+Z_d[n] = sum over lambda |- d of c(lambda)^n.  For (3): the orbits of a tuple
+split it into transitive tuples on the blocks, which share out the labelled
+branch points, so sum_d x^d sum_n Z_d[n] u^n / n! is the exponential of the
+same series of the Hurwitz numbers H_d[n].  Its logarithm gives H_d = M_d / d
+with M_d = d Z_d - sum_{0<j<d} M_j * Z_{d-j}, where
+(A * B)[i] = sum_r C(i, r) A[r] B[i - r] multiplies exponential series in u.
+
+This path imports nothing from the package and shares no ideas with the
 graph-integral and tropical-cover paths, so agreement across all three is a
-strong end-to-end check.
+strong end-to-end check.  The permutation helpers are what the tests'
+tuple-by-tuple reference count is built from.
 
 Permutations are tuples of images on 0-based points.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 class BudgetExceeded(RuntimeError):
-    """The enumeration would exceed the configured work budget."""
+    """The count would exceed the configured work budget."""
 
 
 DEFAULT_BUDGET = 10**8
@@ -116,17 +124,25 @@ def verify_tuple(taus, alpha, sigma) -> bool:
 
 
 def partitions(d: int):
-    """Partitions of d as non-increasing tuples."""
-
-    def rec(rest, largest):
-        if rest == 0:
-            yield ()
+    """Partitions of d as non-increasing tuples, in reverse lexicographic
+    order: each one lowers the last part above 1 of the previous and refills
+    the rest greedily with parts no larger."""
+    parts = [d] if d else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for first in range(min(rest, largest), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-
-    yield from rec(d, d)
+        parts[-1] -= 1
+        largest, rest = parts[-1], ones + 1
+        while rest > largest:
+            parts.append(largest)
+            rest -= largest
+        if rest:
+            parts.append(rest)
 
 
 def partition_representative(d: int, cycle_type) -> tuple:
@@ -148,10 +164,32 @@ def conjugacy_class_size(d: int, cycle_type) -> int:
     return factorial(d) // centralizer
 
 
-def _estimated_work(d: int, g: int) -> int:
-    """Tuples the full enumeration visits: one alpha and one sigma per
-    permutation, one transposition per branch point (there are d(d-1)/2)."""
-    return (d * (d - 1) // 2) ** (2 * g - 2) * factorial(d) ** 2
+def _partition_numbers():
+    """p(0), p(1), ... by Euler's pentagonal number recurrence."""
+    p = [1]
+    while True:
+        yield p[-1]
+        n, total, k = len(p), 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    total += (-1) ** (k + 1) * p[n - pentagonal]
+            k += 1
+        p.append(total)
+
+
+def _estimated_work(d: int, g: int, limit=None) -> int:
+    """Steps of :func:`hurwitz_count`: 2g - 1 content-sum powers for every
+    partition of every j <= d, plus about (2g - 1)^2 d^2 convolution terms.
+    The sum stops as soon as it passes ``limit``, so a refusal costs the same
+    for any d."""
+    width = 2 * g - 1
+    work = width * width * d * d
+    for _, p in zip(range(d + 1), _partition_numbers()):
+        if limit is not None and work > limit:
+            break
+        work += width * p
+    return work
 
 
 def _budget(budget):
@@ -167,61 +205,24 @@ def check_budget(d: int, g: int, budget=None) -> None:
     ``DEFAULT_BUDGET``).  The estimate grows with d, so one check at the
     largest degree covers a whole series."""
     limit = _budget(budget)
-    work = _estimated_work(d, g)
+    work = _estimated_work(d, g, limit)
     if work > limit:
         raise BudgetExceeded(
-            f"estimated work {work} exceeds budget {limit}"
+            f"estimated work for degree {d}, genus {g} is at least {work}, over the budget {limit}"
             f" (raise {BUDGET_ENV_VAR} to override)"
         )
 
 
-def _product_orbit_counts(d, steps, perms, index) -> dict:
-    """N(P, B) over all tuples of ``steps`` transpositions, as
-    {P: [(B, count), ...]}: P is the index in ``perms`` of the product
-    tau_steps o ... o tau_1 and B the tuple's orbit partition as block labels
-    (:func:`orbit_labels`).  Built one transposition at a time; the states
-    are grouped by B, since appending (i j) merges the same two blocks of B
-    whatever P is."""
-    pairs = list(itertools.combinations(range(d), 2))
-    # swaps[k][P] = index of (i j) o P for the k-th pair (i, j)
-    swaps = [[index[compose(t, p)] for p in perms] for t in (from_cycles(d, [pair]) for pair in pairs)]
-    state = {identity(d): {index[identity(d)]: 1}}
-    for _ in range(steps):
-        step = {}
-        for blocks, counts in state.items():
-            for (i, j), swap in zip(pairs, swaps):
-                lo, hi = sorted((blocks[i], blocks[j]))
-                merged = tuple([lo if b == hi else b for b in blocks])
-                target = step.setdefault(merged, {})
-                get = target.get
-                for p, c in counts.items():
-                    q = swap[p]
-                    target[q] = get(q, 0) + c
-        state = step
-    out = {}
-    for blocks, counts in state.items():
-        for p, c in counts.items():
-            out.setdefault(p, []).append((blocks, c))
-    return out
+def content_sum(shape) -> int:
+    """c(lambda): the sum of j - i over the boxes (i, j) of the Young
+    diagram with row lengths ``shape``, from the top."""
+    return sum(part * (part - 1) // 2 - i * part for i, part in enumerate(shape))
 
 
-def hurwitz_count(d: int, g: int, class_reduction: bool = True, budget=None) -> Fraction:
-    """The degree-d genus-g Hurwitz number as an exact rational (an integer
-    tuple count divided by d!).
-
-    The transpositions enter only through their product P and their orbit
-    partition B, so their tuples are counted once per (P, B) state
-    (:func:`_product_orbit_counts`).  Condition (2) fixes
-    P = alpha o sigma o alpha^{-1} o sigma^{-1} and condition (3) asks that
-    B, the orbits of sigma and those of alpha join to one block, so
-
-      count = sum over sigma, alpha, B of N(P, B) [B v sigma v alpha = 1].
-
-    With ``class_reduction`` (the default) sigma runs over one representative
-    per cycle type, scaled by the class size; this is valid because
-    conjugating a whole tuple preserves validity.  ``class_reduction=False``
-    runs sigma over all of S_d, for auditing.
-    """
+def hurwitz_count(d: int, g: int, budget=None) -> Fraction:
+    """The degree-d genus-g Hurwitz number as an exact rational (the tuple
+    count of (1)-(3) divided by d!): the module docstring's Z_j[i] for
+    j <= d and i <= 2g - 2, its recurrence for M_d, and M_d[2g - 2] / d."""
     for name, value in (("d", d), ("g", g)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -230,26 +231,22 @@ def hurwitz_count(d: int, g: int, class_reduction: bool = True, budget=None) -> 
     if g < 2:
         raise ValueError(f"genus g must be at least 2, got {g}")
     check_budget(d, g, budget)
-    perms = list(itertools.permutations(range(d)))
-    index = {p: k for k, p in enumerate(perms)}
-    counts = _product_orbit_counts(d, 2 * g - 2, perms, index)
-    if class_reduction:
-        sigmas = [(partition_representative(d, ct), conjugacy_class_size(d, ct)) for ct in partitions(d)]
-    else:
-        sigmas = [(sigma, 1) for sigma in perms]
-    joins_to_one = {}
-    total = 0
-    for sigma, weight in sigmas:
-        sigma_inv = inverse(sigma)
-        for alpha in perms:
-            entries = counts.get(index[compose(conjugate(alpha, sigma), sigma_inv)])
-            if not entries:
-                continue
-            orbits = orbit_labels((sigma, alpha), d)
-            for blocks, c in entries:
-                key = (blocks, orbits)
-                if key not in joins_to_one:
-                    joins_to_one[key] = not any(orbit_labels(key, d))
-                if joins_to_one[key]:
-                    total += weight * c
-    return Fraction(total, factorial(d))
+    n = 2 * g - 2
+    z = []
+    for j in range(d + 1):
+        row = [0] * (n + 1)
+        for shape in partitions(j):
+            c, power = content_sum(shape), 1
+            for i in range(n + 1):
+                row[i] += power
+                power *= c
+        z.append(row)
+    m = [None]
+    for k in range(1, d + 1):
+        row = [k * x for x in z[k]]
+        for j in range(1, k):
+            a, b = m[j], z[k - j]
+            for i in range(n + 1):
+                row[i] -= sum(comb(i, r) * a[r] * b[i - r] for r in range(i + 1))
+        m.append(row)
+    return Fraction(m[d][n], d)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .laurent import coeff_str
+from .laurent import _check_coeff, coeff_str
 
 
 class Inconsistent(ValueError):
@@ -51,12 +51,14 @@ class QSeries(Frozen):
 
     Exponents with no stored coefficient are zero.  Reading a coefficient at
     or beyond the truncation order raises, rather than silently returning 0.
+    Coefficients must be exact (``int`` or ``Fraction``): a float raises
+    ``TypeError``, as in :class:`~ellcover.laurent.LaurentPoly`.
     """
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: dict, order: int):
-        clean = {e: c for e, c in coeffs.items() if c != 0 and e < order}
+        clean = {e: c for e, c in coeffs.items() if _check_coeff(c) != 0 and e < order}
         if any(e < 0 for e in clean):
             raise ValueError("negative exponents are not allowed in a QSeries")
         object.__setattr__(self, "coeffs", clean)
@@ -266,6 +268,8 @@ def fit(series: QSeries, g: int) -> QuasimodularRep:
     there are monomials; any extra coefficients turn the solve into an
     overdetermined consistency check.
     """
+    if isinstance(g, bool) or not isinstance(g, int):
+        raise ValueError(f"g must be an integer, got {g!r}")
     if g < 2:
         raise ValueError("genus must be at least 2")
     weight = 6 * g - 6

@@ -2,7 +2,9 @@
 the vertex orders and their weights and makes the bridge decision, so a new
 way of summing over orders (acyclic orientations, say) is a change to one
 function.  ``f_g`` keeps its own bridge test, which spares it the
-automorphism count of a bridged class."""
+automorphism count of a bridged class.  The symmetric-group path imports
+nothing from the package, so the cross-oracle checks compare independent
+code."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,25 @@ def test_the_guard_sees_calls_inside_lambdas():
     # gromov_witten_a calls integral_coeff only from the lambda it passes to
     # orbit_sum
     assert "gromov_witten_a" in callers("integrals.py", "integral_coeff")
+
+
+def package_imports(module_file):
+    """Modules of the package that a module imports: relative imports and
+    absolute ones of ``ellcover``, at any depth of its body."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / module_file).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.update([node.module] if node.module else [a.name for a in node.names])
+            elif (node.module or "").split(".")[0] == "ellcover":
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "ellcover")
+    return found
+
+
+def test_monodromy_imports_nothing_from_the_package():
+    assert package_imports("monodromy.py") == set()
+    # the walk sees the package imports of a module that has them, nested
+    # ones included (f_g imports tropical inside its body)
+    assert {"graphs", "monodromy", "tropical", "quasimodular"} <= package_imports("integrals.py")

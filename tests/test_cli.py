@@ -109,9 +109,10 @@ def test_fg_oracles_agree(capsys, oracle):
 
 def test_fg_sym_over_budget_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("HURWITZ_WORK_BUDGET", raising=False)
-    code, out, err = run(capsys, "fg", "--genus", "4", "--max-degree", "5", "--oracle", "sym")
+    code, out, err = run(capsys, "fg", "--genus", "2", "--max-degree", "100", "--oracle", "sym")
     assert code == 2 and out == ""
-    assert err.startswith("error: BudgetExceeded: estimated work 14400000000 exceeds budget 100000000")
+    assert err.startswith("error: BudgetExceeded: estimated work for degree 100, genus 2 is at least ")
+    assert "over the budget 100000000" in err
 
 
 def test_import_does_not_load_dataclasses():

@@ -219,6 +219,12 @@ def test_genus_bounds():
         enumerate_genus(1)
 
 
+@pytest.mark.parametrize("g", [3.0, "3", True, None])
+def test_enumerate_genus_takes_an_integer_genus(g):
+    with pytest.raises(ValueError, match="^g must be an integer, got "):
+        enumerate_genus(g)
+
+
 def _pairing_to_graph(n, matching):
     """Half-edge h belongs to vertex h // 3 (0-based); a perfect matching of
     the 3n half-edges therefore yields a trivalent multigraph."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -14,6 +15,7 @@ from ellcover.monodromy import (
     compose,
     conjugacy_class_size,
     conjugate,
+    content_sum,
     from_cycles,
     hurwitz_count,
     identity,
@@ -116,8 +118,7 @@ def test_known_counts():
     assert hurwitz_count(3, 3) == 160
     assert hurwitz_count(4, 4) == 91920
     assert f_g(4, 4, oracle="sym").coeffs == {4: 2, 6: 1456, 8: 91920}
-    # past the default budget; the integral oracle's f_g(2, 7) and f_g(3, 5)
-    # give the same numbers
+    # the integral oracle's f_g(2, 7) and f_g(3, 5) give the same numbers
     assert hurwitz_count(6, 2, budget=10**9) == 360
     assert hurwitz_count(5, 3, budget=10**9) == 18304
 
@@ -146,10 +147,14 @@ def reference_count(d, g, class_reduction=True):
     return Fraction(count, factorial(d))
 
 
-# every (d, g) the tuple-by-tuple reference reaches within 2 * 10^6 tuples:
+# every (d, g) the tuple-by-tuple reference reaches within 2 * 10^6 tuples
+# (d(d-1)/2 transpositions per branch point, d! each for alpha and sigma):
 # (2..5, 2), (2..4, 3), (2..3, 4) and (2..3, 5)
 REFERENCE_CASES = [
-    (d, g) for g in range(2, 6) for d in range(2, 7) if monodromy._estimated_work(d, g) <= 2 * 10**6
+    (d, g)
+    for g in range(2, 6)
+    for d in range(2, 7)
+    if (d * (d - 1) // 2) ** (2 * g - 2) * factorial(d) ** 2 <= 2 * 10**6
 ]
 
 
@@ -164,13 +169,6 @@ def test_orbit_labels_name_each_orbit_by_its_least_point():
     assert orbit_labels([], 3) == (0, 1, 2)
     # a label tuple stands in for the permutations with its orbits
     assert orbit_labels([(0, 1, 1, 0), from_cycles(4, [(2, 3)])], 4) == (0, 0, 0, 0)
-
-
-@pytest.mark.parametrize("d,g", [(2, 2), (3, 2), (2, 3), (4, 3)])
-def test_class_reduction_matches_naive(d, g):
-    assert hurwitz_count(d, g, class_reduction=True) == hurwitz_count(
-        d, g, class_reduction=False
-    )
 
 
 def test_result_is_exact_rational():
@@ -195,8 +193,9 @@ def test_conjugation_invariance():
 
 
 def test_budget_guard(monkeypatch):
-    with pytest.raises(BudgetExceeded):
-        hurwitz_count(5, 4)
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with pytest.raises(BudgetExceeded, match="^estimated work for degree 100, genus 2 is at least"):
+        hurwitz_count(100, 2)
     monkeypatch.setenv(BUDGET_ENV_VAR, "10")
     with pytest.raises(BudgetExceeded):
         hurwitz_count(3, 2)
@@ -205,23 +204,40 @@ def test_budget_guard(monkeypatch):
 
 
 def test_work_estimate_counts_transpositions_without_building_them(monkeypatch):
+    # the estimate counts the formula's steps: 2g - 1 content-sum powers per
+    # partition of each j <= d, and (2g - 1)^2 d^2 convolution terms
     for d in range(1, 9):
         for g in (2, 3, 4):
-            want = len(transpositions(d)) ** (2 * g - 2) * factorial(d) ** 2
+            listed = sum(len(list(partitions(j))) for j in range(d + 1))
+            want = (2 * g - 1) * listed + (2 * g - 1) ** 2 * d**2
             assert monodromy._estimated_work(d, g) == want
+    assert monodromy._estimated_work(5, 3) == 720
+    assert monodromy._estimated_work(4, 5) == 1404
+    # the default budget admits both
+    assert hurwitz_count(5, 3) == 18304
+    assert hurwitz_count(4, 5) == 3346368
 
     def refuse(d):
-        raise AssertionError(f"transposition table for d={d} built")
+        raise AssertionError(f"table for d={d} built")
 
+    # a refusal lists no partition and builds no permutation, and it stops
+    # summing at the budget, so it costs the same at any degree
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     monkeypatch.setattr(monodromy, "transpositions", refuse)
-    tracemalloc.start()
-    try:
+    monkeypatch.setattr(monodromy, "partitions", refuse)
+    for d in (3000, 10**6):
+        start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            hurwitz_count(300, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+            hurwitz_count(d, 2)
+        assert time.perf_counter() - start < 0.05
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                hurwitz_count(d, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_input_validation():
@@ -246,8 +262,36 @@ def test_sym_oracle_refuses_before_counting_any_degree(monkeypatch):
         return hurwitz_count(d, g, *args, **kwargs)
 
     monkeypatch.setattr(integrals, "hurwitz_count", spy)
-    with pytest.raises(BudgetExceeded, match=f"estimated work {monodromy._estimated_work(5, 4)} exceeds"):
-        f_g(4, 5, oracle="sym")
+    with pytest.raises(BudgetExceeded, match="^estimated work for degree 100, genus 2 "):
+        f_g(2, 100, oracle="sym")
     assert counted == []
     assert f_g(2, 3, oracle="sym").coeffs == {4: 2, 6: 16}
     assert counted == [1, 2, 3]
+
+
+def test_content_sums_and_partition_numbers():
+    assert content_sum(()) == 0
+    assert content_sum((3,)) == 3
+    assert content_sum((1, 1, 1)) == -3
+    assert content_sum((2, 1)) == 0
+    assert content_sum((3, 1)) == 2
+    # transposing the diagram negates every content
+    assert content_sum((4, 2, 1)) == -content_sum((3, 2, 1, 1))
+    # partitions lists each partition once, non-increasing, in reverse
+    # lexicographic order, and Euler's recurrence gives how many there are
+    for n in range(13):
+        listed = list(partitions(n))
+        assert all(sum(p) == n and all(p) and list(p) == sorted(p, reverse=True) for p in listed)
+        assert listed == sorted(set(listed), reverse=True)
+    numbers = [p for _, p in zip(range(26), monodromy._partition_numbers())]
+    assert numbers == [len(list(partitions(n))) for n in range(26)]
+    assert numbers[25] == 1958
+
+
+@pytest.mark.parametrize("g,d", [(2, 14), (3, 10), (4, 5)])
+def test_sym_oracle_matches_the_integral_oracle(g, d):
+    assert f_g(g, d, oracle="sym") == f_g(g, d)
+
+
+def test_sym_oracle_matches_the_tropical_oracle():
+    assert f_g(3, 6, oracle="sym") == f_g(3, 6, oracle="tropical")

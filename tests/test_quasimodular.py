@@ -166,6 +166,47 @@ def test_fit_rejects_odd_series():
         fit(QSeries({3: 1}, 20), 3)
 
 
+@pytest.mark.parametrize("g", [3.0, "3", True, None])
+def test_fit_takes_an_integer_genus(caterpillar_series_16, g):
+    with pytest.raises(ValueError, match="^g must be an integer, got "):
+        fit(caterpillar_series_16, g)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, True, "1", None])
+def test_qseries_rejects_inexact_coefficients(c):
+    with pytest.raises(TypeError, match="exact coefficient"):
+        QSeries({0: 1, 2: c}, 4)
+
+
+# F_4 in the weight-18 monomials E2^i E4^j E6^k
+F4_REP = {
+    (0, 0, 3): Fraction(-53, 80621568),
+    (0, 3, 1): Fraction(-373, 107495424),
+    (1, 1, 2): Fraction(5, 663552),
+    (1, 4, 0): Fraction(25, 4478976),
+    (2, 2, 1): Fraction(-175, 17915904),
+    (3, 0, 2): Fraction(-155, 53747712),
+    (3, 3, 0): Fraction(-715, 214990848),
+    (4, 1, 1): Fraction(245, 35831808),
+    (5, 2, 0): Fraction(193, 71663616),
+    (6, 0, 1): Fraction(-25, 26873856),
+    (7, 1, 0): Fraction(-155, 71663616),
+    (9, 0, 0): Fraction(355, 644972544),
+}
+
+
+@pytest.mark.parametrize("g,monomials", [(4, 12), (5, 19), (6, 27)])
+def test_overdetermined_fits_of_the_hurwitz_series(g, monomials):
+    # three even coefficients more than the weight-(6g - 6) monomials, so
+    # every fit is an overdetermined consistency check
+    assert len(weight_monomials(6 * g - 6)) == monomials
+    series = f_g(g, monomials + 3, oracle="sym")
+    rep = fit(series, g)
+    assert eval_rep(rep, series.order) == series
+    if g == 4:
+        assert rep.coeffs == F4_REP
+
+
 def test_rep_str_lists_exact_rationals():
     rep = QuasimodularRep(6, {(0, 0, 1): Fraction(1, 3), (3, 0, 0): -2})
     s = str(rep)
