@@ -24,11 +24,11 @@ weighted by the orbit size:
   (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).
 
 The single-order entry points (:func:`integral_coeff`,
-:func:`i_gamma_coeffs_for_order`) make no bridge test.  They return zero for
-a graph with a loop, whose factor is singular; a loop of a connected
-trivalent graph always sits behind a bridge.  On any other graph with a
-bridge the extraction gives zero by itself: balance at the cut forces the
-bridge's weight to 0, and every weight is positive.
+:func:`i_gamma_coeffs_for_order`) validate the graph but make no bridge
+test.  They return zero for a graph with a loop, whose factor is singular;
+a loop of a connected trivalent graph always sits behind a bridge.  On any
+other graph with a bridge the extraction gives zero by itself: balance at
+the cut forces the bridge's weight to 0, and every weight is positive.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
-from .monodromy import check_budget, hurwitz_count
+from .monodromy import hurwitz_numbers
 from .propagator import oriented_terms
 from .quasimodular import QSeries
 
@@ -90,6 +90,7 @@ def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> 
 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
+    validate(graph)
     order = tuple(check_int(v, "order entry") for v in order)
     if sorted(order) != list(range(1, graph.vertex_count + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{graph.vertex_count}")
@@ -305,10 +306,10 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
       :func:`~ellcover.graphs.enumerate_genus`);
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`;
-    * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_count` per degree, the
-      symmetric-group character formula (no graphs, so the genus bound does
-      not apply); its work budget is checked once, at ``d_max``, before any
-      degree is counted.
+    * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_numbers`, the
+      symmetric-group character formula for every degree up to ``d_max`` in
+      one pass (no graphs, so the genus bound does not apply); its work
+      budget is checked before any degree is counted.
 
     Every coefficient is checked to be a non-negative integer.
     """
@@ -317,13 +318,10 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     if check_int(g, "g") < 2:
         raise ValueError("genus must be at least 2")
     check_degree(d_max, "d_max")
-    total = {}
     if oracle == "sym":
-        # refuse before counting any degree: the work grows with d
-        check_budget(d_max, g)
-        for d in range(1, d_max + 1):
-            total[2 * d] = hurwitz_count(d, g)
+        total = {2 * d: h for d, h in enumerate(hurwitz_numbers(d_max, g), 1)}
     else:
+        total = {}
         series_of = i_gamma_series
         if oracle == "tropical":
             # tropical imports this module, so it is imported here

@@ -8,23 +8,34 @@ of permutations (tau_1, ..., tau_{2g-2}, alpha, sigma) of {1..d} with
       (composition right to left: sigma acts first),
   (3) the subgroup generated by all of tau_i, sigma, alpha transitive.
 
-The Hurwitz number is the tuple count divided by d!.  :func:`hurwitz_count`
+The Hurwitz number is the tuple count divided by d!.  :func:`hurwitz_numbers`
 enumerates no tuple; it evaluates Dijkgraaf's character formula (1995).
 By Frobenius, the pairs (alpha, sigma) with [alpha, sigma] = P number
 d! sum_chi chi(P) / chi(1), and the sum of all transpositions, being central,
 acts on the irreducible representation lambda by the content sum
-c(lambda) = sum of j - i over the boxes (i, j) of lambda.  So the tuples with (1) and (2) number d! Z_d[2g - 2], where
-Z_d[n] = sum over lambda |- d of c(lambda)^n.  For (3): the orbits of a tuple
-split it into transitive tuples on the blocks, which share out the labelled
-branch points, so sum_d x^d sum_n Z_d[n] u^n / n! is the exponential of the
-same series of the Hurwitz numbers H_d[n].  Its logarithm gives H_d = M_d / d
-with M_d = d Z_d - sum_{0<j<d} M_j * Z_{d-j}, where
+c(lambda) = sum of j - i over the boxes (i, j) of lambda.  So the tuples
+with (1) and (2) number d! Z_d[2g - 2], where Z_d[n] = sum over lambda |- d
+of c(lambda)^n.  For (3): the orbits of a tuple split it into transitive
+tuples on the blocks, which share out the labelled branch points, so
+sum_d x^d sum_n Z_d[n] u^n / n! is the exponential of the same series of the
+Hurwitz numbers H_d[n].  Its logarithm gives H_d = M_d / d with
+M_d = d Z_d - sum_{0<j<d} M_j * Z_{d-j}, where
 (A * B)[i] = sum_r C(i, r) A[r] B[i - r] multiplies exponential series in u.
+One pass of the recurrence to d_max gives every H_d with d <= d_max.
+
+No partition is listed.  Removing the first column (contents 0, -1, ...,
+-(l - 1)) of a lambda |- j with l rows leaves a mu |- j - l with at most l
+rows, each content one lower than in lambda, so c(lambda) = c(mu) + t with
+t = j - l - l(l - 1)/2: the series sum_i c^i u^i / i! of lambda is e^{tu}
+times that of mu.  Adding these for l = 1, 2, ..., j ascending, is the
+coin-change recurrence for partitions, in place: row j - l already counts
+up to l rows when row j reads it.  The table and the recurrence take about
+(2g - 1)^2 d^2 / 4 terms each.
 
 This path imports nothing from the package and shares no ideas with the
 graph-integral and tropical-cover paths, so agreement across all three is a
-strong end-to-end check.  The permutation helpers are what the tests'
-tuple-by-tuple reference count is built from.
+strong end-to-end check.  The permutation helpers, :func:`partitions` and
+:func:`content_sum` build the tests' references; no count here calls them.
 
 Permutations are tuples of images on 0-based points.
 """
@@ -164,48 +175,21 @@ def conjugacy_class_size(d: int, cycle_type) -> int:
     return factorial(d) // centralizer
 
 
-def _partition_numbers():
-    """p(0), p(1), ... by Euler's pentagonal number recurrence."""
-    p = [1]
-    while True:
-        yield p[-1]
-        n, total, k = len(p), 0, 1
-        while k * (3 * k - 1) // 2 <= n:
-            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-                if pentagonal <= n:
-                    total += (-1) ** (k + 1) * p[n - pentagonal]
-            k += 1
-        p.append(total)
-
-
-def _estimated_work(d: int, g: int, limit=None) -> int:
-    """Steps of :func:`hurwitz_count`: 2g - 1 content-sum powers for every
-    partition of every j <= d, plus about (2g - 1)^2 d^2 convolution terms.
-    The sum stops as soon as it passes ``limit``, so a refusal costs the same
-    for any d."""
-    width = 2 * g - 1
-    work = width * width * d * d
-    for _, p in zip(range(d + 1), _partition_numbers()):
-        if limit is not None and work > limit:
-            break
-        work += width * p
-    return work
-
-
-def _budget(budget):
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+def _estimated_work(d: int, g: int) -> int:
+    """Steps of :func:`hurwitz_numbers` to degree d: table and recurrence."""
+    return (2 * g - 1) ** 2 * d * d
 
 
 def check_budget(d: int, g: int, budget=None) -> None:
-    """Raise :class:`BudgetExceeded` if the (d, g) count's estimated work
-    exceeds ``budget`` (default: ``HURWITZ_WORK_BUDGET`` or
-    ``DEFAULT_BUDGET``).  The estimate grows with d, so one check at the
-    largest degree covers a whole series."""
-    limit = _budget(budget)
-    work = _estimated_work(d, g, limit)
+    """Raise :class:`BudgetExceeded` if the work to degree d at genus g exceeds
+    ``budget``, else ``HURWITZ_WORK_BUDGET``, else ``DEFAULT_BUDGET``."""
+    name, value, limit = "budget", budget, budget
+    if budget is None:
+        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR) or str(DEFAULT_BUDGET)
+        limit = int(value) if value.strip().isdecimal() else None
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    work = _estimated_work(d, g)
     if work > limit:
         raise BudgetExceeded(
             f"estimated work for degree {d}, genus {g} is at least {work}, over the budget {limit}"
@@ -219,34 +203,50 @@ def content_sum(shape) -> int:
     return sum(part * (part - 1) // 2 - i * part for i, part in enumerate(shape))
 
 
-def hurwitz_count(d: int, g: int, budget=None) -> Fraction:
-    """The degree-d genus-g Hurwitz number as an exact rational (the tuple
-    count of (1)-(3) divided by d!): the module docstring's Z_j[i] for
-    j <= d and i <= 2g - 2, its recurrence for M_d, and M_d[2g - 2] / d."""
-    for name, value in (("d", d), ("g", g)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if d < 1:
-        raise ValueError(f"degree d must be positive, got {d}")
-    if g < 2:
+def _check_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _star(a, b) -> list:
+    """(A * B)[i] = sum_r C(i, r) A[r] B[i - r], as in the module docstring."""
+    return [sum(comb(i, r) * a[r] * b[i - r] for r in range(i + 1)) for i in range(len(a))]
+
+
+def _content_power_sums(d: int, n: int) -> list:
+    """z[j][i] = sum over lambda |- j of c(lambda)^i for j <= d and i <= n,
+    by first-column removal (see the module docstring)."""
+    z = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(d)]
+    for rows in range(1, d + 1):
+        for j in range(rows, d + 1):
+            t = j - rows - rows * (rows - 1) // 2
+            shifted = _star(z[j - rows], [t**i for i in range(n + 1)])
+            z[j] = [x + y for x, y in zip(z[j], shifted)]
+    return z
+
+
+def hurwitz_numbers(d_max: int, g: int, budget=None) -> list:
+    """[H_1, ..., H_{d_max}]: the genus-g Hurwitz numbers as exact rationals,
+    from one pass of the recurrence, with the budget checked before any work."""
+    if _check_int(d_max, "d_max") < 0:
+        raise ValueError(f"d_max must be non-negative, got {d_max}")
+    if _check_int(g, "g") < 2:
         raise ValueError(f"genus g must be at least 2, got {g}")
-    check_budget(d, g, budget)
+    check_budget(d_max, g, budget)
     n = 2 * g - 2
-    z = []
-    for j in range(d + 1):
-        row = [0] * (n + 1)
-        for shape in partitions(j):
-            c, power = content_sum(shape), 1
-            for i in range(n + 1):
-                row[i] += power
-                power *= c
-        z.append(row)
+    z = _content_power_sums(d_max, n)
     m = [None]
-    for k in range(1, d + 1):
+    for k in range(1, d_max + 1):
         row = [k * x for x in z[k]]
         for j in range(1, k):
-            a, b = m[j], z[k - j]
-            for i in range(n + 1):
-                row[i] -= sum(comb(i, r) * a[r] * b[i - r] for r in range(i + 1))
+            row = [x - y for x, y in zip(row, _star(m[j], z[k - j]))]
         m.append(row)
-    return Fraction(m[d][n], d)
+    return [Fraction(row[n], k) for k, row in enumerate(m[1:], 1)]
+
+
+def hurwitz_count(d: int, g: int, budget=None) -> Fraction:
+    """The degree-d genus-g Hurwitz number, the last of :func:`hurwitz_numbers`."""
+    if _check_int(d, "d") < 1:
+        raise ValueError(f"degree d must be positive, got {d}")
+    return hurwitz_numbers(d, g, budget)[-1]

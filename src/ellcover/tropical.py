@@ -30,9 +30,10 @@ branch degree, at most sum(a) = d (each such weight divides its a_k).
 Every sum over vertex orders is one call to
 :func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
 the graph, gives zero for a graph with a bridge, and visits one order per
-orbit, weighted by the orbit size.  The per-order functions make no bridge
-test, since the search finds no tuple on such a graph: the bridge carries a
-positive weight across a cut that balance says no net weight may cross.
+orbit, weighted by the orbit size.  The per-order functions validate the
+graph but make no bridge test, since the search finds no tuple on such a
+graph: the bridge carries a positive weight across a cut that balance says
+no net weight may cross.
 The orbits are sound for these counts:
 
 * reversing the order and flipping every source is a bijection between the

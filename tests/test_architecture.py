@@ -4,7 +4,8 @@ way of summing over orders (acyclic orientations, say) is a change to one
 function.  ``f_g`` keeps its own bridge test, which spares it the
 automorphism count of a bridged class.  The symmetric-group path imports
 nothing from the package, so the cross-oracle checks compare independent
-code."""
+code; it lists no partition, and ``f_g`` reads the whole ``sym`` series off
+one pass of its recurrence."""
 
 import ast
 from pathlib import Path
@@ -41,6 +42,15 @@ def test_order_orbits_is_called_only_by_orbit_sum():
 def test_bridges_is_called_only_by_orbit_sum_and_f_g():
     assert callers("integrals.py", "bridges") == {"orbit_sum", "f_g"}
     assert callers("tropical.py", "bridges") == set()
+
+
+def test_sym_lists_no_partition_and_makes_one_pass_per_series():
+    # partitions, content_sum and transpositions stay as test references only
+    for name in ("partitions", "content_sum", "transpositions"):
+        assert callers("monodromy.py", name) == set(), name
+    assert "f_g" in callers("integrals.py", "hurwitz_numbers")
+    assert "f_g" not in callers("integrals.py", "hurwitz_count")
+    assert "f_g" not in callers("integrals.py", "check_budget")
 
 
 def test_the_guard_sees_calls_inside_lambdas():

@@ -109,10 +109,18 @@ def test_fg_oracles_agree(capsys, oracle):
 
 def test_fg_sym_over_budget_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("HURWITZ_WORK_BUDGET", raising=False)
-    code, out, err = run(capsys, "fg", "--genus", "2", "--max-degree", "100", "--oracle", "sym")
+    code, out, err = run(capsys, "fg", "--genus", "2", "--max-degree", "10000", "--oracle", "sym")
     assert code == 2 and out == ""
-    assert err.startswith("error: BudgetExceeded: estimated work for degree 100, genus 2 is at least ")
+    assert err.startswith("error: BudgetExceeded: estimated work for degree 10000, genus 2 is at least ")
     assert "over the budget 100000000" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+def test_fg_sym_with_a_bad_budget_variable_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("HURWITZ_WORK_BUDGET", value)
+    code, out, err = run(capsys, "fg", "--genus", "2", "--max-degree", "3", "--oracle", "sym")
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: ValueError: HURWITZ_WORK_BUDGET must be a positive integer, got {value!r}"
 
 
 def test_import_does_not_load_dataclasses():

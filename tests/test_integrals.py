@@ -6,6 +6,7 @@ import pytest
 
 from ellcover import (
     BadCardinality,
+    CoverTuple,
     FeynmanGraph,
     NotConnected,
     bridges,
@@ -19,6 +20,7 @@ from ellcover import (
     gromov_witten_d,
     i_gamma_series,
     integral_coeff,
+    reconstruct_cover,
     tropical_series,
 )
 from ellcover.integrals import MultiSeries, all_orders, compositions, i_gamma_coeffs_for_order, order_orbits
@@ -247,13 +249,29 @@ def test_orders_and_branch_types_take_integers_only(theta, fn, args, name):
         fn(theta, *args)
 
 
+def ones(graph):
+    return (1,) * len(graph.edges)
+
+
+def identity_order(graph):
+    return tuple(range(1, graph.vertex_count + 1))
+
+
 GRAPH_SUMS = {
-    "gromov_witten_a": lambda g: gromov_witten_a(g, (1,) * len(g.edges)),
+    "gromov_witten_a": lambda g: gromov_witten_a(g, ones(g)),
     "gromov_witten_d": lambda g: gromov_witten_d(g, 2),
     "generating_function": lambda g: generating_function(g, 2),
     "i_gamma_series": lambda g: i_gamma_series(g, 2),
-    "count_covers_total": lambda g: count_covers_total(g, (1,) * len(g.edges)),
+    "count_covers_total": lambda g: count_covers_total(g, ones(g)),
     "tropical_series": lambda g: tropical_series(g, 2),
+    # the single-order entry points validate through check_order
+    "integral_coeff": lambda g: integral_coeff(g, ones(g), identity_order(g)),
+    "i_gamma_coeffs_for_order": lambda g: i_gamma_coeffs_for_order(g, identity_order(g), 2),
+    "count_covers": lambda g: count_covers(g, ones(g), identity_order(g)),
+    "enumerate_tuples": lambda g: enumerate_tuples(g, ones(g), identity_order(g)),
+    "reconstruct_cover": lambda g: reconstruct_cover(
+        g, ones(g), identity_order(g), CoverTuple(ones(g), ones(g), ones(g))
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from ellcover import integrals, monodromy
+from ellcover import monodromy
 from ellcover.integrals import f_g
 from ellcover.monodromy import (
     BUDGET_ENV_VAR,
@@ -18,6 +19,7 @@ from ellcover.monodromy import (
     content_sum,
     from_cycles,
     hurwitz_count,
+    hurwitz_numbers,
     identity,
     inverse,
     is_transitive,
@@ -194,8 +196,8 @@ def test_conjugation_invariance():
 
 def test_budget_guard(monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    with pytest.raises(BudgetExceeded, match="^estimated work for degree 100, genus 2 is at least"):
-        hurwitz_count(100, 2)
+    with pytest.raises(BudgetExceeded, match="^estimated work for degree 10000, genus 2 is at least"):
+        hurwitz_count(10**4, 2)
     monkeypatch.setenv(BUDGET_ENV_VAR, "10")
     with pytest.raises(BudgetExceeded):
         hurwitz_count(3, 2)
@@ -204,15 +206,13 @@ def test_budget_guard(monkeypatch):
 
 
 def test_work_estimate_counts_transpositions_without_building_them(monkeypatch):
-    # the estimate counts the formula's steps: 2g - 1 content-sum powers per
-    # partition of each j <= d, and (2g - 1)^2 d^2 convolution terms
+    # the estimate is the closed form (2g - 1)^2 d^2: the column-removal
+    # table and the recurrence each take about a quarter of it in terms
     for d in range(1, 9):
         for g in (2, 3, 4):
-            listed = sum(len(list(partitions(j))) for j in range(d + 1))
-            want = (2 * g - 1) * listed + (2 * g - 1) ** 2 * d**2
-            assert monodromy._estimated_work(d, g) == want
-    assert monodromy._estimated_work(5, 3) == 720
-    assert monodromy._estimated_work(4, 5) == 1404
+            assert monodromy._estimated_work(d, g) == (2 * g - 1) ** 2 * d**2
+    assert monodromy._estimated_work(5, 3) == 625
+    assert monodromy._estimated_work(4, 5) == 1296
     # the default budget admits both
     assert hurwitz_count(5, 3) == 18304
     assert hurwitz_count(4, 5) == 3346368
@@ -220,12 +220,13 @@ def test_work_estimate_counts_transpositions_without_building_them(monkeypatch):
     def refuse(d):
         raise AssertionError(f"table for d={d} built")
 
-    # a refusal lists no partition and builds no permutation, and it stops
-    # summing at the budget, so it costs the same at any degree
+    # a refusal lists no partition, builds no permutation and no table, and
+    # the estimate is a closed form, so it costs the same at any degree
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     monkeypatch.setattr(monodromy, "transpositions", refuse)
     monkeypatch.setattr(monodromy, "partitions", refuse)
-    for d in (3000, 10**6):
+    monkeypatch.setattr(monodromy, "_content_power_sums", lambda d, n: refuse(d))
+    for d in (10**4, 10**6):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             hurwitz_count(d, 2)
@@ -255,18 +256,20 @@ def test_input_validation():
 
 def test_sym_oracle_refuses_before_counting_any_degree(monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    counted = []
+    built = []
+    table = monodromy._content_power_sums
 
-    def spy(d, g, *args, **kwargs):
-        counted.append(d)
-        return hurwitz_count(d, g, *args, **kwargs)
+    def spy(d, n):
+        built.append(d)
+        return table(d, n)
 
-    monkeypatch.setattr(integrals, "hurwitz_count", spy)
-    with pytest.raises(BudgetExceeded, match="^estimated work for degree 100, genus 2 "):
-        f_g(2, 100, oracle="sym")
-    assert counted == []
+    monkeypatch.setattr(monodromy, "_content_power_sums", spy)
+    with pytest.raises(BudgetExceeded, match="^estimated work for degree 10000, genus 2 "):
+        f_g(2, 10**4, oracle="sym")
+    assert built == []
+    # one table, to the largest degree, serves the whole series
     assert f_g(2, 3, oracle="sym").coeffs == {4: 2, 6: 16}
-    assert counted == [1, 2, 3]
+    assert built == [3]
 
 
 def test_content_sums_and_partition_numbers():
@@ -278,14 +281,53 @@ def test_content_sums_and_partition_numbers():
     # transposing the diagram negates every content
     assert content_sum((4, 2, 1)) == -content_sum((3, 2, 1, 1))
     # partitions lists each partition once, non-increasing, in reverse
-    # lexicographic order, and Euler's recurrence gives how many there are
+    # lexicographic order
     for n in range(13):
         listed = list(partitions(n))
         assert all(sum(p) == n and all(p) and list(p) == sorted(p, reverse=True) for p in listed)
         assert listed == sorted(set(listed), reverse=True)
-    numbers = [p for _, p in zip(range(26), monodromy._partition_numbers())]
-    assert numbers == [len(list(partitions(n))) for n in range(26)]
-    assert numbers[25] == 1958
+
+
+def test_column_removal_table_matches_listed_partitions():
+    z = monodromy._content_power_sums(20, 8)
+    assert len(z) == 21
+    for j in range(21):
+        contents = [content_sum(shape) for shape in partitions(j)]
+        assert z[j] == [sum(c**i for c in contents) for i in range(9)]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_one_pass_gives_every_degree(g):
+    assert hurwitz_numbers(12, g) == [hurwitz_count(d, g) for d in range(1, 13)]
+    assert hurwitz_numbers(0, g) == []
+    assert f_g(g, 0, oracle="sym").coeffs == {}
+
+
+def test_hurwitz_numbers_input_validation():
+    with pytest.raises(ValueError, match="^d_max must be non-negative"):
+        hurwitz_numbers(-1, 2)
+    with pytest.raises(ValueError, match="^genus g must be at least 2"):
+        hurwitz_numbers(3, 1)
+    for d_max in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="^d_max must be an integer"):
+            hurwitz_numbers(d_max, 2)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", "true"])
+def test_budget_variable_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    message = f"HURWITZ_WORK_BUDGET must be a positive integer, got '{value}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        hurwitz_count(2, 2)
+    # an explicit budget takes precedence over the variable
+    assert hurwitz_count(2, 2, budget=10**6) == 2
+    # and is checked the same way
+    for budget in (-5, 0, True, 1.5, "100"):
+        with pytest.raises(ValueError, match="^budget must be a positive integer, got "):
+            hurwitz_count(2, 2, budget=budget)
+    # an empty variable means the default, as before
+    monkeypatch.setenv(BUDGET_ENV_VAR, "")
+    assert hurwitz_count(2, 2) == 2
 
 
 @pytest.mark.parametrize("g,d", [(2, 14), (3, 10), (4, 5)])

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from ellcover import f_g
+from ellcover.monodromy import hurwitz_numbers
 from ellcover.quasimodular import (
     Inconsistent,
     QSeries,
@@ -205,6 +207,16 @@ def test_overdetermined_fits_of_the_hurwitz_series(g, monomials):
     assert eval_rep(rep, series.order) == series
     if g == 4:
         assert rep.coeffs == F4_REP
+
+
+def test_fit_from_six_degrees_predicts_the_hurwitz_numbers_to_degree_70():
+    # quasimodularity is independent of how the counts are computed: F_2
+    # fitted from degrees up to 6 must give every count of one long pass
+    rep = fit(f_g(2, 6, oracle="sym"), 2)
+    start = time.perf_counter()
+    numbers = hurwitz_numbers(70, 2)
+    assert time.perf_counter() - start < 2
+    assert eval_rep(rep, 142) == QSeries({2 * d: h for d, h in enumerate(numbers, 1)}, 142)
 
 
 def test_rep_str_lists_exact_rationals():
