@@ -10,18 +10,28 @@ result.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
-the graph series.  Every such sum is one call to :func:`orbit_sum`, which
-validates the graph, returns nothing for a graph with a bridge (its counts
-all vanish) and otherwise visits one order per orbit (:func:`order_orbits`),
-weighted by the orbit size:
+the graph series.  The order enters the integrand in one place only: it
+picks the source of every degree-0 edge's one-sided expansion (the earlier
+endpoint), and the elimination order does not change the value.  So a
+single-order integral depends only on the acyclic orientation that the
+order induces on the distinct vertex pairs, and each orientation counts
+once per linear extension.  Every sum is one call to :func:`orbit_sum`,
+which validates the graph, returns nothing for a graph with a bridge (its
+counts all vanish) and otherwise visits one topological order per orbit of
+acyclic orientations (:func:`orientation_orbits`), weighted by the number
+of vertex orders in the orbit.  The orbits are taken under:
 
-* reversing an order maps the integrand to its image under x -> 1/x, which
-  keeps the constant term, so reversal is used for every sum, including a
-  fixed branch type (:func:`gromov_witten_a`, :func:`generating_function`);
-* a vertex automorphism phi gives I(a, phi o order) = I(a o psi, order) for
-  an edge map psi induced by phi, so it is used only for sums that are
+* reversal: reversing an order maps the integrand to its image under
+  x -> 1/x, which keeps the constant term, so reversal is used for every
+  sum, including a fixed branch type (:func:`gromov_witten_a`,
+  :func:`generating_function`);
+* vertex automorphisms: phi gives I(a, phi o order) = I(a o psi, order) for
+  an edge map psi induced by phi, so they are used only for sums that are
   symmetric in the edges, that is over all compositions of d
   (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).
+
+:func:`order_orbits`, the orbits of the vertex orders themselves, is kept
+as a reference; no sum walks the n! orders.
 
 The single-order entry points (:func:`integral_coeff`,
 :func:`i_gamma_coeffs_for_order`) validate the graph but make no bridge
@@ -70,11 +80,108 @@ def order_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
     return out
 
 
+def orientation_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
+    """(representative order, weight) for every orbit of the acyclic
+    orientations of the distinct vertex pairs of ``graph`` under reversal
+    and, when ``symmetric``, the vertex automorphisms.  The representative is
+    the lexicographically first topological order of one orientation of the
+    orbit; the weight is the orbit size times the number of linear
+    extensions of that orientation (the vertex orders inducing it), so the
+    weights sum to n!.
+
+    No vertex order is listed: a depth-first search orients the pairs one at
+    a time and drops every choice that closes a cycle, the extensions are
+    counted over subsets of placed vertices, and the images of each new
+    orientation are marked as seen, so each orbit is counted once.  The first
+    pair keeps one direction, since every orbit has both (reversal flips it).
+    """
+    n = graph.vertex_count
+    pairs = sorted({(u, v) for u, v in graph.edges if u != v})
+    index = {p: i for i, p in enumerate(pairs)}
+    maps = vertex_automorphisms(graph) if symmetric else [tuple(range(n + 1))]
+    # an orientation is a bitmask: bit i set points pair i = (u, v) from v to
+    # u; moves[j][i][b] is the image bit, under map j, of pair i at direction b
+    moves = []
+    for img in maps:
+        move = []
+        for u, v in pairs:
+            bit = 1 << index[min(img[u], img[v]), max(img[u], img[v])]
+            move.append((0, bit) if img[u] < img[v] else (bit, 0))
+        moves.append(move)
+    full = (1 << len(pairs)) - 1
+    seen = set()
+    out = []
+
+    # depth-first over the pairs, with an explicit stack; reach[x] is the
+    # bitmask of the vertices reachable from x, x included.  The backward
+    # choice is pushed first, so the forward one is explored first.
+    stack = [(0, 0, [1 << x for x in range(n + 1)])]
+    while stack:
+        i, mask, reach = stack.pop()
+        if i < len(pairs):
+            u, v = pairs[i]
+            choices = ((1 << i, v, u), (0, u, v))
+            for bit, src, snk in choices if i else choices[1:]:
+                if reach[snk] >> src & 1:
+                    continue  # src -> snk would close a cycle
+                ahead = reach[snk]
+                stack.append((i + 1, mask | bit, [r | ahead if r >> src & 1 else r for r in reach]))
+            continue
+        if mask in seen:
+            continue
+        orbit = set()
+        for move in moves:
+            image = 0
+            for k, bits in enumerate(move):
+                image |= bits[mask >> k & 1]
+            orbit.add(image)
+            orbit.add(image ^ full)
+        seen.update(orbit)
+        preds = [0] * (n + 1)
+        for k, (u, v) in enumerate(pairs):
+            if mask >> k & 1:
+                preds[u] |= 1 << v
+            else:
+                preds[v] |= 1 << u
+        out.append((_first_extension(preds), _extension_count(preds) * len(orbit)))
+    return out
+
+
+def _first_extension(preds) -> tuple:
+    """The lexicographically first order of 1..n in which every vertex v
+    follows the vertices of the bitmask ``preds[v]``."""
+    placed = 0
+    order = []
+    for _ in range(len(preds) - 1):
+        v = next(v for v in range(1, len(preds)) if not placed >> v & 1 and not preds[v] & ~placed)
+        placed |= 1 << v
+        order.append(v)
+    return tuple(order)
+
+
+def _extension_count(preds) -> int:
+    """The number of orders of 1..n in which every vertex v follows the
+    vertices of the bitmask ``preds[v]``: placed-vertex subset -> number of
+    ways to place it, one vertex more per step."""
+    n = len(preds) - 1
+    ways = {0: 1}
+    for _ in range(n):
+        grown = {}
+        for placed, c in ways.items():
+            for v in range(1, n + 1):
+                if not placed >> v & 1 and not preds[v] & ~placed:
+                    key = placed | 1 << v
+                    grown[key] = grown.get(key, 0) + c
+        ways = grown
+    return ways.popitem()[1]
+
+
 def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> dict:
     """key -> the sum over all vertex orders of ``counts_for_order(order)[key]``,
-    taken over :func:`order_orbits` (``symmetric`` as there), one order per
-    orbit weighted by its size.  The keys are the caller's: degrees for a
-    series, branch types for :func:`generating_function`.
+    taken over :func:`orientation_orbits` (``symmetric`` as there), one order
+    per orbit weighted by the number of orders in the orbit.  The keys are
+    the caller's: degrees for a series, branch types for
+    :func:`generating_function`.
 
     Validates the graph.  A graph with a bridge gives ``{}`` and
     ``counts_for_order`` is never called on it.
@@ -83,7 +190,7 @@ def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> 
     total = {}
     if bridges(graph):
         return total
-    for order, weight in order_orbits(graph, symmetric):
+    for order, weight in orientation_orbits(graph, symmetric):
         for key, c in counts_for_order(order).items():
             total[key] = total.get(key, 0) + weight * c
     return total
@@ -91,6 +198,10 @@ def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
     validate(graph)
+    return check_permutation(graph, order)
+
+
+def check_permutation(graph: FeynmanGraph, order) -> tuple:
     order = tuple(check_int(v, "order entry") for v in order)
     if sorted(order) != list(range(1, graph.vertex_count + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{graph.vertex_count}")
@@ -206,13 +317,14 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None, elimination_order=
         return 0
     if w_max is None:
         w_max = total
-    elim = order if elimination_order is None else check_order(graph, elimination_order)
+    elim = order if elimination_order is None else check_permutation(graph, elimination_order)
     return _eliminate(graph, order, elim, [(x,) for x in a], w_max, total).get(total, 0)
 
 
 def gromov_witten_a(graph: FeynmanGraph, a) -> int:
     """Labelled count for one branch type: the sum of the single-order
-    integrals over all vertex orders, one per reversal orbit."""
+    integrals over all vertex orders, one per reversal orbit of acyclic
+    orientations."""
     a = check_branch_type(graph, a)
     return orbit_sum(graph, lambda order: {a: integral_coeff(graph, a, order)}, symmetric=False).get(a, 0)
 
@@ -221,7 +333,7 @@ def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     """Degree-d count scaled by |Aut|: the sum of the labelled counts over
     every composition of d into one part per edge, read off the degree-graded
     single-order integrals.  The sum is symmetric in the edges, so one order
-    per automorphism-and-reversal orbit suffices."""
+    per automorphism-and-reversal orbit of acyclic orientations suffices."""
     check_degree(d, "degree")
     return orbit_sum(graph, lambda order: i_gamma_coeffs_for_order(graph, order, d)).get(d, 0)
 
@@ -290,7 +402,8 @@ def orbit_series(graph: FeynmanGraph, d_max: int, counts_for_order) -> QSeries:
 def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     """The graph series: coefficient of q^{2d} is the total labelled count in
     degree d, summed over all vertex orders (one per automorphism-and-reversal
-    orbit, weighted by its size), for d <= d_max."""
+    orbit of acyclic orientations, weighted by the orders in it), for
+    d <= d_max."""
     return orbit_series(graph, d_max, lambda order: i_gamma_coeffs_for_order(graph, order, d_max))
 
 

@@ -30,7 +30,11 @@ branch degree, at most sum(a) = d (each such weight divides its a_k).
 Every sum over vertex orders is one call to
 :func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
 the graph, gives zero for a graph with a bridge, and visits one order per
-orbit, weighted by the orbit size.  The per-order functions validate the
+orbit of acyclic orientations, weighted by the number of orders in the
+orbit.  The order enters the search only through the source of each
+degree-0 edge (:func:`_options`, the endpoint of lower rank); the order in
+which edges are assigned changes no count.  So a per-order count depends
+only on the acyclic orientation the order induces.  The per-order functions validate the
 graph but make no bridge test, since the search finds no tuple on such a
 graph: the bridge carries a positive weight across a cut that balance says
 no net weight may cross.
@@ -224,7 +228,8 @@ def count_covers(graph: FeynmanGraph, a, order) -> int:
 
 def count_covers_total(graph: FeynmanGraph, a) -> int:
     """Weighted tuple count summed over all (2g-2)! vertex orders, one per
-    reversal orbit (the branch type is fixed, so automorphisms are not used)."""
+    reversal orbit of acyclic orientations (the branch type is fixed, so
+    automorphisms are not used)."""
     a = check_branch_type(graph, a)
     total = sum(a)
     degrees = [(x,) for x in a]
@@ -235,8 +240,8 @@ def count_covers_total(graph: FeynmanGraph, a) -> int:
 def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     """The graph series by tropical enumeration: coefficient of q^{2d} is
     the weighted tuple count in total degree d, summed over all vertex
-    orders (one per automorphism-and-reversal orbit, weighted by its size),
-    for d <= d_max.  Equal to :func:`~ellcover.integrals.i_gamma_series`."""
+    orders (one per automorphism-and-reversal orbit of acyclic orientations,
+    weighted by the orders in it), for d <= d_max.  Equal to :func:`~ellcover.integrals.i_gamma_series`."""
     degrees = [range(d_max + 1)] * len(graph.edges)
     return orbit_series(graph, d_max, lambda order: _graded_counts(graph, order, degrees, d_max))
 

@@ -1,7 +1,8 @@
 """Every per-graph sum goes through ``integrals.orbit_sum``: it alone picks
-the vertex orders and their weights and makes the bridge decision, so a new
-way of summing over orders (acyclic orientations, say) is a change to one
-function.  ``f_g`` keeps its own bridge test, which spares it the
+the vertex orders and their weights and makes the bridge decision, so the
+way of summing over orders (one per orbit of acyclic orientations, since an
+order enters a count only through the orientation it induces) is a change
+to one function.  ``f_g`` keeps its own bridge test, which spares it the
 automorphism count of a bridged class.  The symmetric-group path imports
 nothing from the package, so the cross-oracle checks compare independent
 code; it lists no partition, and ``f_g`` reads the whole ``sym`` series off
@@ -32,11 +33,13 @@ def callers(module_file, name):
     return found
 
 
-def test_order_orbits_is_called_only_by_orbit_sum():
-    assert callers("integrals.py", "order_orbits") == {"orbit_sum"}
+def test_orientation_orbits_is_called_only_by_orbit_sum():
+    assert callers("integrals.py", "orientation_orbits") == {"orbit_sum"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         if module_file != "integrals.py":
-            assert callers(module_file, "order_orbits") == set(), module_file
+            assert callers(module_file, "orientation_orbits") == set(), module_file
+        # order_orbits stays public, but no sum walks the n! orders any more
+        assert callers(module_file, "order_orbits") == set(), module_file
 
 
 def test_bridges_is_called_only_by_orbit_sum_and_f_g():

@@ -23,7 +23,17 @@ from ellcover import (
     reconstruct_cover,
     tropical_series,
 )
-from ellcover.integrals import MultiSeries, all_orders, compositions, i_gamma_coeffs_for_order, order_orbits
+from ellcover import integrals
+from ellcover.integrals import (
+    MultiSeries,
+    all_orders,
+    compositions,
+    i_gamma_coeffs_for_order,
+    orbit_sum,
+    order_orbits,
+    orientation_orbits,
+)
+from ellcover.tropical import _graded_counts
 from ellcover.laurent import LaurentPoly
 from ellcover.propagator import edge_factor
 
@@ -184,6 +194,16 @@ def test_elimination_order_independence(caterpillar):
             assert integral_coeff(caterpillar, a, order) == integral_coeff(
                 caterpillar, a, order, elimination_order=elim
             )
+
+
+def test_one_validation_per_single_order_call(caterpillar, monkeypatch):
+    calls = []
+    real = integrals.validate
+    monkeypatch.setattr(integrals, "validate", lambda graph: calls.append(graph) or real(graph))
+    assert integral_coeff(caterpillar, BRANCH, (3, 1, 2, 4), elimination_order=(4, 3, 2, 1)) == 4
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="not a permutation"):
+        integral_coeff(caterpillar, BRANCH, (3, 1, 2, 4), elimination_order=(1, 2, 3, 3))
 
 
 def test_truncation_robustness(caterpillar, theta, k4):
@@ -392,6 +412,74 @@ def test_order_orbit_structure(k4, caterpillar, theta, genus4_bridgeless):
         assert all(w == 2 for _, w in order_orbits(graph, symmetric=False))
 
 
+def order_orbit_sum(graph, counts_for_order, symmetric):
+    """The sum of :func:`orbit_sum` over :func:`order_orbits`: one order per
+    orbit of vertex orders, weighted by its size."""
+    total = {}
+    for order, weight in order_orbits(graph, symmetric):
+        for key, c in counts_for_order(order).items():
+            total[key] = total.get(key, 0) + weight * c
+    return total
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_orientation_orbits_sum_like_order_orbits(symmetric, genus4_bridgeless):
+    # a single-order count depends only on the acyclic orientation the order
+    # induces, so both orbit decompositions give the same sums; the per-order
+    # counts are those behind i_gamma_series, tropical_series and
+    # generating_function
+    for graph in enumerate_genus(3, bridgeless=True) + genus4_bridgeless:
+        degrees = [range(3)] * len(graph.edges)
+        for counts_for_order in (
+            lambda order: i_gamma_coeffs_for_order(graph, order, 3),
+            lambda order: _graded_counts(graph, order, degrees, 2),
+        ):
+            want = order_orbit_sum(graph, counts_for_order, symmetric)
+            assert orbit_sum(graph, counts_for_order, symmetric) == want
+    graph = genus4_bridgeless[0]
+    types = [a for d in range(3) for a in compositions(d, len(graph.edges))]
+
+    def gf_counts(order):
+        # an automorphism permutes the edges, so under it only sums that are
+        # symmetric in the edges are independent of the orbit representative:
+        # key the counts by the sorted branch type
+        counts = {}
+        for a in types:
+            key = a if not symmetric else tuple(sorted(a))
+            counts[key] = counts.get(key, 0) + integral_coeff(graph, a, order)
+        return counts
+
+    assert orbit_sum(graph, gf_counts, symmetric) == order_orbit_sum(graph, gf_counts, symmetric)
+
+
+def test_orientation_orbit_structure(k4, caterpillar, theta):
+    # K4's orientations form one orbit of acyclic tournaments: its 4! orders
+    assert orientation_orbits(k4) == [((1, 2, 3, 4), 24)]
+    assert orientation_orbits(theta) == [((1, 2), 2)]
+    assert orientation_orbits(theta, symmetric=False) == [((1, 2), 2)]
+    assert sum(w for _, w in orientation_orbits(caterpillar)) == 24
+    counts = []
+    for g in (2, 3, 4, 5):
+        graphs = enumerate_genus(g, bridgeless=True)
+        for graph in graphs:
+            n = graph.vertex_count
+            for symmetric in (True, False):
+                orbits = orientation_orbits(graph, symmetric)
+                assert sum(w for _, w in orbits) == factorial(n)
+                assert all(sorted(order) == list(range(1, n + 1)) for order, _ in orbits)
+        counts.append(sum(len(orientation_orbits(graph)) for graph in graphs))
+    # the 315 order orbits of genus 4 and 70,256 of genus 5 fall into these
+    assert counts == [1, 5, 65, 1665]
+
+
+def test_orientation_orbits_list_no_vertex_order(monkeypatch, genus4_bridgeless):
+    def forbidden(*args):
+        raise AssertionError("an order was listed")
+
+    monkeypatch.setattr(itertools, "permutations", forbidden)
+    assert sum(len(orientation_orbits(graph)) for graph in genus4_bridgeless) == 65
+
+
 def test_skipping_the_bridge_test_gives_the_same_value():
     # loopless graphs with a bridge first appear at genus 4: their integrals
     # vanish without the short-circuit too
@@ -419,6 +507,14 @@ def test_f4_through_degree_four():
     # the q^8 coefficient also follows from the character formula
     # sum over partitions of c(lambda)^6, followed by a log in q
     assert f_g(4, 4).coeffs == {4: 2, 6: 1456, 8: 91920}
+
+
+def test_f5_through_degree_three():
+    # the first genus-5 check of the graph oracles: 16 bridgeless classes,
+    # 1,665 orientation orbits
+    series = f_g(5, 3)
+    assert series == f_g(5, 3, oracle="sym")
+    assert series.coeffs == {4: 2, 6: 13120}
 
 
 def test_negative_degrees_are_rejected(k4):
