@@ -6,7 +6,10 @@ term, in every vertex variable, of the product of the per-edge factors from
 :mod:`.propagator`.  Extraction runs one variable at a time; an edge's factor
 is multiplied into the running product just before its first endpoint is
 eliminated, which keeps intermediate supports small without changing the
-result.
+result.  The last such factor of a vertex v is multiplied as a matched
+product: each term of the running product meets only the factor terms that
+bring its x_v exponent to 0, so x_v^0 is extracted as the product is formed
+and the terms the extraction would drop are never made.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
@@ -183,6 +186,12 @@ def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> 
     the caller's: degrees for a series, branch types for
     :func:`generating_function`.
 
+    ``symmetric=True`` is sound only for counts that are symmetric in the
+    edges, such as degree totals over all compositions: an automorphism
+    permutes the edges, so per-branch-type counts would depend on which order
+    represents each orbit.  Counts for a fixed branch type pass
+    ``symmetric=False``.
+
     Validates the graph.  A graph with a bridge gives ``{}`` and
     ``counts_for_order`` is never called on it.
     """
@@ -251,9 +260,16 @@ def _eliminate(graph, order, elimination, degrees, w_max, d_max) -> dict:
     substitution): vertex ``elimination[i]`` owns digit i, in base R = 2B+1
     with every exponent biased by B, and the top digit (weight ``top``) holds
     the total degree.  Multiplying monomials adds their keys, truncation is
-    one comparison and extracting x_v^0 is a digit test.  No digit carries:
-    a vertex meets three edge ends of weight at most W each, so its exponent
+    one comparison and the x_v exponent is a digit.  No digit carries: a
+    vertex meets three edge ends of weight at most W each, so its exponent
     stays within 6W < B.
+
+    x_v^0 is extracted inside the multiply by v's last fresh factor: its
+    terms are grouped by the change they make to v's digit (+e when v is
+    the edge's source, -e when it is the sink), and each key reads its
+    v-digit once and visits only the group that brings the digit to the
+    bias.  A vertex whose edges were all multiplied earlier keeps the keys
+    whose v-digit is at the bias.
     """
     n = graph.vertex_count
     weight = max([w_max] + [max(ds) for ds in degrees])
@@ -267,32 +283,40 @@ def _eliminate(graph, order, elimination, degrees, w_max, d_max) -> dict:
     state = {zero: 1}
     used = [False] * len(graph.edges)
     for v in elimination:
-        for k in graph.incident_edges(v):
-            if used[k]:
-                continue
+        p = place[v]
+        fresh = [k for k in graph.incident_edges(v) if not used[k]]
+        if not fresh:
+            state = {key: c for key, c in state.items() if key // p % radix == bias}
+        for k in fresh:
             used[k] = True
+            # (offset, coefficient, the change to v's exponent)
             factor = []
             for a in degrees[k]:
                 src, snk, terms = oriented_terms(graph.edges[k], a, rank, w_max)
                 shift = place[src] - place[snk]
-                factor.extend((a * top + e * shift, c) for e, c in terms)
+                sign = 1 if src == v else -1
+                factor.extend((a * top + e * shift, c, sign * e) for e, c in terms)
             # sorted, so past the first offset that overshoots d_max every
             # later one does too
             factor.sort()
+            matched = k == fresh[-1]
+            if matched:
+                # the key v-digit each term needs to end at the bias
+                groups = {}
+                for offset, c, e in factor:
+                    groups.setdefault(bias - e, []).append((offset, c))
+            else:
+                factor = [(offset, c) for offset, c, _ in factor]
             product = {}
             get = product.get
             for key, c in state.items():
-                for offset, c2 in factor:
+                for offset, c2 in groups.get(key // p % radix, ()) if matched else factor:
                     s = key + offset
                     if s >= limit:
                         break
                     # all coefficients are positive, so nothing cancels
                     product[s] = get(s, 0) + c * c2
             state = product
-            if not state:
-                return {}
-        p = place[v]
-        state = {key: c for key, c in state.items() if key // p % radix == bias}
         if not state:
             return {}
     return {(key - zero) // top: c for key, c in state.items()}

@@ -13,19 +13,22 @@ Laurent-polynomial arithmetic, so it serves as an independent oracle for the
 integral path.
 
 All enumeration runs on one graded depth-first search (:func:`_search`).
-Each edge carries its choices for every branch degree it may take, sorted
-by degree, and the search keeps the running total degree: the first choice
-that would push it past the cap ends that edge's loop, since every later
-choice does too.  Edges are assigned in an order that saturates vertices
-early, and a saturated vertex must balance, which prunes the search.  A
-fixed branch type gives every edge one degree (:func:`enumerate_tuples`,
-:func:`count_covers`); the graph series gives every edge all degrees up to
-d_max and adds each tuple's weight product to its degree
-(:func:`tropical_series`).  Degree-0 weights stop at the cap, which is
-exact: every degree-0 edge crossing a cut of the vertex order between two
-consecutive positions points forward, so balance makes their total weight
-equal to the net weight carried back across the cut by edges of positive
-branch degree, at most sum(a) = d (each such weight divides its a_k).
+Each edge carries its choices for every branch degree it may take, sorted by
+degree, and the search keeps the running total degree: the first choice that
+would push it past the cap ends that edge's loop, since every later choice
+does too.  Edges are assigned in an order that saturates vertices early, and
+a saturated vertex must balance, which prunes the search: the edge that
+saturates a vertex must carry the vertex's running balance, so its weight
+and direction are fixed and only the choices with that weight and source are
+tried.  A fixed branch type gives every edge one degree
+(:func:`enumerate_tuples`, :func:`count_covers`); the graph series gives
+every edge all degrees up to d_max and adds each tuple's weight product to
+its degree (:func:`tropical_series`).  Degree-0 weights stop at the cap,
+which is exact: every degree-0 edge crossing a cut of the vertex order
+between two consecutive positions points forward, so balance makes their
+total weight equal to the net weight carried back across the cut by edges of
+positive branch degree, at most sum(a) = d (each such weight divides its
+a_k).
 
 Every sum over vertex orders is one call to
 :func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
@@ -148,6 +151,14 @@ def _search(graph, order, degrees, d_max, w_max, leaf):
     options = _options(graph, rank, degrees, w_max)
     edges = graph.edges
     m = len(edges)
+    # per edge, (weight, source) -> its choices in degree order, for an edge
+    # that saturates a vertex
+    forced = []
+    for opts in options:
+        index = {}
+        for opt in opts:
+            index.setdefault(opt[1:3], []).append(opt)
+        forced.append(index)
     # assign edges in an order that completes vertices early, so balance can
     # be checked (and the search pruned) as soon as a vertex is saturated
     edge_seq = sorted(range(m), key=lambda k: (max(rank[edges[k][0]], rank[edges[k][1]]), k))
@@ -168,7 +179,16 @@ def _search(graph, order, degrees, d_max, w_max, leaf):
         remaining[v] -= 1
         u_open = remaining[u] > 0
         v_open = remaining[v] > 0
-        for opt in options[k]:
+        if (u_open and v_open) or u == v:
+            # a loop leaves the balance as it is, so it keeps every choice
+            choices = options[k]
+        else:
+            # x saturates: a positive balance b needs weight b into x, a
+            # negative one weight -b out of x; a zero balance admits nothing
+            x, y = (v, u) if u_open else (u, v)
+            b = balance[x]
+            choices = forced[k].get((b, y) if b > 0 else (-b, x), ())
+        for opt in choices:
             a, w, src, _ = opt
             if degree + a > d_max:
                 break

@@ -2,7 +2,8 @@
 the vertex orders and their weights and makes the bridge decision, so the
 way of summing over orders (one per orbit of acyclic orientations, since an
 order enters a count only through the orientation it induces) is a change
-to one function.  ``f_g`` keeps its own bridge test, which spares it the
+to one function.  Only sums symmetric in the edges let it use the
+automorphisms.  ``f_g`` keeps its own bridge test, which spares it the
 automorphism count of a bridged class.  The symmetric-group path imports
 nothing from the package, so the cross-oracle checks compare independent
 code; it lists no partition, and ``f_g`` reads the whole ``sym`` series off
@@ -40,6 +41,31 @@ def test_orientation_orbits_is_called_only_by_orbit_sum():
             assert callers(module_file, "orientation_orbits") == set(), module_file
         # order_orbits stays public, but no sum walks the n! orders any more
         assert callers(module_file, "order_orbits") == set(), module_file
+
+
+def orbit_sum_symmetry(module_file):
+    """Top-level function of a module -> the ``symmetric`` argument of its
+    ``orbit_sum`` calls (True when left at the default)."""
+    found = {}
+    for top in ast.parse((PACKAGE / module_file).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "orbit_sum":
+                flags = [ast.literal_eval(kw.value) for kw in node.keywords if kw.arg == "symmetric"]
+                flags += [ast.literal_eval(arg) for arg in node.args[2:]]
+                found.setdefault(getattr(top, "name", "<module>"), set()).update(flags or [True])
+    return found
+
+
+def test_orbit_sum_uses_automorphisms_only_for_edge_symmetric_counts():
+    # per-branch-type counts are not symmetric in the edges, so their sums
+    # pass symmetric=False; the other callers sum over all compositions
+    assert orbit_sum_symmetry("integrals.py") == {
+        "gromov_witten_a": {False},
+        "gromov_witten_d": {True},
+        "generating_function": {False},
+        "orbit_series": {True},
+    }
+    assert orbit_sum_symmetry("tropical.py") == {"count_covers_total": {False}}
 
 
 def test_bridges_is_called_only_by_orbit_sum_and_f_g():

@@ -397,6 +397,40 @@ def test_reversal_orbits_match_all_orders_for_fixed_branch_type(genus4_bridgeles
             assert gromov_witten_a(graph, a) == want
 
 
+def test_per_order_kernel_matches_the_reference(genus4_bridgeless):
+    # the kernel extracts x_v^0 while it multiplies v's last fresh edge; its
+    # symmetric d > 0 terms cannot tell v the source from v the sink, so a
+    # degree-0 edge is made the last fresh edge of the first eliminated
+    # vertex v, once with v as its source (earlier in the order) and once as
+    # its sink
+    rng = random.Random(41)
+    for graph in enumerate_genus(3, bridgeless=True) + genus4_bridgeless:
+        n = graph.vertex_count
+        for _ in range(2):
+            order = tuple(rng.sample(range(1, n + 1), n))
+            want = reference_coeffs(graph, order, [range(4)] * len(graph.edges), 3)
+            assert i_gamma_coeffs_for_order(graph, order, 3) == want
+        elim = tuple(rng.sample(range(1, n + 1), n))
+        v = elim[0]
+        last = graph.incident_edges(v)[-1]
+        y = sum(graph.edges[last]) - v
+        for v_is_source in (True, False):
+            nonzero = 0
+            for _ in range(60):
+                order = tuple(rng.sample(range(1, n + 1), n))
+                if (order.index(v) < order.index(y)) != v_is_source:
+                    order = order[::-1]
+                a = tuple(0 if k == last else rng.randint(0, 2) for k in range(len(graph.edges)))
+                if not any(a):
+                    continue
+                want = reference_coeffs(graph, order, [(x,) for x in a], sum(a)).get(sum(a), 0)
+                assert integral_coeff(graph, a, order, elimination_order=elim) == want
+                nonzero += want != 0
+                if nonzero == 3:
+                    break
+            assert nonzero, (graph.edges, v_is_source)
+
+
 def test_order_orbit_structure(k4, caterpillar, theta, genus4_bridgeless):
     assert len(order_orbits(k4)) == 1
     assert len(order_orbits(caterpillar)) == 6
