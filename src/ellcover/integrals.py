@@ -3,26 +3,29 @@
 For a graph of genus g, a branch type a (one non-negative integer per edge)
 and a total order on the vertices, the integral coefficient is the constant
 term, in every vertex variable, of the product of the per-edge factors from
-:mod:`.propagator`.  Extraction runs one variable at a time; an edge's factor
-is multiplied into the running product just before its first endpoint is
-eliminated, which keeps intermediate supports small without changing the
-result.  The last such factor of a vertex v is multiplied as a matched
+:mod:`.propagator`.  The order enters the integrand in one place only: it
+picks the source of every degree-0 edge's one-sided expansion (the earlier
+endpoint).  The sequence in which the variables are extracted does not
+change the value, so extraction runs in the vertex order itself, one
+variable at a time.  An edge's factor is multiplied into the running
+product just before its earlier endpoint v is eliminated, which keeps
+intermediate supports small; v is then the source of every factor it
+multiplies, so each factor's terms come out of a table built once per call
+already sorted.  The last such factor of v is multiplied as a matched
 product: each term of the running product meets only the factor terms that
 bring its x_v exponent to 0, so x_v^0 is extracted as the product is formed
 and the terms the extraction would drop are never made.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
-the graph series.  The order enters the integrand in one place only: it
-picks the source of every degree-0 edge's one-sided expansion (the earlier
-endpoint), and the elimination order does not change the value.  So a
-single-order integral depends only on the acyclic orientation that the
-order induces on the distinct vertex pairs, and each orientation counts
-once per linear extension.  Every sum is one call to :func:`orbit_sum`,
-which validates the graph, returns nothing for a graph with a bridge (its
-counts all vanish) and otherwise visits one topological order per orbit of
-acyclic orientations (:func:`orientation_orbits`), weighted by the number
-of vertex orders in the orbit.  The orbits are taken under:
+the graph series.  A single-order integral depends only on the acyclic
+orientation that the order induces on the distinct vertex pairs, and each
+orientation counts once per linear extension.  Every sum is one call to
+:func:`orbit_sum`, which validates the graph, returns nothing for a graph
+with a bridge (its counts all vanish) and otherwise visits one topological
+order per orbit of acyclic orientations (:func:`orientation_orbits`),
+weighted by the number of vertex orders in the orbit.  The orbits are taken
+under:
 
 * reversal: reversing an order maps the integrand to its image under
   x -> 1/x, which keeps the constant term, so reversal is used for every
@@ -52,7 +55,7 @@ from fractions import Fraction
 from ._frozen import Frozen
 from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
 from .monodromy import hurwitz_numbers
-from .propagator import oriented_terms
+from .propagator import _factor_terms
 from .quasimodular import QSeries
 
 
@@ -207,10 +210,6 @@ def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
     validate(graph)
-    return check_permutation(graph, order)
-
-
-def check_permutation(graph: FeynmanGraph, order) -> tuple:
     order = tuple(check_int(v, "order entry") for v in order)
     if sorted(order) != list(range(1, graph.vertex_count + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{graph.vertex_count}")
@@ -250,63 +249,60 @@ def compositions(d: int, parts: int):
             yield (first,) + rest
 
 
-def _eliminate(graph, order, elimination, degrees, w_max, d_max) -> dict:
+def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
     """Total branch degree t -> constant term, in every vertex variable, of
-    the product of the edge factors, for t <= d_max.
+    the product of the edge factors, for t <= d_max, extracting the vertex
+    variables in ``order``.
 
     Edge k's factor is the sum of its factors over the branch degrees in
-    ``degrees[k]``, each tagged with its degree; degree-0 expansions stop at
-    weight ``w_max``.  A monomial is packed into one int (Kronecker
-    substitution): vertex ``elimination[i]`` owns digit i, in base R = 2B+1
-    with every exponent biased by B, and the top digit (weight ``top``) holds
-    the total degree.  Multiplying monomials adds their keys, truncation is
-    one comparison and the x_v exponent is a digit.  No digit carries: a
-    vertex meets three edge ends of weight at most W each, so its exponent
-    stays within 6W < B.
+    ``degrees[k]`` (ascending), each tagged with its degree; degree-0
+    expansions stop at weight ``w_max``.  A monomial is packed into one int
+    (Kronecker substitution): vertex ``order[i]`` owns digit i, in base
+    R = 2B+1 with every exponent biased by B, and the top digit (weight
+    ``top``) holds the total degree.  Multiplying monomials adds their keys,
+    truncation is one comparison and the x_v exponent is a digit.  No digit
+    carries: a vertex meets three edge ends of weight at most W each, so its
+    exponent stays within 6W < B.
 
-    x_v^0 is extracted inside the multiply by v's last fresh factor: its
-    terms are grouped by the change they make to v's digit (+e when v is
-    the edge's source, -e when it is the sink), and each key reads its
-    v-digit once and visits only the group that brings the digit to the
-    bias.  A vertex whose edges were all multiplied earlier keeps the keys
-    whose v-digit is at the bias.
+    An edge is multiplied when its earlier endpoint v is eliminated, so v is
+    the source of every degree-0 expansion; the d > 0 factors are symmetric.
+    Every term thus adds e to v's exponent and -e to the later endpoint's,
+    and with terms listed by degree ascending and e descending the offsets
+    come out ascending, so past the first offset that overshoots d_max every
+    later one does too.  x_v^0 is extracted inside the multiply by v's last
+    fresh factor: its terms are grouped by the v-digit a key needs to end at
+    the bias, bias - e, and each key reads its v-digit once and visits only
+    its group.  A vertex whose edges were all multiplied earlier keeps the
+    keys whose v-digit is at the bias.
     """
     n = graph.vertex_count
     weight = max([w_max] + [max(ds) for ds in degrees])
     bias = 6 * weight + 1
     radix = 2 * bias + 1
-    place = {v: radix**i for i, v in enumerate(elimination)}
+    place = {v: radix**i for i, v in enumerate(order)}
     top = radix**n
     limit = (d_max + 1) * top
-    rank = {v: i for i, v in enumerate(order)}
     zero = (top - 1) // 2  # every vertex digit at the bias: the monomial 1
+    table = {a: sorted(_factor_terms(a, w_max), reverse=True) for a in set().union(*degrees)}
     state = {zero: 1}
     used = [False] * len(graph.edges)
-    for v in elimination:
+    for v in order:
         p = place[v]
         fresh = [k for k in graph.incident_edges(v) if not used[k]]
         if not fresh:
             state = {key: c for key, c in state.items() if key // p % radix == bias}
         for k in fresh:
             used[k] = True
-            # (offset, coefficient, the change to v's exponent)
-            factor = []
-            for a in degrees[k]:
-                src, snk, terms = oriented_terms(graph.edges[k], a, rank, w_max)
-                shift = place[src] - place[snk]
-                sign = 1 if src == v else -1
-                factor.extend((a * top + e * shift, c, sign * e) for e, c in terms)
-            # sorted, so past the first offset that overshoots d_max every
-            # later one does too
-            factor.sort()
+            # the later endpoint's place exceeds v's, so shift < 0
+            shift = p - place[sum(graph.edges[k]) - v]
             matched = k == fresh[-1]
             if matched:
-                # the key v-digit each term needs to end at the bias
                 groups = {}
-                for offset, c, e in factor:
-                    groups.setdefault(bias - e, []).append((offset, c))
+                for a in degrees[k]:
+                    for e, c in table[a]:
+                        groups.setdefault(bias - e, []).append((a * top + e * shift, c))
             else:
-                factor = [(offset, c) for offset, c, _ in factor]
+                factor = [(a * top + e * shift, c) for a in degrees[k] for e, c in table[a]]
             product = {}
             get = product.get
             for key, c in state.items():
@@ -322,27 +318,26 @@ def _eliminate(graph, order, elimination, degrees, w_max, d_max) -> dict:
     return {(key - zero) // top: c for key, c in state.items()}
 
 
-def integral_coeff(graph: FeynmanGraph, a, order, w_max=None, elimination_order=None) -> int:
+def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
     """Coefficient of the branch-type monomial in the single-order integral.
 
-    ``order`` fixes the one-sided expansion of every degree-0 edge factor.
-    ``elimination_order`` (defaults to ``order``) is the sequence in which
-    vertex variables are extracted; any choice yields the same value.
-    ``w_max`` bounds the degree-0 expansions and defaults to sum(a), which is
-    exact: no balanced monomial can involve a larger weight.
+    ``order`` fixes the one-sided expansion of every degree-0 edge factor,
+    and the vertex variables are extracted in it.  ``w_max`` (at least 1)
+    bounds the degree-0 expansions and defaults to sum(a), which is exact:
+    no balanced monomial can involve a larger weight.
     A graph with a loop gives 0 (see the module docstring).
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
+    if w_max is not None and check_int(w_max, "w_max") < 1:
+        raise ValueError(f"w_max must be at least 1, got {w_max}")
     total = sum(a)
     if total == 0 or graph.has_loop():
         # at total 0, positive weights on an acyclically oriented factor set
         # cannot balance
         return 0
-    if w_max is None:
-        w_max = total
-    elim = order if elimination_order is None else check_permutation(graph, elimination_order)
-    return _eliminate(graph, order, elim, [(x,) for x in a], w_max, total).get(total, 0)
+    w_max = total if w_max is None else w_max
+    return _eliminate(graph, order, [(x,) for x in a], w_max, total).get(total, 0)
 
 
 def gromov_witten_a(graph: FeynmanGraph, a) -> int:
@@ -410,10 +405,9 @@ def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
     d_max).  A graph with a loop gives ``{}``, as for :func:`integral_coeff`.
     """
     order = check_order(graph, order)
-    if d_max < 1 or graph.has_loop():
+    if check_degree(d_max, "d_max") < 1 or graph.has_loop():
         return {}
-    degrees = [range(d_max + 1)] * len(graph.edges)
-    return _eliminate(graph, order, order, degrees, d_max, d_max)
+    return _eliminate(graph, order, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
 
 
 def orbit_series(graph: FeynmanGraph, d_max: int, counts_for_order) -> QSeries:
@@ -439,7 +433,8 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     up to q^{2 d_max}, by one of three independent paths:
 
     * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
-      over the trivalent genus-g graphs (genus at most 5, the bound of
+      over the bridgeless trivalent genus-g graphs (a graph with a bridge
+      adds nothing; genus at most 5, the bound of
       :func:`~ellcover.graphs.enumerate_genus`);
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`;
@@ -463,9 +458,7 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
         if oracle == "tropical":
             # tropical imports this module, so it is imported here
             from .tropical import tropical_series as series_of
-        for graph in enumerate_genus(g):
-            if bridges(graph):
-                continue
+        for graph in enumerate_genus(g, bridgeless=True):
             aut = automorphism_count(graph)
             for e, c in series_of(graph, d_max).coeffs.items():
                 total[e] = total.get(e, 0) + Fraction(c, aut)

@@ -63,21 +63,6 @@ def _factor_terms(a_k: int, w_max: int) -> tuple:
     return tuple((2 * w, w) for w in range(1, w_max + 1))
 
 
-def oriented_terms(endpoints, a_k: int, rank, w_max: int) -> tuple:
-    """(source, sink, terms) of an edge under a vertex order.
-
-    ``endpoints`` are vertex labels, ``rank`` maps each label to its position
-    in the order, and ``terms`` are the :func:`_factor_terms`.  The source is
-    the earlier endpoint, which is what the one-sided degree-0 expansion
-    needs.
-    """
-    u, v = endpoints
-    if u == v:
-        raise LoopEdge(f"edge {u}-{v} is a loop; its factor is singular")
-    src, snk = (u, v) if rank[u] < rank[v] else (v, u)
-    return src, snk, _factor_terms(a_k, w_max)
-
-
 def _laurent(arity: int, source: int, sink: int, terms) -> LaurentPoly:
     """LaurentPoly of sum c * (x_source / x_sink)^e over 0-based slots."""
     out = {}
@@ -139,6 +124,8 @@ def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: 
     endpoint becomes the numerator of the expansion; for a_k > 0 the factor
     is symmetric and the order is irrelevant.
     """
-    rank = {lab: i for i, lab in enumerate(order)}
-    src, snk, terms = oriented_terms(endpoints, a_k, rank, w_max)
-    return EdgeFactor(edge_index, tuple(endpoints), a_k, _laurent(arity, src - 1, snk - 1, terms))
+    u, v = endpoints
+    if u == v:
+        raise LoopEdge(f"edge {u}-{v} is a loop; its factor is singular")
+    src, snk = (u, v) if order.index(u) < order.index(v) else (v, u)
+    return EdgeFactor(edge_index, (u, v), a_k, _laurent(arity, src - 1, snk - 1, _factor_terms(a_k, w_max)))

@@ -115,11 +115,6 @@ class QSeries(Frozen):
             result = result * self
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
     def same_coefficients(self, other: "QSeries") -> bool:
         """Equality of coefficients on the common truncation range."""
         order = min(self.order, other.order)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .graphs import FeynmanGraph
-from .integrals import check_branch_type, check_order, orbit_series, orbit_sum
+from .integrals import check_branch_type, check_degree, check_order, orbit_series, orbit_sum
 from .propagator import divisors
 from .quasimodular import QSeries
 
@@ -120,11 +120,11 @@ class TropicalCover(Frozen):
         }
 
 
-def _options(graph, rank, degrees, w_max):
+def _options(graph, rank, degrees, d_max):
     """Per edge, its (branch degree, weight, source, wrap) choices over the
     branch degrees in ``degrees[k]``, sorted by branch degree; degree-0
     choices point from the vertex of lower ``rank`` and stop at weight
-    ``w_max``."""
+    ``d_max``."""
     out = []
     for k, (u, v) in enumerate(graph.edges):
         options = []
@@ -136,19 +136,20 @@ def _options(graph, rank, degrees, w_max):
                         options.append((a, w, v, a // w))
             else:
                 src = u if rank[u] < rank[v] else v
-                options.extend((0, w, src, 0) for w in range(1, w_max + 1))
+                options.extend((0, w, src, 0) for w in range(1, d_max + 1))
         options.sort(key=lambda opt: opt[0])
         out.append(options)
     return out
 
 
-def _search(graph, order, degrees, d_max, w_max, leaf):
+def _search(graph, order, degrees, d_max, leaf):
     """Call ``leaf(degree, multiplicity, chosen)`` for every admissible
     tuple of total branch degree at most ``d_max``, where ``chosen[k]`` is
-    edge k's (branch degree, weight, source, wrap) choice.  The caller has
+    edge k's (branch degree, weight, source, wrap) choice; degree-0 weights
+    stop at ``d_max`` (exact, see the module docstring).  The caller has
     checked the order."""
     rank = {lab: i for i, lab in enumerate(order)}
-    options = _options(graph, rank, degrees, w_max)
+    options = _options(graph, rank, degrees, d_max)
     edges = graph.edges
     m = len(edges)
     # per edge, (weight, source) -> its choices in degree order, for an edge
@@ -222,7 +223,7 @@ def enumerate_tuples(graph: FeynmanGraph, a, order) -> list:
         _, weights, sources, wraps = zip(*chosen)
         results.append(CoverTuple(weights, sources, wraps))
 
-    _search(graph, order, [(x,) for x in a], total, total, collect)
+    _search(graph, order, [(x,) for x in a], total, collect)
     return results
 
 
@@ -234,7 +235,7 @@ def _graded_counts(graph, order, degrees, d_max) -> dict:
     def add(degree, mult, chosen):
         counts[degree] = counts.get(degree, 0) + mult
 
-    _search(graph, order, degrees, d_max, d_max, add)
+    _search(graph, order, degrees, d_max, add)
     return counts
 
 
@@ -262,7 +263,7 @@ def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     the weighted tuple count in total degree d, summed over all vertex
     orders (one per automorphism-and-reversal orbit of acyclic orientations,
     weighted by the orders in it), for d <= d_max.  Equal to :func:`~ellcover.integrals.i_gamma_series`."""
-    degrees = [range(d_max + 1)] * len(graph.edges)
+    degrees = [range(check_degree(d_max, "d_max") + 1)] * len(graph.edges)
     return orbit_series(graph, d_max, lambda order: _graded_counts(graph, order, degrees, d_max))
 
 

@@ -3,8 +3,10 @@ the vertex orders and their weights and makes the bridge decision, so the
 way of summing over orders (one per orbit of acyclic orientations, since an
 order enters a count only through the orientation it induces) is a change
 to one function.  Only sums symmetric in the edges let it use the
-automorphisms.  ``f_g`` keeps its own bridge test, which spares it the
-automorphism count of a bridged class.  The symmetric-group path imports
+automorphisms.  ``f_g`` sums over ``enumerate_genus(g, bridgeless=True)``,
+so it makes no bridge test of its own and no automorphism count of a
+bridged class.  One constant-term engine, ``integrals._eliminate``, serves
+the two single-order entry points.  The symmetric-group path imports
 nothing from the package, so the cross-oracle checks compare independent
 code; it lists no partition, and ``f_g`` reads the whole ``sym`` series off
 one pass of its recurrence."""
@@ -68,9 +70,15 @@ def test_orbit_sum_uses_automorphisms_only_for_edge_symmetric_counts():
     assert orbit_sum_symmetry("tropical.py") == {"count_covers_total": {False}}
 
 
-def test_bridges_is_called_only_by_orbit_sum_and_f_g():
-    assert callers("integrals.py", "bridges") == {"orbit_sum", "f_g"}
+def test_bridges_is_called_only_by_orbit_sum():
+    assert callers("integrals.py", "bridges") == {"orbit_sum"}
     assert callers("tropical.py", "bridges") == set()
+
+
+def test_eliminate_is_called_only_by_the_single_order_entry_points():
+    for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
+        want = {"integral_coeff", "i_gamma_coeffs_for_order"} if module_file == "integrals.py" else set()
+        assert callers(module_file, "_eliminate") == want, module_file
 
 
 def test_sym_lists_no_partition_and_makes_one_pass_per_series():

@@ -185,25 +185,14 @@ def test_order_reversal_symmetry(caterpillar, theta):
             assert integral_coeff(graph, a, order) == integral_coeff(graph, a, rev)
 
 
-def test_elimination_order_independence(caterpillar):
-    rng = random.Random(9)
-    for a in [(0, 2, 1, 0, 0, 1), BRANCH, (1, 0, 1, 1, 0, 1)]:
-        for _ in range(4):
-            order = tuple(rng.sample(range(1, 5), 4))
-            elim = tuple(rng.sample(range(1, 5), 4))
-            assert integral_coeff(caterpillar, a, order) == integral_coeff(
-                caterpillar, a, order, elimination_order=elim
-            )
-
-
 def test_one_validation_per_single_order_call(caterpillar, monkeypatch):
     calls = []
     real = integrals.validate
     monkeypatch.setattr(integrals, "validate", lambda graph: calls.append(graph) or real(graph))
-    assert integral_coeff(caterpillar, BRANCH, (3, 1, 2, 4), elimination_order=(4, 3, 2, 1)) == 4
+    assert integral_coeff(caterpillar, BRANCH, (3, 1, 2, 4)) == 4
     assert len(calls) == 1
     with pytest.raises(ValueError, match="not a permutation"):
-        integral_coeff(caterpillar, BRANCH, (3, 1, 2, 4), elimination_order=(1, 2, 3, 3))
+        integral_coeff(caterpillar, BRANCH, (1, 2, 3, 3))
 
 
 def test_truncation_robustness(caterpillar, theta, k4):
@@ -331,11 +320,13 @@ def test_f_g_rejects_non_integer_arguments(oracle):
 # -- the orbit-reduced path against a reference over every vertex order ----
 
 
-def reference_coeffs(graph, order, degrees, d_max):
+def reference_coeffs(graph, order, degrees, d_max, elimination=None):
     """Total branch degree -> single-order integral, with ``LaurentPoly``
     edge factors and ``coeff_in``: edge k runs over ``degrees[k]``, and the
     running product is graded by degree and truncated at d_max, as are the
-    degree-0 expansions.  Independent of the packed kernel and of orbit
+    degree-0 expansions.  The vertex variables are extracted in the sequence
+    ``elimination`` (``order`` by default), each edge multiplied just before
+    its first endpoint in it.  Independent of the packed kernel and of orbit
     reduction."""
     n = graph.vertex_count
     factors = [
@@ -344,7 +335,7 @@ def reference_coeffs(graph, order, degrees, d_max):
     ]
     state = {0: LaurentPoly.one(n)}
     used = set()
-    for v in order:
+    for v in elimination or order:
         for k in graph.incident_edges(v):
             if k in used:
                 continue
@@ -398,11 +389,10 @@ def test_reversal_orbits_match_all_orders_for_fixed_branch_type(genus4_bridgeles
 
 
 def test_per_order_kernel_matches_the_reference(genus4_bridgeless):
-    # the kernel extracts x_v^0 while it multiplies v's last fresh edge; its
-    # symmetric d > 0 terms cannot tell v the source from v the sink, so a
-    # degree-0 edge is made the last fresh edge of the first eliminated
-    # vertex v, once with v as its source (earlier in the order) and once as
-    # its sink
+    # the kernel extracts x_v^0 while it multiplies v's last fresh edge, with
+    # v as the source of every edge it multiplies; its symmetric d > 0 terms
+    # cannot tell the source from the sink, so a degree-0 edge is made the
+    # last fresh edge of the first vertex v of the order
     rng = random.Random(41)
     for graph in enumerate_genus(3, bridgeless=True) + genus4_bridgeless:
         n = graph.vertex_count
@@ -410,25 +400,37 @@ def test_per_order_kernel_matches_the_reference(genus4_bridgeless):
             order = tuple(rng.sample(range(1, n + 1), n))
             want = reference_coeffs(graph, order, [range(4)] * len(graph.edges), 3)
             assert i_gamma_coeffs_for_order(graph, order, 3) == want
-        elim = tuple(rng.sample(range(1, n + 1), n))
-        v = elim[0]
-        last = graph.incident_edges(v)[-1]
-        y = sum(graph.edges[last]) - v
-        for v_is_source in (True, False):
-            nonzero = 0
-            for _ in range(60):
-                order = tuple(rng.sample(range(1, n + 1), n))
-                if (order.index(v) < order.index(y)) != v_is_source:
-                    order = order[::-1]
-                a = tuple(0 if k == last else rng.randint(0, 2) for k in range(len(graph.edges)))
-                if not any(a):
-                    continue
-                want = reference_coeffs(graph, order, [(x,) for x in a], sum(a)).get(sum(a), 0)
-                assert integral_coeff(graph, a, order, elimination_order=elim) == want
-                nonzero += want != 0
-                if nonzero == 3:
-                    break
-            assert nonzero, (graph.edges, v_is_source)
+        nonzero = 0
+        for _ in range(60):
+            order = tuple(rng.sample(range(1, n + 1), n))
+            last = graph.incident_edges(order[0])[-1]
+            a = tuple(0 if k == last else rng.randint(0, 2) for k in range(len(graph.edges)))
+            if not any(a):
+                continue
+            want = reference_coeffs(graph, order, [(x,) for x in a], sum(a)).get(sum(a), 0)
+            assert integral_coeff(graph, a, order) == want
+            nonzero += want != 0
+            if nonzero == 3:
+                break
+        assert nonzero, graph.edges
+
+
+def test_elimination_order_independence(genus4_bridgeless):
+    # the kernel eliminates in the vertex order; the reference eliminating in
+    # shuffled sequences gives the same values, the fact that lets a count
+    # depend on the order only through the orientation it induces
+    rng = random.Random(17)
+    for graph in enumerate_genus(3, bridgeless=True) + genus4_bridgeless:
+        n = graph.vertex_count
+        for _ in range(2):
+            order = tuple(rng.sample(range(1, n + 1), n))
+            elimination = tuple(rng.sample(range(1, n + 1), n))
+            want = reference_coeffs(graph, order, [range(3)] * len(graph.edges), 2, elimination)
+            assert i_gamma_coeffs_for_order(graph, order, 2) == want
+            a = tuple(rng.randint(0, 2) for _ in graph.edges)
+            if any(a):
+                want = reference_coeffs(graph, order, [(x,) for x in a], sum(a), elimination).get(sum(a), 0)
+                assert integral_coeff(graph, a, order) == want
 
 
 def test_order_orbit_structure(k4, caterpillar, theta, genus4_bridgeless):
@@ -562,3 +564,31 @@ def test_negative_degrees_are_rejected(k4):
     with pytest.raises(ValueError, match="degree"):
         gromov_witten_d(k4, -1)
     assert i_gamma_series(k4, 0).coeffs == {} and f_g(3, 0).coeffs == {}
+    for bad in (2.0, True):
+        for fn, name in (
+            (i_gamma_series, "d_max"),
+            (tropical_series, "d_max"),
+            (generating_function, "d_max"),
+            (gromov_witten_d, "degree"),
+            (lambda graph, d: f_g(3, d), "d_max"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                fn(k4, bad)
+
+
+SINGLE_ORDER_BOUNDS = {
+    "w_max=2.5": (lambda g, o: integral_coeff(g, ones(g), o, w_max=2.5), "w_max must be an integer"),
+    "w_max='3'": (lambda g, o: integral_coeff(g, ones(g), o, w_max="3"), "w_max must be an integer"),
+    "w_max=True": (lambda g, o: integral_coeff(g, ones(g), o, w_max=True), "w_max must be an integer"),
+    "w_max=0": (lambda g, o: integral_coeff(g, ones(g), o, w_max=0), "w_max must be at least 1"),
+    "w_max=-1": (lambda g, o: integral_coeff(g, (0,) * 6, o, w_max=-1), "w_max must be at least 1"),
+    "d_max=2.5": (lambda g, o: i_gamma_coeffs_for_order(g, o, 2.5), "d_max must be an integer"),
+    "d_max=True": (lambda g, o: i_gamma_coeffs_for_order(g, o, True), "d_max must be an integer"),
+    "d_max=-1": (lambda g, o: i_gamma_coeffs_for_order(g, o, -1), "d_max must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("call, message", SINGLE_ORDER_BOUNDS.values(), ids=list(SINGLE_ORDER_BOUNDS))
+def test_single_order_bounds_are_checked_at_entry(k4, call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(k4, identity_order(k4))
