@@ -11,6 +11,14 @@ refinement-and-individualisation search behind the canonical form, the
 isomorphism test and the automorphism group, enumeration of isomorphism
 classes by genus induction, and the construction of balanced positive
 integer flows (which exist exactly on the bridgeless graphs).
+
+Each search yields a graph's canonical form and its automorphisms at once,
+so enumeration searches every candidate once and extends each class by one
+genus-raising move per orbit of its automorphisms on the moves (the
+parent-automorphism step of McKay's isomorph-free generation).  No class is
+lost: an automorphism carries a move onto a move with an isomorphic result,
+and a move on one of several parallel edges gives the same graph as on any
+other of them.
 """
 
 from __future__ import annotations
@@ -256,30 +264,53 @@ def _search(graph: FeynmanGraph) -> list:
     return leaves
 
 
+def _canon(graph: FeynmanGraph) -> tuple:
+    """One :func:`_search` of ``graph``, read two ways: ``(form, maps,
+    first)`` with ``form`` the least leaf form, ``first`` the labelling
+    lab_0 of the first leaf that reaches it, and ``maps`` the automorphisms
+    of ``FeynmanGraph(n, form)``.  Map i is lab_i ∘ lab_0⁻¹ over the leaves
+    lab_0, lab_1, ... that reach the form, as a tuple ``img`` with ``img[x]``
+    the image of vertex x (``img[0]`` is 0); the identity comes first.
+
+    Two leaves reach the same form exactly when they differ by an
+    automorphism, so the maps are the whole group, each once.  The graph is
+    not validated: the public entry points do that, enumeration need not.
+    """
+    leaves = _search(graph)
+    form = min(leaf_form for leaf_form, _ in leaves)
+    matching = [lab for leaf_form, lab in leaves if leaf_form == form]
+    first = matching[0]
+    inverse = [0] * len(first)
+    for v, label in enumerate(first):
+        inverse[label] = v
+    return form, [tuple(lab[v] for v in inverse) for lab in matching], first
+
+
 def vertex_automorphisms(graph: FeynmanGraph) -> list:
     """Vertex permutations preserving the adjacency multiset, each as a tuple
     ``img`` with ``img[v]`` the image of vertex v (``img[0]`` is 0); the
-    identity comes first.
+    identity comes first.  Validates the graph.
 
-    These are the search leaves that reach the canonical form, each composed
-    with the inverse of the first such leaf.
+    These are the maps of :func:`_canon` carried back to the graph's own
+    labels: lab_0⁻¹ ∘ lab_i for each search leaf lab_i that reaches the
+    canonical form.
     """
-    leaves = _search(graph)
-    best = min(form for form, _ in leaves)
-    matching = [lab for form, lab in leaves if form == best]
-    inverse = [0] * len(matching[0])
-    for v, label in enumerate(matching[0]):
+    validate(graph)
+    _, maps, first = _canon(graph)
+    inverse = [0] * len(first)
+    for v, label in enumerate(first):
         inverse[label] = v
-    return [tuple(inverse[label] for label in lab) for lab in matching]
+    return [tuple(inverse[img[label]] for label in first) for img in maps]
 
 
 def automorphism_count(graph: FeynmanGraph) -> int:
-    """Order of the multigraph automorphism group.
+    """Order of the multigraph automorphism group.  Validates the graph.
 
     Counts vertex permutations preserving the adjacency multiset; each is
     weighted by the permutations of parallel edges within every preserved
     vertex pair and by the half-edge flip (a factor 2) of every loop.
     """
+    validate(graph)
     n = graph.vertex_count
     m = graph.multiplicity_matrix()
     edge_factor = 1
@@ -287,31 +318,36 @@ def automorphism_count(graph: FeynmanGraph) -> int:
         edge_factor *= factorial(m[u][u]) * 2 ** m[u][u]
         for v in range(u + 1, n + 1):
             edge_factor *= factorial(m[u][v])
-    return len(vertex_automorphisms(graph)) * edge_factor
+    return len(_canon(graph)[1]) * edge_factor
 
 
 def canonical_form(graph: FeynmanGraph) -> tuple:
     """The least relabelled sorted edge tuple over the leaves of the
-    refinement search (:func:`_search`).
+    refinement search (:func:`_search`).  Validates the graph.
 
     Equal canonical forms characterise isomorphic multigraphs.  The form is
     minimal over the search leaves only, not over all n! relabelings, and
     ``FeynmanGraph(n, canonical_form(graph))`` has the same canonical form.
     """
-    return min(form for form, _ in _search(graph))
+    validate(graph)
+    return _canon(graph)[0]
 
 
 def is_isomorphic(a: FeynmanGraph, b: FeynmanGraph) -> bool:
-    return (
-        a.vertex_count == b.vertex_count
-        and len(a.edges) == len(b.edges)
-        and canonical_form(a) == canonical_form(b)
-    )
+    """Whether the two multigraphs are isomorphic.  Validates both."""
+    validate(a)
+    validate(b)
+    return a.vertex_count == b.vertex_count and _canon(a)[0] == _canon(b)[0]
 
 
-def _extensions(n: int, edges: tuple):
-    """Edge lists on n + 2 vertices made from a trivalent graph on n by the
-    two genus-raising moves, with new vertices a = n + 1 and b = n + 2:
+def _pair(u: int, v: int) -> tuple:
+    return (u, v) if u <= v else (v, u)
+
+
+def _extensions(n: int, edges: tuple, maps: list):
+    """Edge lists on n + 2 vertices made from the trivalent graph
+    ``FeynmanGraph(n, edges)``, whose automorphisms are ``maps``, by the two
+    genus-raising moves, with new vertices a = n + 1 and b = n + 2:
 
     (a) subdivide edge i by a and edge j by b and join a to b, or subdivide
         edge i twice (by a, then b) and join a to b;
@@ -321,15 +357,32 @@ def _extensions(n: int, edges: tuple):
     genus g - 1: undo (a) by deleting an edge that is neither a loop nor a
     bridge and smoothing its endpoints, otherwise undo (b) at a vertex with
     a loop.
+
+    One move is made per orbit of the moves under ``maps``.  A move is keyed
+    by its kind and the unordered vertex pairs of the edges it subdivides,
+    and moves whose keys share an orbit give isomorphic graphs (see
+    :func:`enumerate_genus`).
     """
     a, b = n + 1, n + 2
+    seen = set()
+
+    def new_orbit(kind, pairs):
+        if (kind, pairs) in seen:
+            return False
+        for img in maps:
+            seen.add((kind, tuple(sorted(_pair(img[x], img[y]) for x, y in pairs))))
+        return True
+
     for i, (u, v) in enumerate(edges):
         rest = edges[:i] + edges[i + 1 :]
-        yield rest + ((u, a), (v, a), (a, b), (b, b))
-        yield rest + ((u, a), (a, b), (a, b), (v, b))
+        if new_orbit("loop", ((u, v),)):
+            yield rest + ((u, a), (v, a), (a, b), (b, b))
+        if new_orbit("twice", ((u, v),)):
+            yield rest + ((u, a), (a, b), (a, b), (v, b))
         for j in range(i + 1, len(edges)):
             x, y = edges[j]
-            yield rest[: j - 1] + rest[j:] + ((u, a), (v, a), (x, b), (y, b), (a, b))
+            if new_orbit("join", ((u, v), (x, y))):
+                yield rest[: j - 1] + rest[j:] + ((u, a), (v, a), (x, b), (y, b), (a, b))
 
 
 def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> list:
@@ -338,22 +391,34 @@ def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> lis
 
     Classes are built by genus induction from the dumbbell and the theta
     graph with the moves of :func:`_extensions`, deduplicated by canonical
-    form.  Each representative carries its canonical (sorted) edge list and
-    the list is sorted by it, so output is deterministic.
-    ``bridgeless=True`` keeps only the classes without a bridge.
+    form.  Each level keeps form -> automorphisms, both from the one search
+    of :func:`_canon` per candidate, and a class is extended by one move
+    per automorphism orbit of its moves.  No class is lost: an automorphism
+    of the parent carries a move onto one whose result is isomorphic, and
+    parallel edges do the same.  Each representative carries its canonical
+    (sorted) edge list and the list is sorted by it, so output is
+    deterministic.  ``bridgeless=True`` keeps only the classes without a
+    bridge.
     """
     if not _is_int(g):
         raise ValueError(f"g must be an integer, got {g!r}")
+    if not _is_int(max_genus):
+        raise ValueError(f"max_genus must be an integer, got {max_genus!r}")
     if g < 2:
         raise BadCardinality("genus must be at least 2")
     if g > max_genus:
         raise GenusTooLarge(f"genus {g} exceeds the configured bound {max_genus}")
-    forms = [((1, 1), (1, 2), (2, 2)), ((1, 2), (1, 2), (1, 2))]
+    # genus 2: the dumbbell and the theta graph, each with its vertex swap
+    swap = [(0, 1, 2), (0, 2, 1)]
+    level = {((1, 1), (1, 2), (2, 2)): swap, ((1, 2), (1, 2), (1, 2)): swap}
     for n in range(2, 2 * g - 2, 2):
-        forms = sorted(
-            {canonical_form(FeynmanGraph(n + 2, edges)) for form in forms for edges in _extensions(n, form)}
-        )
-    out = [FeynmanGraph(2 * g - 2, form) for form in forms]
+        grown = {}
+        for form, maps in level.items():
+            for edges in _extensions(n, form, maps):
+                child, child_maps, _ = _canon(FeynmanGraph(n + 2, edges))
+                grown.setdefault(child, child_maps)
+        level = grown
+    out = [FeynmanGraph(2 * g - 2, form) for form in sorted(level)]
     if bridgeless:
         out = [gr for gr in out if not bridges(gr)]
     return out

@@ -10,11 +10,12 @@ change the value, so extraction runs in the vertex order itself, one
 variable at a time.  An edge's factor is multiplied into the running
 product just before its earlier endpoint v is eliminated, which keeps
 intermediate supports small; v is then the source of every factor it
-multiplies, so each factor's terms come out of a table built once per call
-already sorted.  The last such factor of v is multiplied as a matched
-product: each term of the running product meets only the factor terms that
-bring its x_v exponent to 0, so x_v^0 is extracted as the product is formed
-and the terms the extraction would drop are never made.
+multiplies, so each factor's terms come out of a table, built once per
+(branch degree, weight bound), already sorted.  The last such factor of v
+is multiplied as a matched product: each term of the running product meets
+only the factor terms that bring its x_v exponent to 0, so x_v^0 is
+extracted as the product is formed and the terms the extraction would drop
+are never made.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from ._frozen import Frozen
 from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
@@ -249,6 +251,14 @@ def compositions(d: int, parts: int):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=64)
+def _sorted_terms(a: int, w_max: int) -> tuple:
+    """The terms of :func:`~ellcover.propagator._factor_terms` sorted by
+    exponent descending, built once per (branch degree, ``w_max``) rather
+    than once per vertex order."""
+    return tuple(sorted(_factor_terms(a, w_max), reverse=True))
+
+
 def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
     """Total branch degree t -> constant term, in every vertex variable, of
     the product of the edge factors, for t <= d_max, extracting the vertex
@@ -283,7 +293,7 @@ def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
     top = radix**n
     limit = (d_max + 1) * top
     zero = (top - 1) // 2  # every vertex digit at the bias: the monomial 1
-    table = {a: sorted(_factor_terms(a, w_max), reverse=True) for a in set().union(*degrees)}
+    table = {a: _sorted_terms(a, w_max) for a in set().union(*degrees)}
     state = {zero: 1}
     used = [False] * len(graph.edges)
     for v in order:

@@ -9,7 +9,9 @@ bridged class.  One constant-term engine, ``integrals._eliminate``, serves
 the two single-order entry points.  The symmetric-group path imports
 nothing from the package, so the cross-oracle checks compare independent
 code; it lists no partition, and ``f_g`` reads the whole ``sym`` series off
-one pass of its recurrence."""
+one pass of its recurrence.  One routine, ``graphs._canon``, runs the graph
+refinement search: the canonical form, the isomorphism test, the
+automorphisms and enumeration all read its one search per graph."""
 
 import ast
 from pathlib import Path
@@ -43,6 +45,22 @@ def test_orientation_orbits_is_called_only_by_orbit_sum():
             assert callers(module_file, "orientation_orbits") == set(), module_file
         # order_orbits stays public, but no sum walks the n! orders any more
         assert callers(module_file, "order_orbits") == set(), module_file
+
+
+def test_graph_search_runs_only_inside_canon():
+    assert callers("graphs.py", "_search") == {"_canon"}
+    for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
+        if module_file == "graphs.py":
+            continue
+        tree = ast.parse((PACKAGE / module_file).read_text())
+        for node in ast.walk(tree):
+            # neither imported from graphs nor reached as an attribute
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("graphs"):
+                assert "_search" not in {a.name for a in node.names}, module_file
+            assert not (isinstance(node, ast.Attribute) and node.attr == "_search"), module_file
+        if callers(module_file, "_search"):
+            # a bare call names the module's own search (tropical has one)
+            assert any(getattr(top, "name", None) == "_search" for top in tree.body), module_file
 
 
 def orbit_sum_symmetry(module_file):

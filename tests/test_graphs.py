@@ -23,7 +23,8 @@ from ellcover import (
     is_isomorphic,
     validate,
 )
-from ellcover.graphs import _is_connected, is_balanced, vertex_automorphisms
+from ellcover import graphs
+from ellcover.graphs import _canon, _is_connected, is_balanced, vertex_automorphisms
 
 
 def test_validate_genus(theta, dumbbell, caterpillar, k4):
@@ -223,6 +224,107 @@ def test_genus_bounds():
 def test_enumerate_genus_takes_an_integer_genus(g):
     with pytest.raises(ValueError, match="^g must be an integer, got "):
         enumerate_genus(g)
+
+
+@pytest.mark.parametrize("max_genus", ["5", None, 5.5, 5.0, True])
+def test_enumerate_genus_takes_an_integer_bound(max_genus):
+    with pytest.raises(ValueError, match="^max_genus must be an integer, got "):
+        enumerate_genus(3, max_genus=max_genus)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [canonical_form, automorphism_count, vertex_automorphisms, lambda G: is_isomorphic(G, G)],
+    ids=["canonical_form", "automorphism_count", "vertex_automorphisms", "is_isomorphic"],
+)
+@pytest.mark.parametrize(
+    "graph",
+    [
+        FeynmanGraph(0, ()),
+        FeynmanGraph(2, ((1, 5),)),
+        FeynmanGraph(2, ((1, 2), (1, 2), (2, 2))),
+        FeynmanGraph(4, ((1, 2),) * 3 + ((3, 4),) * 3),
+    ],
+    ids=["empty", "vertex-out-of-range", "not-trivalent", "disconnected"],
+)
+def test_graph_search_entry_points_validate(call, graph):
+    with pytest.raises(GraphError):
+        call(graph)
+
+
+def test_is_isomorphic_validates_both_sides(theta):
+    with pytest.raises(BadCardinality):
+        is_isomorphic(theta, FeynmanGraph(2, ((1, 5),)))
+    with pytest.raises(BadCardinality):
+        is_isomorphic(FeynmanGraph(2, ((1, 5),)), theta)
+
+
+def _reference_extensions(n, edges):
+    """Every genus-raising move of the trivalent graph on n vertices, with no
+    reduction by automorphisms or parallel edges."""
+    a, b = n + 1, n + 2
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1 :]
+        yield rest + ((u, a), (v, a), (a, b), (b, b))
+        yield rest + ((u, a), (a, b), (a, b), (v, b))
+        for j in range(i + 1, len(edges)):
+            x, y = edges[j]
+            yield rest[: j - 1] + rest[j:] + ((u, a), (v, a), (x, b), (y, b), (a, b))
+
+
+def _reference_enumerate(g):
+    forms = [((1, 1), (1, 2), (2, 2)), ((1, 2), (1, 2), (1, 2))]
+    for n in range(2, 2 * g - 2, 2):
+        forms = sorted(
+            {canonical_form(FeynmanGraph(n + 2, edges)) for form in forms for edges in _reference_extensions(n, form)}
+        )
+    return [FeynmanGraph(2 * g - 2, form) for form in forms]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_one_move_per_orbit_gives_the_full_move_classes(g):
+    assert enumerate_genus(g) == _reference_enumerate(g)
+
+
+def test_enumeration_keeps_the_automorphisms_of_each_form(monkeypatch):
+    # every candidate of genus 3 and 4 goes through _canon once; the maps it
+    # returns act on FeynmanGraph(n, form), not on the candidate
+    seen = {}
+
+    def recording(graph):
+        form, maps, first = _canon(graph)
+        seen.setdefault(form, []).append(maps)
+        return form, maps, first
+
+    monkeypatch.setattr(graphs, "_canon", recording)
+    enumerate_genus(4)
+    monkeypatch.undo()
+    assert {form for form in seen if len(form) == 6} == {G.edges for G in enumerate_genus(3)}
+    assert {form for form in seen if len(form) == 9} == {G.edges for G in enumerate_genus(4)}
+    for form, found in seen.items():
+        F = FeynmanGraph(2 * len(form) // 3, form)
+        want = set(_reference_maps(F, F))
+        for maps in found:
+            assert maps[0] == tuple(range(F.vertex_count + 1))
+            assert len(maps) == len(set(maps)) and set(maps) == want, form
+    for G in enumerate_genus(2):
+        assert _canon(G)[1] == [(0, 1, 2), (0, 2, 1)]
+
+
+@pytest.mark.parametrize("g, searches", [(4, 58), (5, 396)])
+def test_enumeration_searches_once_per_orbit_of_moves(monkeypatch, g, searches):
+    # the full move set costs 153 and 1,071 searches, plus one more per class
+    # for its automorphisms
+    calls = []
+    search = graphs._search
+
+    def counting(graph):
+        calls.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(graphs, "_search", counting)
+    enumerate_genus(g)
+    assert len(calls) == searches
 
 
 def _pairing_to_graph(n, matching):

@@ -516,6 +516,18 @@ def test_orientation_orbits_list_no_vertex_order(monkeypatch, genus4_bridgeless)
     assert sum(len(orientation_orbits(graph)) for graph in genus4_bridgeless) == 65
 
 
+def test_factor_term_tables_are_built_once_per_degree_and_bound(monkeypatch, genus4_bridgeless):
+    # one table per (branch degree, w_max), not one per vertex order: the 65
+    # orbit representatives of genus 4 graded to d = 3 need the four degrees
+    calls = []
+    real = integrals._factor_terms
+    monkeypatch.setattr(integrals, "_factor_terms", lambda *args: calls.append(args) or real(*args))
+    integrals._sorted_terms.cache_clear()
+    for graph in genus4_bridgeless:
+        i_gamma_series(graph, 3)
+    assert sorted(calls) == [(0, 3), (1, 3), (2, 3), (3, 3)]
+
+
 def test_skipping_the_bridge_test_gives_the_same_value():
     # loopless graphs with a bridge first appear at genus 4: their integrals
     # vanish without the short-circuit too
