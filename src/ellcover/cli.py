@@ -17,14 +17,19 @@ import sys
 
 from . import graphs as graphs_mod
 from . import integrals, quasimodular, tropical
-from .graphs import FeynmanGraph
+from .graphs import FeynmanGraph, MalformedGraph
 from .laurent import coeff_str
 from .quasimodular import QSeries
 
 
 def _load_graph(path: str) -> FeynmanGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise MalformedGraph(f"graph file {path} is not UTF-8 text: {exc}") from None
+        except ValueError as exc:
+            raise MalformedGraph(f"graph file {path} is not valid JSON: {exc}") from None
     graph = FeynmanGraph.from_json(data)
     graphs_mod.validate(graph)
     return graph

@@ -10,12 +10,15 @@ change the value, so extraction runs in the vertex order itself, one
 variable at a time.  An edge's factor is multiplied into the running
 product just before its earlier endpoint v is eliminated, which keeps
 intermediate supports small; v is then the source of every factor it
-multiplies, so each factor's terms come out of a table, built once per
-(branch degree, weight bound), already sorted.  The last such factor of v
-is multiplied as a matched product: each term of the running product meets
-only the factor terms that bring its x_v exponent to 0, so x_v^0 is
-extracted as the product is formed and the terms the extraction would drop
-are never made.
+multiplies.  v's edges to one later neighbour w are parallel, with v as
+their common source, so they are multiplied as one bundle: the product of
+their factors, merged on (total degree, exponent), comes out of a table
+built once per (degree sets, weight bound, degree bound) and already
+sorted.  That is one multiply per later neighbour rather than one per edge.
+The last bundle of v is multiplied as a matched product: each term of the
+running product meets only the bundle terms that bring its x_v exponent to
+0, so x_v^0 is extracted as the product is formed and the terms the
+extraction would drop are never made.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
@@ -251,12 +254,28 @@ def compositions(d: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=64)
-def _sorted_terms(a: int, w_max: int) -> tuple:
-    """The terms of :func:`~ellcover.propagator._factor_terms` sorted by
-    exponent descending, built once per (branch degree, ``w_max``) rather
-    than once per vertex order."""
-    return tuple(sorted(_factor_terms(a, w_max), reverse=True))
+@lru_cache(maxsize=256)
+def _bundle_terms(degree_sets: tuple, w_max: int, d_max: int) -> tuple:
+    """The product of parallel edge factors, one per entry of
+    ``degree_sets`` (each edge's branch degrees, ascending), as (total
+    degree, exponent, coefficient) triples merged on (total degree, exponent)
+    and truncated at total degree ``d_max``.  Every edge runs from the same
+    source to the same sink, so each term stands for coefficient *
+    (x_source / x_sink)^exponent.  Sorted by degree ascending, then exponent
+    descending; built once per key rather than once per vertex order."""
+    factor = {a: _factor_terms(a, w_max) for a in set().union(*degree_sets)}
+    terms = {(0, 0): 1}
+    for ds in degree_sets:
+        merged = {}
+        for (t, e), c in terms.items():
+            for a in ds:
+                if t + a > d_max:
+                    break
+                for e2, c2 in factor[a]:
+                    key = (t + a, e + e2)
+                    merged[key] = merged.get(key, 0) + c * c2
+        terms = merged
+    return tuple(sorted(((t, e, c) for (t, e), c in terms.items()), key=lambda x: (x[0], -x[1])))
 
 
 def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
@@ -276,14 +295,17 @@ def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
 
     An edge is multiplied when its earlier endpoint v is eliminated, so v is
     the source of every degree-0 expansion; the d > 0 factors are symmetric.
-    Every term thus adds e to v's exponent and -e to the later endpoint's,
-    and with terms listed by degree ascending and e descending the offsets
-    come out ascending, so past the first offset that overshoots d_max every
-    later one does too.  x_v^0 is extracted inside the multiply by v's last
-    fresh factor: its terms are grouped by the v-digit a key needs to end at
-    the bias, bias - e, and each key reads its v-digit once and visits only
-    its group.  A vertex whose edges were all multiplied earlier keeps the
-    keys whose v-digit is at the bias.
+    v's fresh edges are grouped by their later endpoint w, and each group is
+    multiplied as one bundle: the product of its parallel edge factors, read
+    from :func:`_bundle_terms`, so v makes one multiply per later neighbour
+    rather than one per edge.  Every term adds e to v's exponent and -e to
+    w's, and with terms listed by degree ascending and e descending the
+    offsets come out ascending, so past the first offset that overshoots
+    d_max every later one does too.  x_v^0 is extracted inside the multiply
+    by v's last bundle: its terms are grouped by the v-digit a key needs to
+    end at the bias, bias - e, and each key reads its v-digit once and visits
+    only its group.  A vertex whose edges were all multiplied earlier keeps
+    the keys whose v-digit is at the bias.
     """
     n = graph.vertex_count
     weight = max([w_max] + [max(ds) for ds in degrees])
@@ -293,26 +315,29 @@ def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
     top = radix**n
     limit = (d_max + 1) * top
     zero = (top - 1) // 2  # every vertex digit at the bias: the monomial 1
-    table = {a: _sorted_terms(a, w_max) for a in set().union(*degrees)}
+    degree_sets = [tuple(ds) for ds in degrees]
     state = {zero: 1}
-    used = [False] * len(graph.edges)
     for v in order:
         p = place[v]
-        fresh = [k for k in graph.incident_edges(v) if not used[k]]
-        if not fresh:
+        bundles = {}
+        for k in graph.incident_edges(v):
+            w = sum(graph.edges[k]) - v
+            if place[w] > p:
+                bundles.setdefault(w, []).append(degree_sets[k])
+        if not bundles:
             state = {key: c for key, c in state.items() if key // p % radix == bias}
-        for k in fresh:
-            used[k] = True
+        last = len(bundles) - 1
+        for i, (w, sets) in enumerate(bundles.items()):
             # the later endpoint's place exceeds v's, so shift < 0
-            shift = p - place[sum(graph.edges[k]) - v]
-            matched = k == fresh[-1]
+            shift = p - place[w]
+            table = _bundle_terms(tuple(sorted(sets)), w_max, d_max)
+            matched = i == last
             if matched:
                 groups = {}
-                for a in degrees[k]:
-                    for e, c in table[a]:
-                        groups.setdefault(bias - e, []).append((a * top + e * shift, c))
+                for t, e, c in table:
+                    groups.setdefault(bias - e, []).append((t * top + e * shift, c))
             else:
-                factor = [(a * top + e * shift, c) for a in degrees[k] for e, c in table[a]]
+                factor = [(t * top + e * shift, c) for t, e, c in table]
             product = {}
             get = product.get
             for key, c in state.items():

@@ -9,13 +9,17 @@ Q[E2, E4, E6], where the Eisenstein series are taken in q^2:
     E6 = 1 - 504 sum sigma_5(n) q^{2n}
 
 Given enough q-coefficients, the representation is found by solving an exact
-linear system over the rationals; extra coefficients make the system
-overdetermined and provide a consistency check.
+linear system: its rows are cleared of denominators and eliminated
+fraction-free (Bareiss) over the integers, and the unknowns become rationals
+only at the end.  Extra coefficients make the system overdetermined and
+provide a consistency check.  The monomials' coefficients are built from
+integer lists of the powers of each Eisenstein series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._frozen import Frozen
 from .laurent import _check_coeff, coeff_str
@@ -203,56 +207,96 @@ class QuasimodularRep(Frozen):
         return " + ".join(parts)
 
 
-def _monomial_series(ijk, order: int) -> QSeries:
-    i, j, k = ijk
-    return eisenstein(2, order) ** i * eisenstein(4, order) ** j * eisenstein(6, order) ** k
+def _monomial_table(monos, order: int) -> dict:
+    """(i, j, k) -> the coefficients of E2^i E4^j E6^k at q^0, q^2, ... below
+    q^order, as an int list, for every monomial in ``monos``.  The powers of
+    each Eisenstein series are built once, by repeated truncated products of
+    int lists, and each monomial is the product of three of them."""
+    size = (order + 1) // 2
+
+    def times(a, b):
+        out = [0] * size
+        for n, x in enumerate(a):
+            if x:
+                for m in range(size - n):
+                    out[n + m] += x * b[m]
+        return out
+
+    powers = []
+    for r, weight in enumerate((2, 4, 6)):
+        e = eisenstein(weight, order)
+        series = [e.coeff(2 * n) for n in range(size)]
+        run = [[1] + [0] * (size - 1)]
+        for _ in range(max((m[r] for m in monos), default=0)):
+            run.append(times(run[-1], series))
+        powers.append(run)
+    return {(i, j, k): times(times(powers[0][i], powers[1][j]), powers[2][k]) for i, j, k in monos}
 
 
 def eval_rep(rep: QuasimodularRep, order: int) -> QSeries:
     """Expand the Eisenstein-monomial combination back into a q-series."""
-    total = QSeries.zero(order)
+    table = _monomial_table(list(rep.coeffs), order)
+    total = {}
     for ijk, c in rep.coeffs.items():
-        total = total + _monomial_series(ijk, order).scale(c)
-    return total
+        for n, x in enumerate(table[ijk]):
+            total[2 * n] = total.get(2 * n, 0) + c * x
+    return QSeries(total, order)
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over exact rationals.
+    """Fraction-free (Bareiss) elimination over the integers.
+
+    Each row, right-hand side included, is first scaled by the common
+    denominator of its entries, so the system is over the integers.  The
+    forward pass keeps every entry an integer: an update cross-multiplies by
+    the pivot and divides exactly by the previous pivot.  With the rows of
+    the n unknowns' pivots forming a square system of determinant D (the
+    last pivot), back-substitution finds the integers D * x by Cramer's rule,
+    and only then are the unknowns made ``Fraction``s.
 
     Returns the unique solution; raises Underdetermined when the coefficient
     matrix has deficient column rank and Inconsistent when the (possibly
     overdetermined) system has no solution.
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    m = []
+    for row, b in zip(rows, rhs):
+        row = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
     nrows, ncols = len(m), len(rows[0])
-    pivots = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            row[c] = 0
+            for j in range(c + 1, ncols + 1):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
         r += 1
         if r == nrows:
             break
     for i in range(r, nrows):
         if m[i][ncols] != 0:
             raise Inconsistent("overdetermined linear system has no exact solution")
-    if len(pivots) < ncols:
+    if r < ncols:
         raise Underdetermined(
-            f"system determines only {len(pivots)} of {ncols} unknowns; supply more series coefficients"
+            f"system determines only {r} of {ncols} unknowns; supply more series coefficients"
         )
-    sol = [Fraction(0)] * ncols
-    for row, c in enumerate(pivots):
-        sol[c] = m[row][ncols]
-    return sol
+    # r == ncols, so the pivots sit on the diagonal of the first ncols rows
+    det = m[ncols - 1][ncols - 1]
+    y = [0] * ncols
+    for c in reversed(range(ncols)):
+        row = m[c]
+        y[c] = (det * row[ncols] - sum(row[j] * y[j] for j in range(c + 1, ncols))) // row[c]
+    return [Fraction(v, det) for v in y]
 
 
 def fit(series: QSeries, g: int) -> QuasimodularRep:
@@ -276,8 +320,8 @@ def fit(series: QSeries, g: int) -> QuasimodularRep:
         )
     if any(e % 2 for e in series.coeffs):
         raise ValueError("graph series must be even in q")
-    basis = [_monomial_series(ijk, series.order) for ijk in monos]
-    rows = [[b.coeff(e) for b in basis] for e in exponents]
+    table = _monomial_table(monos, series.order)
+    rows = [[table[ijk][n] for ijk in monos] for n in range(len(exponents))]
     rhs = [series.coeff(e) for e in exponents]
     sol = _solve_exact(rows, rhs)
     return QuasimodularRep(weight, dict(zip(monos, sol)))

@@ -6,12 +6,14 @@ to one function.  Only sums symmetric in the edges let it use the
 automorphisms.  ``f_g`` sums over ``enumerate_genus(g, bridgeless=True)``,
 so it makes no bridge test of its own and no automorphism count of a
 bridged class.  One constant-term engine, ``integrals._eliminate``, serves
-the two single-order entry points.  The symmetric-group path imports
-nothing from the package, so the cross-oracle checks compare independent
-code; it lists no partition, and ``f_g`` reads the whole ``sym`` series off
-one pass of its recurrence.  One routine, ``graphs._canon``, runs the graph
-refinement search: the canonical form, the isomorphism test, the
-automorphisms and enumeration all read its one search per graph."""
+the two single-order entry points, and it reads its edge factors only from
+one memo of bundle tables, ``integrals._bundle_terms``.  The symmetric-group
+path imports nothing from the package, so the cross-oracle checks compare
+independent code; it lists no partition, and ``f_g`` reads the whole
+``sym`` series off one pass of its recurrence.  One routine,
+``graphs._canon``, runs the graph refinement search: the canonical form,
+the isomorphism test, the automorphisms and enumeration all read its one
+search per graph."""
 
 import ast
 from pathlib import Path
@@ -97,6 +99,19 @@ def test_eliminate_is_called_only_by_the_single_order_entry_points():
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         want = {"integral_coeff", "i_gamma_coeffs_for_order"} if module_file == "integrals.py" else set()
         assert callers(module_file, "_eliminate") == want, module_file
+
+
+def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
+    # the per-(degree sets, w_max, d_max) bundle tables are the one memo of
+    # edge factor terms, and only the kernel reads them
+    assert callers("integrals.py", "_bundle_terms") == {"_eliminate"}
+    assert callers("integrals.py", "_factor_terms") == {"_bundle_terms"}
+    tree = ast.parse((PACKAGE / "integrals.py").read_text())
+    memo = next(top for top in tree.body if getattr(top, "name", None) == "_bundle_terms")
+    assert [ast.unparse(d).split("(")[0] for d in memo.decorator_list] == ["lru_cache"]
+    for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
+        if module_file != "integrals.py":
+            assert callers(module_file, "_bundle_terms") == set(), module_file
 
 
 def test_sym_lists_no_partition_and_makes_one_pass_per_series():

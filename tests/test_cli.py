@@ -236,6 +236,29 @@ def test_malformed_graph_json_exits_without_traceback(tmp_path, data, field):
     assert proc.stderr.startswith("error: MalformedGraph") and field in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b'{"vertices": 2, edges: []}', "not valid JSON"), (b'{"vertices": "\xff"}', "not UTF-8 text")],
+    ids=["json", "utf-8"],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+def test_unreadable_graph_file_names_the_file(capsys, tmp_path, content, reason, as_json):
+    # before, json.load's own error reached the user without the file name
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    flags = ["--json"] if as_json else []
+    code, out, err = run(capsys, *flags, "igamma", "--graph", str(path), "--max-degree", "2")
+    assert code == 2 and out == ""
+    if as_json:
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedGraph"
+        message = payload["message"]
+    else:
+        assert err.startswith("error: MalformedGraph: ")
+        message = err
+    assert f"graph file {path} is {reason}" in message
+
+
 def test_bad_branch_length(capsys, graph_file, theta):
     path = graph_file(theta)
     code, _, err = run(capsys, "--threads", "1", "gw", "--graph", path, "--branch", "1,2")

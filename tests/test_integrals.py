@@ -415,6 +415,50 @@ def test_per_order_kernel_matches_the_reference(genus4_bridgeless):
         assert nonzero, graph.edges
 
 
+def test_bundled_parallel_edges_match_the_reference(genus4_bridgeless):
+    # the kernel multiplies a vertex's parallel edges to one later neighbour
+    # as one bundle; every class of genus 2-4 with a multiple edge (the theta
+    # graph's triple edge included) is checked against the per-edge
+    # reference, on branch types whose parallel edges carry unequal degrees,
+    # 0 beside a positive degree, and on the graded sum
+    rng = random.Random(59)
+    classes = [
+        graph
+        for graph in enumerate_genus(2, bridgeless=True) + enumerate_genus(3, bridgeless=True) + genus4_bridgeless
+        if len(set(graph.edges)) < len(graph.edges)
+    ]
+    assert sorted(len(graph.edges) for graph in classes) == [3, 6, 9, 9, 9]
+    for graph in classes:
+        n = graph.vertex_count
+        bundles = {}
+        for k, e in enumerate(graph.edges):
+            bundles.setdefault(e, []).append(k)
+        nonzero_types = nonzero_graded = 0
+        for _ in range(12):
+            order = tuple(rng.sample(range(1, n + 1), n))
+            a = [rng.randint(0, 2) for _ in graph.edges]
+            for ks in bundles.values():
+                if len(ks) > 1:
+                    # 0 beside distinct positive degrees, in a random slot
+                    unequal = [0] + rng.sample(range(1, 4), len(ks) - 1)
+                    rng.shuffle(unequal)
+                    for k, x in zip(ks, unequal):
+                        a[k] = x
+            a = tuple(a)
+            want = reference_coeffs(graph, order, [(x,) for x in a], sum(a)).get(sum(a), 0)
+            assert integral_coeff(graph, a, order) == want
+            nonzero_types += want != 0
+        # few orders give a nonzero graded sum (12 of 720 for one genus-4
+        # class), so the orbit representatives are checked besides the
+        # random orders
+        orders = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(4)]
+        for order in orders + [order for order, _ in orientation_orbits(graph)]:
+            want = reference_coeffs(graph, order, [range(4)] * len(graph.edges), 3)
+            assert i_gamma_coeffs_for_order(graph, order, 3) == want
+            nonzero_graded += bool(want)
+        assert nonzero_types and nonzero_graded, graph.edges
+
+
 def test_elimination_order_independence(genus4_bridgeless):
     # the kernel eliminates in the vertex order; the reference eliminating in
     # shuffled sequences gives the same values, the fact that lets a count
@@ -517,15 +561,21 @@ def test_orientation_orbits_list_no_vertex_order(monkeypatch, genus4_bridgeless)
 
 
 def test_factor_term_tables_are_built_once_per_degree_and_bound(monkeypatch, genus4_bridgeless):
-    # one table per (branch degree, w_max), not one per vertex order: the 65
-    # orbit representatives of genus 4 graded to d = 3 need the four degrees
+    # one bundle table per (degree sets, w_max, d_max), not one per vertex
+    # order: graded to d = 3, genus 4 needs a single-edge and a double-edge
+    # table, each reading the four degrees' terms once, and the 65 orbit
+    # representatives of its 5 classes build no more tables than one class
     calls = []
     real = integrals._factor_terms
     monkeypatch.setattr(integrals, "_factor_terms", lambda *args: calls.append(args) or real(*args))
-    integrals._sorted_terms.cache_clear()
+    integrals._bundle_terms.cache_clear()
+    doubled = next(graph for graph in genus4_bridgeless if len(set(graph.edges)) < len(graph.edges))
+    i_gamma_series(doubled, 3)
+    assert integrals._bundle_terms.cache_info().misses == 2
     for graph in genus4_bridgeless:
         i_gamma_series(graph, 3)
-    assert sorted(calls) == [(0, 3), (1, 3), (2, 3), (3, 3)]
+    assert integrals._bundle_terms.cache_info().misses == 2
+    assert sorted(calls) == [(0, 3), (0, 3), (1, 3), (1, 3), (2, 3), (2, 3), (3, 3), (3, 3)]
 
 
 def test_skipping_the_bridge_test_gives_the_same_value():

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ellcover.quasimodular import (
     QSeries,
     QuasimodularRep,
     Underdetermined,
+    _solve_exact,
     divisor_sigma,
     eisenstein,
     eval_rep,
@@ -223,3 +225,104 @@ def test_rep_str_lists_exact_rationals():
     rep = QuasimodularRep(6, {(0, 0, 1): Fraction(1, 3), (3, 0, 0): -2})
     s = str(rep)
     assert "(1/3)*E6^1" in s and "(-2)*E2^3" in s
+
+
+def reference_solve(rows, rhs):
+    """Gauss-Jordan elimination in ``Fraction``s: the unique solution, or
+    the name of the error (``Inconsistent`` checked first)."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    nrows, ncols = len(m), len(rows[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(m[i][ncols] != 0 for i in range(len(pivots), nrows)):
+        return "Inconsistent"
+    if len(pivots) < ncols:
+        return "Underdetermined"
+    return [m[row][ncols] for row in range(ncols)]
+
+
+def solve_or_error(rows, rhs):
+    try:
+        return _solve_exact(rows, rhs)
+    except (Inconsistent, Underdetermined) as exc:
+        return type(exc).__name__
+
+
+def random_entry(rng, fractions):
+    x = rng.randint(-9, 9)
+    return Fraction(x, rng.randint(1, 12)) if fractions and rng.random() < 0.5 else x
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+def test_fraction_free_solve_matches_gauss_jordan(fractions):
+    rng = random.Random(71 + fractions)
+    outcomes = {}
+    for trial in range(400):
+        kind = ("solvable", "zero column", "rank deficient", "perturbed")[trial % 4]
+        ncols = rng.randint(2, 7)
+        nrows = ncols + rng.randint(kind == "perturbed", 3)
+        rows = [[random_entry(rng, fractions) for _ in range(ncols)] for _ in range(nrows)]
+        if kind == "zero column":
+            # a zero column before a pivot column
+            c = rng.randrange(ncols - 1)
+            for row in rows:
+                row[c] = 0
+        if kind == "rank deficient":
+            # one column a multiple of another
+            c, c2 = rng.sample(range(ncols), 2)
+            f = random_entry(rng, fractions)
+            for row in rows:
+                row[c] = f * row[c2]
+        x = [random_entry(rng, fractions) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        if kind == "perturbed" or (kind == "zero column" and trial % 8 == 1):
+            rhs[rng.randrange(nrows)] += rng.choice([1, Fraction(1, 7)])
+        want = reference_solve(rows, rhs)
+        got = solve_or_error(rows, rhs)
+        assert got == want, (rows, rhs)
+        if isinstance(got, list):
+            assert all(type(v) is Fraction for v in got)
+            if kind == "solvable":
+                assert got == x
+        outcomes.setdefault(kind, set()).add(got if isinstance(got, str) else "solved")
+    assert outcomes == {
+        "solvable": {"solved"},
+        "zero column": {"Underdetermined", "Inconsistent"},
+        "rank deficient": {"Underdetermined"},
+        "perturbed": {"Inconsistent"},
+    }
+
+
+def test_solve_raises_the_structured_errors():
+    with pytest.raises(Underdetermined, match="only 1 of 2 unknowns"):
+        _solve_exact([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+    with pytest.raises(Inconsistent):
+        _solve_exact([[1, 2], [2, 4], [0, 1]], [1, 3, 1])
+    # a zero column ahead of the pivots leaves it undetermined
+    with pytest.raises(Underdetermined):
+        _solve_exact([[0, 1], [0, 2]], [1, 2])
+    assert _solve_exact([[Fraction(1, 2), 0], [0, Fraction(2, 3)]], [1, 1]) == [2, Fraction(3, 2)]
+
+
+def test_fit_round_trips_a_rep_with_fraction_coefficients():
+    rng = random.Random(29)
+    for g in (2, 3, 4):
+        monos = weight_monomials(6 * g - 6)
+        rep = QuasimodularRep(
+            6 * g - 6, {m: Fraction(rng.randint(-50, 50), rng.randint(2, 999)) for m in monos}
+        )
+        assert any(c.denominator != 1 for c in rep.coeffs.values())
+        for extra in (0, 3):
+            order = 2 * (len(monos) + extra)
+            assert fit(eval_rep(rep, order), g) == rep
