@@ -17,7 +17,7 @@ import sys
 
 from . import graphs as graphs_mod
 from . import integrals, quasimodular, tropical
-from .graphs import FeynmanGraph, MalformedGraph
+from .graphs import FeynmanGraph, GraphError, MalformedGraph
 from .laurent import coeff_str
 from .quasimodular import QSeries
 
@@ -30,8 +30,11 @@ def _load_graph(path: str) -> FeynmanGraph:
             raise MalformedGraph(f"graph file {path} is not UTF-8 text: {exc}") from None
         except ValueError as exc:
             raise MalformedGraph(f"graph file {path} is not valid JSON: {exc}") from None
-    graph = FeynmanGraph.from_json(data)
-    graphs_mod.validate(graph)
+    try:
+        graph = FeynmanGraph.from_json(data)
+        graphs_mod.validate(graph)
+    except GraphError as exc:
+        raise type(exc)(f"graph file {path}: {exc}") from None
     return graph
 
 

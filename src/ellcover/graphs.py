@@ -145,13 +145,11 @@ class FeynmanGraph(Frozen):
         return m
 
 
-def _is_connected(n, edges, skip_edge=None):
+def _is_connected(n, edges):
     if n == 0:
         return False
     adj = [[] for _ in range(n + 1)]
-    for k, (u, v) in enumerate(edges):
-        if k == skip_edge:
-            continue
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * (n + 1)
@@ -188,14 +186,50 @@ def validate(graph: FeynmanGraph) -> int:
 
 
 def bridges(graph: FeynmanGraph) -> tuple:
-    """Indices (0-based) of all bridges.  Loops are never bridges."""
-    out = []
+    """Indices (0-based), ascending, of all bridges: the non-loop edges whose
+    removal leaves the graph disconnected (on a disconnected graph, all of
+    them).  Loops are never bridges.
+
+    One depth-first search with low points (Tarjan, 1974): the tree edge
+    into v is a bridge exactly when no other edge leads from v's subtree to
+    a vertex found before v.  The search tells parallel edges apart by
+    index, so none of them is a bridge.
+    """
+    n = graph.vertex_count
+    adj = [[] for _ in range(n + 1)]
     for k, (u, v) in enumerate(graph.edges):
-        if u == v:
-            continue
-        if not _is_connected(graph.vertex_count, graph.edges, skip_edge=k):
-            out.append(k)
-    return tuple(out)
+        if u != v:
+            adj[u].append((v, k))
+            adj[v].append((u, k))
+    found = [0] * (n + 1)  # discovery time, from 1; 0 while unseen
+    low = [0] * (n + 1)
+    out = []
+    if n:
+        found[1] = low[1] = time = 1
+        # (vertex, index of its tree edge, its unvisited incidences)
+        stack = [(1, None, iter(adj[1]))]
+        while stack:
+            u, via, rest = stack[-1]
+            for w, k in rest:
+                if k == via:
+                    continue
+                if found[w]:
+                    low[u] = min(low[u], found[w])
+                else:
+                    time += 1
+                    found[w] = low[w] = time
+                    stack.append((w, k, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] > found[parent]:
+                        out.append(via)
+    if not all(found[1:]):
+        return tuple(k for k, (u, v) in enumerate(graph.edges) if u != v)
+    return tuple(sorted(out))
 
 
 def has_bridge(graph: FeynmanGraph):
@@ -307,18 +341,24 @@ def automorphism_count(graph: FeynmanGraph) -> int:
     """Order of the multigraph automorphism group.  Validates the graph.
 
     Counts vertex permutations preserving the adjacency multiset; each is
-    weighted by the permutations of parallel edges within every preserved
-    vertex pair and by the half-edge flip (a factor 2) of every loop.
+    weighted by :func:`_edge_symmetry`.
     """
     validate(graph)
+    return len(_canon(graph)[1]) * _edge_symmetry(graph)
+
+
+def _edge_symmetry(graph: FeynmanGraph) -> int:
+    """The automorphisms that fix every vertex: the permutations of parallel
+    edges within each vertex pair, times the half-edge flip (a factor 2) of
+    every loop."""
     n = graph.vertex_count
     m = graph.multiplicity_matrix()
-    edge_factor = 1
+    out = 1
     for u in range(1, n + 1):
-        edge_factor *= factorial(m[u][u]) * 2 ** m[u][u]
+        out *= factorial(m[u][u]) * 2 ** m[u][u]
         for v in range(u + 1, n + 1):
-            edge_factor *= factorial(m[u][v])
-    return len(_canon(graph)[1]) * edge_factor
+            out *= factorial(m[u][v])
+    return out
 
 
 def canonical_form(graph: FeynmanGraph) -> tuple:
@@ -387,7 +427,19 @@ def _extensions(n: int, edges: tuple, maps: list):
 
 def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> list:
     """One canonical representative per isomorphism class of trivalent
-    connected multigraphs of genus g (loops allowed).
+    connected multigraphs of genus g (loops allowed): the graphs of
+    :func:`_classes`.
+    """
+    return [graph for graph, _ in _classes(g, bridgeless, max_genus)]
+
+
+def _classes(g: int, bridgeless: bool = False, max_genus: int = 5) -> list:
+    """(representative, automorphisms) for each isomorphism class of
+    trivalent connected multigraphs of genus g (loops allowed).  The
+    automorphisms are the group :func:`vertex_automorphisms` gives for the
+    representative, identity first, and were found by the one search per
+    candidate that enumeration makes anyway, so a caller that needs them
+    makes no search of its own.
 
     Classes are built by genus induction from the dumbbell and the theta
     graph with the moves of :func:`_extensions`, deduplicated by canonical
@@ -418,9 +470,9 @@ def enumerate_genus(g: int, bridgeless: bool = False, max_genus: int = 5) -> lis
                 child, child_maps, _ = _canon(FeynmanGraph(n + 2, edges))
                 grown.setdefault(child, child_maps)
         level = grown
-    out = [FeynmanGraph(2 * g - 2, form) for form in sorted(level)]
+    out = [(FeynmanGraph(2 * g - 2, form), level[form]) for form in sorted(level)]
     if bridgeless:
-        out = [gr for gr in out if not bridges(gr)]
+        out = [(gr, maps) for gr, maps in out if not bridges(gr)]
     return out
 
 

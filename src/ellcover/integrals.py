@@ -20,6 +20,19 @@ running product meets only the bundle terms that bring its x_v exponent to
 0, so x_v^0 is extracted as the product is formed and the terms the
 extraction would drop are never made.
 
+One engine, :func:`_eliminate`, computes every integral: it takes a list of
+(order, weight) pairs and returns the weighted sum of their constant terms
+by total degree, so a single order is a one-pair call.  Monomials are
+packed into ints with one digit per vertex, and vertex v owns digit v - 1
+whatever the order.  The state after eliminating a prefix of an order then
+does not depend on the rest of it, so the pass walks the sorted orders as a
+prefix trie and redoes only the vertex steps (:func:`_vertex_step`) past
+the prefix each order shares with the one before.  With label digits a
+term's key offset can be positive or negative within one degree, but a key
+passes the degree bound exactly when its degree digit does (no digit
+carries), so cutting a sorted-by-degree factor at the first overshoot stays
+exact.
+
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
 the graph series.  A single-order integral depends only on the acyclic
@@ -38,7 +51,13 @@ under:
 * vertex automorphisms: phi gives I(a, phi o order) = I(a o psi, order) for
   an edge map psi induced by phi, so they are used only for sums that are
   symmetric in the edges, that is over all compositions of d
-  (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).
+  (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).  ``f_g``
+  passes the automorphisms that enumeration found with each class, and
+  takes |Aut| from them, so it searches no class again.
+
+Each integral sum hands :func:`orbit_sum` one kernel pass over all its
+orbits (one per branch type for :func:`generating_function`) and validates
+the graph once.
 
 :func:`order_orbits`, the orbits of the vertex orders themselves, is kept
 as a reference; no sum walks the n! orders.
@@ -58,7 +77,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._frozen import Frozen
-from .graphs import FeynmanGraph, automorphism_count, bridges, enumerate_genus, validate, vertex_automorphisms
+from .graphs import FeynmanGraph, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
 from .monodromy import hurwitz_numbers
 from .propagator import _factor_terms
 from .quasimodular import QSeries
@@ -69,13 +88,18 @@ def all_orders(graph: FeynmanGraph):
     return itertools.permutations(range(1, graph.vertex_count + 1))
 
 
+def _identity(graph: FeynmanGraph) -> list:
+    """The trivial automorphism group, for sums that use reversal alone."""
+    return [tuple(range(graph.vertex_count + 1))]
+
+
 def order_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
     """(representative order, weight) for every orbit of the vertex orders
     under order reversal and, when ``symmetric``, the vertex automorphisms
     of ``graph``.  The representative is the orbit's lexicographically first
     order and the weight its size, so the weights sum to n!.
     """
-    maps = vertex_automorphisms(graph) if symmetric else [tuple(range(graph.vertex_count + 1))]
+    maps = vertex_automorphisms(graph) if symmetric else _identity(graph)
     seen = set()
     out = []
     for order in all_orders(graph):
@@ -94,7 +118,16 @@ def order_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
 def orientation_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
     """(representative order, weight) for every orbit of the acyclic
     orientations of the distinct vertex pairs of ``graph`` under reversal
-    and, when ``symmetric``, the vertex automorphisms.  The representative is
+    and, when ``symmetric``, the vertex automorphisms (see
+    :func:`_orientation_orbits`)."""
+    return _orientation_orbits(graph, vertex_automorphisms(graph) if symmetric else _identity(graph))
+
+
+def _orientation_orbits(graph: FeynmanGraph, maps) -> list:
+    """(representative order, weight) for every orbit of the acyclic
+    orientations of the distinct vertex pairs of ``graph`` under reversal
+    and the vertex automorphisms ``maps`` (identity included; ``img[v]`` is
+    the image of v).  The representative is
     the lexicographically first topological order of one orientation of the
     orbit; the weight is the orbit size times the number of linear
     extensions of that orientation (the vertex orders inducing it), so the
@@ -109,7 +142,6 @@ def orientation_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
     n = graph.vertex_count
     pairs = sorted({(u, v) for u, v in graph.edges if u != v})
     index = {p: i for i, p in enumerate(pairs)}
-    maps = vertex_automorphisms(graph) if symmetric else [tuple(range(n + 1))]
     # an orientation is a bitmask: bit i set points pair i = (u, v) from v to
     # u; moves[j][i][b] is the image bit, under map j, of pair i at direction b
     moves = []
@@ -187,12 +219,17 @@ def _extension_count(preds) -> int:
     return ways.popitem()[1]
 
 
-def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> dict:
-    """key -> the sum over all vertex orders of ``counts_for_order(order)[key]``,
-    taken over :func:`orientation_orbits` (``symmetric`` as there), one order
-    per orbit weighted by the number of orders in the orbit.  The keys are
-    the caller's: degrees for a series, branch types for
-    :func:`generating_function`.
+def orbit_sum(graph: FeynmanGraph, counts, symmetric: bool = True, maps=None) -> dict:
+    """key -> the sum over all vertex orders of the caller's per-order count,
+    taken over the orbits of :func:`orientation_orbits` (``symmetric`` as
+    there), one order per orbit weighted by the number of orders in it.
+    ``counts`` gets the whole list of (order, weight) pairs and returns key ->
+    the weighted sum, so a kernel can share work between orders.  The keys
+    are the caller's: degrees for a series, branch types for
+    :func:`generating_function`.  ``maps``, the group of vertex
+    automorphisms that :func:`~ellcover.graphs.vertex_automorphisms` gives
+    (in any order), spare that search when the caller already has them;
+    they are used only when ``symmetric``.
 
     ``symmetric=True`` is sound only for counts that are symmetric in the
     edges, such as degree totals over all compositions: an automorphism
@@ -200,17 +237,17 @@ def orbit_sum(graph: FeynmanGraph, counts_for_order, symmetric: bool = True) -> 
     represents each orbit.  Counts for a fixed branch type pass
     ``symmetric=False``.
 
-    Validates the graph.  A graph with a bridge gives ``{}`` and
-    ``counts_for_order`` is never called on it.
+    Validates the graph.  A graph with a bridge gives ``{}`` and ``counts``
+    is never called on it.
     """
     validate(graph)
-    total = {}
     if bridges(graph):
-        return total
-    for order, weight in orientation_orbits(graph, symmetric):
-        for key, c in counts_for_order(order).items():
-            total[key] = total.get(key, 0) + weight * c
-    return total
+        return {}
+    if not symmetric:
+        maps = _identity(graph)
+    elif maps is None:
+        maps = vertex_automorphisms(graph)
+    return counts(_orientation_orbits(graph, maps))
 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
@@ -278,79 +315,132 @@ def _bundle_terms(degree_sets: tuple, w_max: int, d_max: int) -> tuple:
     return tuple(sorted(((t, e, c) for (t, e), c in terms.items()), key=lambda x: (x[0], -x[1])))
 
 
-def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
-    """Total branch degree t -> constant term, in every vertex variable, of
-    the product of the edge factors, for t <= d_max, extracting the vertex
-    variables in ``order``.
+def _vertex_step(state, p, radix, bias, limit, plain, matched) -> dict:
+    """Eliminate the vertex whose packed digit has place ``p``: multiply the
+    running product ``state`` by each factor of ``plain`` in turn, then by
+    ``matched`` with that vertex's x^0 extracted as the product is formed.
+
+    A factor is a list of (key offset, coefficient) pairs in table order, and
+    ``matched`` holds the last one grouped by the digit a key needs to end at
+    the bias, so each key reads its digit once and visits only its group.
+    ``matched`` is None for a vertex whose edges were all multiplied earlier:
+    its step keeps the keys whose digit is at the bias.  A multiply stops
+    reading a factor at the first offset that takes the key to ``limit``
+    (see :func:`_eliminate` for why that is exact).
+    """
+    for factor in plain:
+        product = {}
+        get = product.get
+        for key, c in state.items():
+            for offset, c2 in factor:
+                s = key + offset
+                if s >= limit:
+                    break
+                # all coefficients are positive, so nothing cancels
+                product[s] = get(s, 0) + c * c2
+        state = product
+    if matched is None:
+        return {key: c for key, c in state.items() if key // p % radix == bias}
+    product = {}
+    get = product.get
+    for key, c in state.items():
+        for offset, c2 in matched.get(key // p % radix, ()):
+            s = key + offset
+            if s >= limit:
+                break
+            product[s] = get(s, 0) + c * c2
+    return product
+
+
+def _eliminate(graph, orders, degrees, w_max, d_max) -> dict:
+    """Total branch degree t -> the sum, over the (order, weight) pairs of
+    ``orders``, of weight times the constant term in every vertex variable
+    of the product of the edge factors, the variables extracted in that
+    order, for t <= d_max.  ``{}`` when d_max < 1 (positive weights on an
+    acyclically oriented factor set cannot balance at total degree 0) or when
+    the graph has a loop (its factor is singular).
 
     Edge k's factor is the sum of its factors over the branch degrees in
     ``degrees[k]`` (ascending), each tagged with its degree; degree-0
     expansions stop at weight ``w_max``.  A monomial is packed into one int
-    (Kronecker substitution): vertex ``order[i]`` owns digit i, in base
-    R = 2B+1 with every exponent biased by B, and the top digit (weight
-    ``top``) holds the total degree.  Multiplying monomials adds their keys,
-    truncation is one comparison and the x_v exponent is a digit.  No digit
-    carries: a vertex meets three edge ends of weight at most W each, so its
-    exponent stays within 6W < B.
+    (Kronecker substitution): vertex v owns digit v - 1, set by its label and
+    not by its position in an order, in base R = 2B+1 with every exponent
+    biased by B, and the top digit (weight ``top``) holds the total degree.
+    Multiplying monomials adds their keys, truncation is one comparison and
+    the x_v exponent is a digit.  No digit carries: a vertex meets three edge
+    ends of weight at most W each, so its exponent stays within 6W < B.
 
     An edge is multiplied when its earlier endpoint v is eliminated, so v is
     the source of every degree-0 expansion; the d > 0 factors are symmetric.
     v's fresh edges are grouped by their later endpoint w, and each group is
     multiplied as one bundle: the product of its parallel edge factors, read
     from :func:`_bundle_terms`, so v makes one multiply per later neighbour
-    rather than one per edge.  Every term adds e to v's exponent and -e to
-    w's, and with terms listed by degree ascending and e descending the
-    offsets come out ascending, so past the first offset that overshoots
-    d_max every later one does too.  x_v^0 is extracted inside the multiply
-    by v's last bundle: its terms are grouped by the v-digit a key needs to
-    end at the bias, bias - e, and each key reads its v-digit once and visits
-    only its group.  A vertex whose edges were all multiplied earlier keeps
-    the keys whose v-digit is at the bias.
+    rather than one per edge.  A bundle term of degree t and exponent e adds
+    e to v's exponent and -e to w's, so its key offset is
+    t * top + e * (R^(v-1) - R^(w-1)).  That shift is positive when w has
+    the smaller label, so within one degree the offsets need not ascend.
+    The break at the first offset that takes a key to ``limit`` is exact all
+    the same: no digit carries, so a sum overshoots exactly when its degree
+    digit passes d_max, which depends on t alone, and the tables are sorted
+    by degree.  x_v^0 is extracted inside the multiply by v's last bundle
+    (:func:`_vertex_step`).
+
+    With label digits, the state after a prefix of an order does not depend
+    on the rest of the order.  So the orders are walked in sorted order as a
+    prefix trie: one state is kept per depth, and each order redoes only the
+    vertex steps past the prefix it shares with the order before it.  The
+    offsets of each (v, w) bundle are built once per call.
     """
+    if d_max < 1 or graph.has_loop():
+        return {}
     n = graph.vertex_count
     weight = max([w_max] + [max(ds) for ds in degrees])
     bias = 6 * weight + 1
     radix = 2 * bias + 1
-    place = {v: radix**i for i, v in enumerate(order)}
+    place = [radix ** (v - 1) for v in range(n + 1)]
     top = radix**n
     limit = (d_max + 1) * top
     zero = (top - 1) // 2  # every vertex digit at the bias: the monomial 1
-    degree_sets = [tuple(ds) for ds in degrees]
-    state = {zero: 1}
-    for v in order:
-        p = place[v]
-        bundles = {}
-        for k in graph.incident_edges(v):
-            w = sum(graph.edges[k]) - v
-            if place[w] > p:
-                bundles.setdefault(w, []).append(degree_sets[k])
-        if not bundles:
-            state = {key: c for key, c in state.items() if key // p % radix == bias}
-        last = len(bundles) - 1
-        for i, (w, sets) in enumerate(bundles.items()):
-            # the later endpoint's place exceeds v's, so shift < 0
-            shift = p - place[w]
-            table = _bundle_terms(tuple(sorted(sets)), w_max, d_max)
-            matched = i == last
-            if matched:
-                groups = {}
-                for t, e, c in table:
-                    groups.setdefault(bias - e, []).append((t * top + e * shift, c))
-            else:
-                factor = [(t * top + e * shift, c) for t, e, c in table]
-            product = {}
-            get = product.get
-            for key, c in state.items():
-                for offset, c2 in groups.get(key // p % radix, ()) if matched else factor:
-                    s = key + offset
-                    if s >= limit:
-                        break
-                    # all coefficients are positive, so nothing cancels
-                    product[s] = get(s, 0) + c * c2
-            state = product
-        if not state:
-            return {}
-    return {(key - zero) // top: c for key, c in state.items()}
+    # per vertex, neighbour w -> the degree sets of the edges to w
+    neighbours = [{} for _ in range(n + 1)]
+    for k, (u, v) in enumerate(graph.edges):
+        neighbours[u].setdefault(v, []).append(tuple(degrees[k]))
+        neighbours[v].setdefault(u, []).append(tuple(degrees[k]))
+    bundles = {}
+
+    def bundle(v, w):
+        # (plain, matched) offsets of the edges from source v to sink w
+        if (v, w) not in bundles:
+            shift = place[v] - place[w]
+            plain, matched = [], {}
+            for t, e, c in _bundle_terms(tuple(sorted(neighbours[v][w])), w_max, d_max):
+                plain.append((t * top + e * shift, c))
+                matched.setdefault(bias - e, []).append(plain[-1])
+            bundles[v, w] = plain, matched
+        return bundles[v, w]
+
+    total = {}
+    states = [{zero: 1}]
+    prev = ()
+    for order, count in sorted(orders):
+        depth = 0
+        while depth < len(states) - 1 and order[depth] == prev[depth]:
+            depth += 1
+        del states[depth + 1 :]
+        placed = set(order[:depth])
+        while len(states) <= n and states[-1]:
+            v = order[len(states) - 1]
+            placed.add(v)
+            later = [w for w in neighbours[v] if w not in placed]
+            plain = [bundle(v, w)[0] for w in later[:-1]]
+            matched = bundle(v, later[-1])[1] if later else None
+            states.append(_vertex_step(states[-1], place[v], radix, bias, limit, plain, matched))
+        if len(states) > n:
+            for key, c in states[n].items():
+                t = (key - zero) // top
+                total[t] = total.get(t, 0) + count * c
+        prev = order
+    return total
 
 
 def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
@@ -367,20 +457,18 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
     if w_max is not None and check_int(w_max, "w_max") < 1:
         raise ValueError(f"w_max must be at least 1, got {w_max}")
     total = sum(a)
-    if total == 0 or graph.has_loop():
-        # at total 0, positive weights on an acyclically oriented factor set
-        # cannot balance
-        return 0
     w_max = total if w_max is None else w_max
-    return _eliminate(graph, order, [(x,) for x in a], w_max, total).get(total, 0)
+    return _eliminate(graph, [(order, 1)], [(x,) for x in a], w_max, total).get(total, 0)
 
 
 def gromov_witten_a(graph: FeynmanGraph, a) -> int:
     """Labelled count for one branch type: the sum of the single-order
     integrals over all vertex orders, one per reversal orbit of acyclic
-    orientations."""
+    orientations, in one kernel pass."""
     a = check_branch_type(graph, a)
-    return orbit_sum(graph, lambda order: {a: integral_coeff(graph, a, order)}, symmetric=False).get(a, 0)
+    degrees, total = [(x,) for x in a], sum(a)
+    counts = orbit_sum(graph, lambda orbits: _eliminate(graph, orbits, degrees, total, total), symmetric=False)
+    return counts.get(total, 0)
 
 
 def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
@@ -389,7 +477,7 @@ def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     single-order integrals.  The sum is symmetric in the edges, so one order
     per automorphism-and-reversal orbit of acyclic orientations suffices."""
     check_degree(d, "degree")
-    return orbit_sum(graph, lambda order: i_gamma_coeffs_for_order(graph, order, d)).get(d, 0)
+    return orbit_sum(graph, _series_counts(graph, d)).get(d, 0)
 
 
 class MultiSeries(Frozen):
@@ -427,10 +515,12 @@ def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     """All labelled counts with total branch degree at most d_max."""
     check_degree(d_max, "d_max")
     types = [a for d in range(d_max + 1) for a in compositions(d, len(graph.edges))]
-    coeffs = orbit_sum(
-        graph, lambda order: {a: integral_coeff(graph, a, order) for a in types}, symmetric=False
-    )
-    return MultiSeries(len(graph.edges), coeffs)
+
+    def counts(orbits):
+        # one kernel pass over the orbits per branch type
+        return {a: _eliminate(graph, orbits, [(x,) for x in a], sum(a), sum(a)).get(sum(a), 0) for a in types}
+
+    return MultiSeries(len(graph.edges), orbit_sum(graph, counts, symmetric=False))
 
 
 def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
@@ -440,16 +530,26 @@ def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
     d_max).  A graph with a loop gives ``{}``, as for :func:`integral_coeff`.
     """
     order = check_order(graph, order)
-    if check_degree(d_max, "d_max") < 1 or graph.has_loop():
-        return {}
-    return _eliminate(graph, order, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
-
-
-def orbit_series(graph: FeynmanGraph, d_max: int, counts_for_order) -> QSeries:
-    """A graph series from per-order counts: coefficient of q^{2d} is the
-    :func:`orbit_sum` of ``counts_for_order`` at d, for d <= d_max."""
     check_degree(d_max, "d_max")
-    return QSeries({2 * d: c for d, c in orbit_sum(graph, counts_for_order).items()}, 2 * d_max + 2)
+    return _eliminate(graph, [(order, 1)], [range(d_max + 1)] * len(graph.edges), d_max, d_max)
+
+
+def _series_counts(graph: FeynmanGraph, d_max: int):
+    """The counts behind :func:`i_gamma_series`, for :func:`orbit_sum`:
+    (order, weight) pairs -> degree -> the weighted sum of their degree-graded
+    single-order integrals up to d_max, in one kernel pass."""
+    degrees = [range(d_max + 1)] * len(graph.edges)
+    return lambda orbits: _eliminate(graph, orbits, degrees, d_max, d_max)
+
+
+def orbit_series(graph: FeynmanGraph, d_max: int, series_counts, maps=None) -> QSeries:
+    """A graph series: coefficient of q^{2d} is the :func:`orbit_sum` of
+    ``series_counts(graph, d_max)`` at d, for d <= d_max.  ``maps``, the
+    vertex automorphisms of ``graph`` when the caller has them, go to
+    :func:`orbit_sum`."""
+    check_degree(d_max, "d_max")
+    counts = orbit_sum(graph, series_counts(graph, d_max), maps=maps)
+    return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
 
 
 def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
@@ -457,7 +557,7 @@ def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     degree d, summed over all vertex orders (one per automorphism-and-reversal
     orbit of acyclic orientations, weighted by the orders in it), for
     d <= d_max."""
-    return orbit_series(graph, d_max, lambda order: i_gamma_coeffs_for_order(graph, order, d_max))
+    return orbit_series(graph, d_max, _series_counts)
 
 
 ORACLES = ("integral", "tropical", "sym")
@@ -489,13 +589,15 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
         total = {2 * d: h for d, h in enumerate(hurwitz_numbers(d_max, g), 1)}
     else:
         total = {}
-        series_of = i_gamma_series
+        series_counts = _series_counts
         if oracle == "tropical":
             # tropical imports this module, so it is imported here
-            from .tropical import tropical_series as series_of
-        for graph in enumerate_genus(g, bridgeless=True):
-            aut = automorphism_count(graph)
-            for e, c in series_of(graph, d_max).coeffs.items():
+            from .tropical import _series_counts as series_counts
+        # the automorphisms that enumeration found pick the orbits and give
+        # |Aut|, so no class is searched again
+        for graph, maps in _classes(g, bridgeless=True):
+            aut = len(maps) * _edge_symmetry(graph)
+            for e, c in orbit_series(graph, d_max, series_counts, maps).coeffs.items():
                 total[e] = total.get(e, 0) + Fraction(c, aut)
     out = {}
     for e, c in total.items():

@@ -34,7 +34,10 @@ Every sum over vertex orders is one call to
 :func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
 the graph, gives zero for a graph with a bridge, and visits one order per
 orbit of acyclic orientations, weighted by the number of orders in the
-orbit.  The order enters the search only through the source of each
+orbit.  The count it is given (:func:`_graded_counts`) takes the list of
+(order, weight) pairs, like the integral kernel, but searches each order on
+its own and shares nothing between them, so the oracles stay independent.
+The order enters the search only through the source of each
 degree-0 edge (:func:`_options`, the endpoint of lower rank); the order in
 which edges are assigned changes no count.  So a per-order count depends
 only on the acyclic orientation the order induces.  The per-order functions validate the
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .graphs import FeynmanGraph
-from .integrals import check_branch_type, check_degree, check_order, orbit_series, orbit_sum
+from .integrals import check_branch_type, check_order, orbit_series, orbit_sum
 from .propagator import divisors
 from .quasimodular import QSeries
 
@@ -227,15 +230,19 @@ def enumerate_tuples(graph: FeynmanGraph, a, order) -> list:
     return results
 
 
-def _graded_counts(graph, order, degrees, d_max) -> dict:
-    """Total branch degree -> sum of the weight products of the tuples of
-    that degree, for degrees up to d_max."""
+def _graded_counts(graph, orders, degrees, d_max) -> dict:
+    """Total branch degree -> the sum, over the (order, weight) pairs of
+    ``orders``, of weight times the weight products of the order's tuples of
+    that degree, for degrees up to d_max.  One search per order: nothing is
+    shared between orders."""
     counts = {}
 
     def add(degree, mult, chosen):
-        counts[degree] = counts.get(degree, 0) + mult
+        # weight is the loop variable below: the weight of the order searched
+        counts[degree] = counts.get(degree, 0) + weight * mult
 
-    _search(graph, order, degrees, d_max, add)
+    for order, weight in orders:
+        _search(graph, order, degrees, d_max, add)
     return counts
 
 
@@ -244,7 +251,7 @@ def count_covers(graph: FeynmanGraph, a, order) -> int:
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
     total = sum(a)
-    return _graded_counts(graph, order, [(x,) for x in a], total).get(total, 0)
+    return _graded_counts(graph, [(order, 1)], [(x,) for x in a], total).get(total, 0)
 
 
 def count_covers_total(graph: FeynmanGraph, a) -> int:
@@ -254,7 +261,7 @@ def count_covers_total(graph: FeynmanGraph, a) -> int:
     a = check_branch_type(graph, a)
     total = sum(a)
     degrees = [(x,) for x in a]
-    counts = orbit_sum(graph, lambda order: _graded_counts(graph, order, degrees, total), symmetric=False)
+    counts = orbit_sum(graph, lambda orbits: _graded_counts(graph, orbits, degrees, total), symmetric=False)
     return counts.get(total, 0)
 
 
@@ -263,8 +270,15 @@ def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     the weighted tuple count in total degree d, summed over all vertex
     orders (one per automorphism-and-reversal orbit of acyclic orientations,
     weighted by the orders in it), for d <= d_max.  Equal to :func:`~ellcover.integrals.i_gamma_series`."""
-    degrees = [range(check_degree(d_max, "d_max") + 1)] * len(graph.edges)
-    return orbit_series(graph, d_max, lambda order: _graded_counts(graph, order, degrees, d_max))
+    return orbit_series(graph, d_max, _series_counts)
+
+
+def _series_counts(graph: FeynmanGraph, d_max: int):
+    """The counts behind :func:`tropical_series`, for
+    :func:`~ellcover.integrals.orbit_sum`: (order, weight) pairs -> degree ->
+    the weighted sum of their graded tuple counts up to d_max."""
+    degrees = [range(d_max + 1)] * len(graph.edges)
+    return lambda orbits: _graded_counts(graph, orbits, degrees, d_max)
 
 
 def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> TropicalCover:

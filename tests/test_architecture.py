@@ -3,17 +3,19 @@ the vertex orders and their weights and makes the bridge decision, so the
 way of summing over orders (one per orbit of acyclic orientations, since an
 order enters a count only through the orientation it induces) is a change
 to one function.  Only sums symmetric in the edges let it use the
-automorphisms.  ``f_g`` sums over ``enumerate_genus(g, bridgeless=True)``,
-so it makes no bridge test of its own and no automorphism count of a
-bridged class.  One constant-term engine, ``integrals._eliminate``, serves
-the two single-order entry points, and it reads its edge factors only from
-one memo of bundle tables, ``integrals._bundle_terms``.  The symmetric-group
-path imports nothing from the package, so the cross-oracle checks compare
-independent code; it lists no partition, and ``f_g`` reads the whole
-``sym`` series off one pass of its recurrence.  One routine,
-``graphs._canon``, runs the graph refinement search: the canonical form,
-the isomorphism test, the automorphisms and enumeration all read its one
-search per graph."""
+automorphisms.  ``f_g`` sums over the bridgeless classes of
+``graphs._classes`` (the classes of ``enumerate_genus`` with the
+automorphisms their search found), so it makes no bridge test of its own
+and no automorphism count of a bridged class.  One constant-term engine,
+``integrals._eliminate``, serves the two single-order entry points with one
+(order, weight) pair and every integral sum with all its orbits, and it
+reads its edge factors only from one memo of bundle tables,
+``integrals._bundle_terms``.  The symmetric-group path imports nothing from
+the package, so the cross-oracle checks compare independent code; it lists
+no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
+recurrence.  One routine, ``graphs._canon``, runs the graph refinement
+search: the canonical form, the isomorphism test, the automorphisms and
+enumeration all read its one search per graph."""
 
 import ast
 from pathlib import Path
@@ -41,10 +43,14 @@ def callers(module_file, name):
 
 
 def test_orientation_orbits_is_called_only_by_orbit_sum():
-    assert callers("integrals.py", "orientation_orbits") == {"orbit_sum"}
+    # the orbits are built by _orientation_orbits, which takes the
+    # automorphisms as an argument so that f_g can pass those enumeration
+    # found; the public orientation_orbits is its view, and no sum calls it
+    assert callers("integrals.py", "_orientation_orbits") == {"orbit_sum", "orientation_orbits"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
+        assert callers(module_file, "orientation_orbits") == set(), module_file
         if module_file != "integrals.py":
-            assert callers(module_file, "orientation_orbits") == set(), module_file
+            assert callers(module_file, "_orientation_orbits") == set(), module_file
         # order_orbits stays public, but no sum walks the n! orders any more
         assert callers(module_file, "order_orbits") == set(), module_file
 
@@ -96,9 +102,14 @@ def test_bridges_is_called_only_by_orbit_sum():
 
 
 def test_eliminate_is_called_only_by_the_single_order_entry_points():
+    # and by the orbit-sum counts: the single-order entry points make
+    # one-pair calls, and every sum hands orbit_sum a count that makes one
+    # kernel pass over all the orbits (_series_counts serves
+    # gromov_witten_d, i_gamma_series and f_g; generating_function makes one
+    # per branch type)
+    want = {"integral_coeff", "i_gamma_coeffs_for_order", "gromov_witten_a", "generating_function", "_series_counts"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
-        want = {"integral_coeff", "i_gamma_coeffs_for_order"} if module_file == "integrals.py" else set()
-        assert callers(module_file, "_eliminate") == want, module_file
+        assert callers(module_file, "_eliminate") == (want if module_file == "integrals.py" else set()), module_file
 
 
 def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
@@ -124,9 +135,9 @@ def test_sym_lists_no_partition_and_makes_one_pass_per_series():
 
 
 def test_the_guard_sees_calls_inside_lambdas():
-    # gromov_witten_a calls integral_coeff only from the lambda it passes to
+    # gromov_witten_a calls _eliminate only from the lambda it passes to
     # orbit_sum
-    assert "gromov_witten_a" in callers("integrals.py", "integral_coeff")
+    assert "gromov_witten_a" in callers("integrals.py", "_eliminate")
 
 
 def package_imports(module_file):

@@ -259,6 +259,33 @@ def test_unreadable_graph_file_names_the_file(capsys, tmp_path, content, reason,
     assert f"graph file {path} is {reason}" in message
 
 
+@pytest.mark.parametrize(
+    "data, error, detail",
+    [
+        ({"vertices": 2, "edges": [[1, 2], [1, 2], [1, "x"]]}, "MalformedGraph", '"edges"[2] must be a pair'),
+        ({"vertices": 2, "edges": [[1, 2], [1, 2]]}, "BadCardinality", "2 vertices / 2 edges do not match"),
+        ({"vertices": 4, "edges": [[1, 2]] * 3 + [[3, 4]] * 3}, "NotConnected", "not connected"),
+    ],
+    ids=["shape", "cardinality", "connectivity"],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+def test_invalid_graph_file_names_the_file(capsys, tmp_path, data, error, detail, as_json):
+    # before, only JSON and UTF-8 errors named the file
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(data))
+    flags = ["--json"] if as_json else []
+    code, out, err = run(capsys, *flags, "gw", "--graph", str(path), "--degree", "1")
+    assert code == 2 and out == ""
+    if as_json:
+        payload = json.loads(err)
+        assert payload["error"] == error
+        message = payload["message"]
+    else:
+        assert err.startswith(f"error: {error}: ")
+        message = err
+    assert f"graph file {path}: " in message and detail in message
+
+
 def test_bad_branch_length(capsys, graph_file, theta):
     path = graph_file(theta)
     code, _, err = run(capsys, "--threads", "1", "gw", "--graph", path, "--branch", "1,2")

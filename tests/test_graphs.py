@@ -90,6 +90,54 @@ def test_loops_are_never_bridges():
     assert 0 not in bridges(graph) and 2 not in bridges(graph)
 
 
+def reference_bridges(graph):
+    """The non-loop edges whose removal leaves the graph disconnected, by one
+    connectivity walk per edge: the reference for the one-pass search."""
+    edges = graph.edges
+    n = graph.vertex_count
+    return tuple(k for k, (u, v) in enumerate(edges) if u != v and not _is_connected(n, edges[:k] + edges[k + 1 :]))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_one_pass_bridges_match_the_per_edge_walks(g):
+    classes = enumerate_genus(g)
+    assert any(bridges(graph) for graph in classes) and not all(bridges(graph) for graph in classes)
+    for graph in classes:
+        assert bridges(graph) == reference_bridges(graph), graph.edges
+
+
+def test_one_pass_bridges_match_the_per_edge_walks_on_random_multigraphs():
+    # any valence, loops and parallel edges; half start from a random
+    # spanning tree, the rest are often disconnected (every non-loop edge is
+    # then a bridge, as removing it leaves the graph disconnected)
+    rng = random.Random(71)
+    seen = set()
+    for i in range(600):
+        n = rng.randint(1, 8)
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)] if i % 2 else []
+        edges += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 10))]
+        rng.shuffle(edges)
+        graph = FeynmanGraph.from_edges(n, edges)
+        want = reference_bridges(graph)
+        assert bridges(graph) == want, (n, edges)
+        connected = _is_connected(n, graph.edges)
+        seen.add(("connected" if connected else "disconnected", bool(want)))
+        seen.add(("loop", graph.has_loop()))
+        seen.add(("parallel", len(set(graph.edges)) < len(graph.edges)))
+        # a bridge doubled is no longer a bridge
+        if connected and want:
+            k = want[0]
+            doubled = FeynmanGraph(n, graph.edges + (graph.edges[k],))
+            assert k not in bridges(doubled) and bridges(doubled) == reference_bridges(doubled)
+    assert seen >= {
+        ("connected", True),
+        ("connected", False),
+        ("disconnected", True),
+        ("loop", True),
+        ("parallel", True),
+    }
+
+
 def test_automorphism_counts(theta, dumbbell, caterpillar, k4):
     assert automorphism_count(theta) == 12  # 2 vertex maps x 3! parallel edges
     assert automorphism_count(dumbbell) == 8  # 2 vertex maps x 2 loop flips each
@@ -309,6 +357,18 @@ def test_enumeration_keeps_the_automorphisms_of_each_form(monkeypatch):
             assert len(maps) == len(set(maps)) and set(maps) == want, form
     for G in enumerate_genus(2):
         assert _canon(G)[1] == [(0, 1, 2), (0, 2, 1)]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_classes_carry_their_automorphisms(g):
+    # f_g reads the orbits' automorphisms and |Aut| off these, with no search
+    classes = graphs._classes(g)
+    assert [graph for graph, _ in classes] == enumerate_genus(g)
+    assert [graph for graph, _ in graphs._classes(g, bridgeless=True)] == enumerate_genus(g, bridgeless=True)
+    for graph, maps in classes:
+        assert maps[0] == tuple(range(graph.vertex_count + 1))
+        assert len(set(maps)) == len(maps) and set(maps) == set(vertex_automorphisms(graph))
+        assert len(maps) * graphs._edge_symmetry(graph) == automorphism_count(graph)
 
 
 @pytest.mark.parametrize("g, searches", [(4, 58), (5, 396)])

@@ -23,7 +23,7 @@ from ellcover import (
     reconstruct_cover,
     tropical_series,
 )
-from ellcover import integrals
+from ellcover import graphs, integrals
 from ellcover.integrals import (
     MultiSeries,
     all_orders,
@@ -459,6 +459,147 @@ def test_bundled_parallel_edges_match_the_reference(genus4_bridgeless):
         assert nonzero_types and nonzero_graded, graph.edges
 
 
+def reference_eliminate(graph, order, degrees, w_max, d_max):
+    """The single-order kernel as it was before the prefix-sharing pass:
+    vertex ``order[i]`` owns packed digit i, so every later endpoint has the
+    higher place and a bundle's offsets ascend.  Same bundle tables, same
+    matched last multiply; one order per call, nothing shared."""
+    n = graph.vertex_count
+    weight = max([w_max] + [max(ds) for ds in degrees])
+    bias = 6 * weight + 1
+    radix = 2 * bias + 1
+    place = {v: radix**i for i, v in enumerate(order)}
+    top = radix**n
+    limit = (d_max + 1) * top
+    zero = (top - 1) // 2
+    state = {zero: 1}
+    for v in order:
+        p = place[v]
+        bundles = {}
+        for k in graph.incident_edges(v):
+            w = sum(graph.edges[k]) - v
+            if place[w] > p:
+                bundles.setdefault(w, []).append(tuple(degrees[k]))
+        if not bundles:
+            state = {key: c for key, c in state.items() if key // p % radix == bias}
+        last = len(bundles) - 1
+        for i, (w, sets) in enumerate(bundles.items()):
+            shift = p - place[w]
+            table = integrals._bundle_terms(tuple(sorted(sets)), w_max, d_max)
+            product = {}
+            for key, c in state.items():
+                for t, e, c2 in table:
+                    if i == last and key // p % radix != bias - e:
+                        continue
+                    s = key + t * top + e * shift
+                    if s >= limit:
+                        break
+                    product[s] = product.get(s, 0) + c * c2
+            state = product
+        if not state:
+            return {}
+    return {(key - zero) // top: c for key, c in state.items()}
+
+
+def reference_pass(graph, orders, degrees, w_max, d_max):
+    """Degree -> the sum of weight x :func:`reference_eliminate` over the
+    (order, weight) pairs."""
+    total = {}
+    for order, weight in orders:
+        for t, c in reference_eliminate(graph, order, degrees, w_max, d_max).items():
+            total[t] = total.get(t, 0) + weight * c
+    return total
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_prefix_pass_matches_the_per_order_engine(g):
+    # the prefix-sharing pass against one-order runs of the engine it
+    # replaced, coefficient by coefficient: graded over the orientation
+    # orbits of every bridgeless class, for fixed random branch types over
+    # the reversal orbits, and with the representatives shuffled
+    rng = random.Random(89 + g)
+    classes = enumerate_genus(g, bridgeless=True)
+    graded = 0
+    for graph in classes:
+        m = len(graph.edges)
+        orbits = orientation_orbits(graph)
+        for d in (1, 3, 5) if g <= 4 else (1, 3):
+            degrees = [range(d + 1)] * m
+            want = reference_pass(graph, orbits, degrees, d, d)
+            assert integrals._eliminate(graph, orbits, degrees, d, d) == want
+            assert integrals._eliminate(graph, rng.sample(orbits, len(orbits)), degrees, d, d) == want
+            graded += d == 3 and bool(want)
+        reversal = orientation_orbits(graph, symmetric=False)
+        nonzero = 0
+        for _ in range(3 if g <= 4 else 1):
+            a = tuple(rng.randint(0, 2) for _ in range(m))
+            degrees, total = [(x,) for x in a], sum(a)
+            if not total:
+                continue
+            want = reference_pass(graph, reversal, degrees, total, total)
+            assert integrals._eliminate(graph, reversal, degrees, total, total) == want
+            assert integrals._eliminate(graph, rng.sample(reversal, len(reversal)), degrees, total, total) == want
+            nonzero += bool(want)
+            if g <= 4:
+                # a weight bound below the total degree truncates the same way
+                want = reference_pass(graph, reversal, degrees, 1, total)
+                assert integrals._eliminate(graph, reversal, degrees, 1, total) == want
+        assert nonzero or g == 5, graph.edges
+    # 3 of the 16 genus-5 classes first count in degree 4
+    assert graded == len(classes) - (3 if g == 5 else 0)
+
+
+def test_offsets_that_descend_within_a_degree_break_exactly(k4, genus4_bridgeless):
+    # each vertex owns the digit of its label, so in the order n, ..., 1 every
+    # later neighbour w of v has a smaller label: v's shift R^(v-1) - R^(w-1)
+    # is positive and a bundle's offsets descend within one degree.  The
+    # break at the limit stays exact, as overshooting depends on the degree
+    # digit alone; the LaurentPoly reference, with no packing, agrees.  The
+    # reversed orbit representatives have such a descent too
+    rng = random.Random(97)
+
+    def descends(graph, order):
+        # some edge runs from an earlier vertex to a later one of smaller label
+        position = {v: i for i, v in enumerate(order)}
+        return any((position[u] < position[v]) == (u > v) for u, v in graph.edges if u != v)
+
+    for graph in [k4] + genus4_bridgeless:
+        n, m = graph.vertex_count, len(graph.edges)
+        order = tuple(range(n, 0, -1))
+        nonzero = 0
+        for _ in range(20):
+            a = tuple(rng.randint(0, 2) for _ in range(m))
+            if any(a):
+                want = reference_coeffs(graph, order, [(x,) for x in a], sum(a)).get(sum(a), 0)
+                assert integral_coeff(graph, a, order) == want
+        for d in (1, 3):
+            for rep, _ in orientation_orbits(graph):
+                order = rep[::-1]
+                assert descends(graph, order)
+                want = reference_coeffs(graph, order, [range(d + 1)] * m, d)
+                assert i_gamma_coeffs_for_order(graph, order, d) == want
+                nonzero += bool(want)
+        assert nonzero, graph.edges
+
+
+@pytest.mark.parametrize(
+    "g, d, oracle, searches", [(4, 3, "integral", 58), (5, 3, "integral", 396), (4, 2, "tropical", 58)]
+)
+def test_f_g_searches_each_candidate_once(monkeypatch, g, d, oracle, searches):
+    # f_g takes the orbits' automorphisms and |Aut| from the searches of
+    # enumeration, so it makes no search of its own: as many as
+    # enumerate_genus (before: 68 for f_g(4, 3))
+    calls = []
+    search = graphs._search
+    monkeypatch.setattr(graphs, "_search", lambda graph: calls.append(graph) or search(graph))
+    want = f_g(g, d, oracle="sym")
+    assert f_g(g, d, oracle=oracle) == want
+    assert len(calls) == searches
+    calls.clear()
+    enumerate_genus(g)
+    assert len(calls) == searches
+
+
 def test_elimination_order_independence(genus4_bridgeless):
     # the kernel eliminates in the vertex order; the reference eliminating in
     # shuffled sequences gives the same values, the fact that lets a count
@@ -492,14 +633,24 @@ def test_order_orbit_structure(k4, caterpillar, theta, genus4_bridgeless):
         assert all(w == 2 for _, w in order_orbits(graph, symmetric=False))
 
 
+def weighted(counts_for_order):
+    """An :func:`orbit_sum` count from a per-order one: (order, weight)
+    pairs -> key -> the weighted sum of ``counts_for_order``."""
+
+    def counts(orbits):
+        total = {}
+        for order, weight in orbits:
+            for key, c in counts_for_order(order).items():
+                total[key] = total.get(key, 0) + weight * c
+        return total
+
+    return counts
+
+
 def order_orbit_sum(graph, counts_for_order, symmetric):
     """The sum of :func:`orbit_sum` over :func:`order_orbits`: one order per
     orbit of vertex orders, weighted by its size."""
-    total = {}
-    for order, weight in order_orbits(graph, symmetric):
-        for key, c in counts_for_order(order).items():
-            total[key] = total.get(key, 0) + weight * c
-    return total
+    return weighted(counts_for_order)(order_orbits(graph, symmetric))
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -512,10 +663,10 @@ def test_orientation_orbits_sum_like_order_orbits(symmetric, genus4_bridgeless):
         degrees = [range(3)] * len(graph.edges)
         for counts_for_order in (
             lambda order: i_gamma_coeffs_for_order(graph, order, 3),
-            lambda order: _graded_counts(graph, order, degrees, 2),
+            lambda order: _graded_counts(graph, [(order, 1)], degrees, 2),
         ):
             want = order_orbit_sum(graph, counts_for_order, symmetric)
-            assert orbit_sum(graph, counts_for_order, symmetric) == want
+            assert orbit_sum(graph, weighted(counts_for_order), symmetric) == want
     graph = genus4_bridgeless[0]
     types = [a for d in range(3) for a in compositions(d, len(graph.edges))]
 
@@ -529,7 +680,7 @@ def test_orientation_orbits_sum_like_order_orbits(symmetric, genus4_bridgeless):
             counts[key] = counts.get(key, 0) + integral_coeff(graph, a, order)
         return counts
 
-    assert orbit_sum(graph, gf_counts, symmetric) == order_orbit_sum(graph, gf_counts, symmetric)
+    assert orbit_sum(graph, weighted(gf_counts), symmetric) == order_orbit_sum(graph, gf_counts, symmetric)
 
 
 def test_orientation_orbit_structure(k4, caterpillar, theta):
