@@ -19,6 +19,15 @@ parent-automorphism step of McKay's isomorph-free generation).  No class is
 lost: an automorphism carries a move onto a move with an isomorphic result,
 and a move on one of several parallel edges gives the same graph as on any
 other of them.
+
+The bridgeless classes, the only ones whose Feynman integrals do not vanish,
+grow from the theta graph alone by the two moves that add an edge between
+subdivided edges.  Such a move keeps a graph bridgeless, and by ear
+decomposition (Robbins, 1939) every bridgeless trivalent graph of genus
+g >= 3 is one applied to a bridgeless graph of genus g - 1: the last ear
+is a single edge, not a loop (an inner vertex of the ear would have valence
+2), and deleting it and smoothing its ends leaves a bridgeless graph.  So
+the bridgeless path never builds a graph with a bridge.
 """
 
 from __future__ import annotations
@@ -384,7 +393,7 @@ def _pair(u: int, v: int) -> tuple:
     return (u, v) if u <= v else (v, u)
 
 
-def _extensions(n: int, edges: tuple, maps: list):
+def _extensions(n: int, edges: tuple, maps: list, bridgeless: bool = False):
     """Edge lists on n + 2 vertices made from the trivalent graph
     ``FeynmanGraph(n, edges)``, whose automorphisms are ``maps``, by the two
     genus-raising moves, with new vertices a = n + 1 and b = n + 2:
@@ -397,6 +406,16 @@ def _extensions(n: int, edges: tuple, maps: list):
     genus g - 1: undo (a) by deleting an edge that is neither a loop nor a
     bridge and smoothing its endpoints, otherwise undo (b) at a vertex with
     a loop.
+
+    ``bridgeless=True`` makes the (a) moves only, for a bridgeless parent.
+    A new edge ab joins two points of a bridgeless graph, so no edge becomes
+    a bridge; and (b) always makes one, the edge to the loop.  Every
+    bridgeless graph of genus g >= 3 arises this way from a bridgeless one:
+    the last ear of an ear decomposition (Robbins, 1939) is one edge uv that
+    is not a loop, since an inner vertex of the ear would have valence 2.
+    Deleting it leaves a bridgeless graph, smoothing u and v keeps it so,
+    and the edge is the ab of an (a) move on the result (``twice`` when u
+    and v were adjacent).
 
     One move is made per orbit of the moves under ``maps``.  A move is keyed
     by its kind and the unordered vertex pairs of the edges it subdivides,
@@ -415,7 +434,7 @@ def _extensions(n: int, edges: tuple, maps: list):
 
     for i, (u, v) in enumerate(edges):
         rest = edges[:i] + edges[i + 1 :]
-        if new_orbit("loop", ((u, v),)):
+        if not bridgeless and new_orbit("loop", ((u, v),)):
             yield rest + ((u, a), (v, a), (a, b), (b, b))
         if new_orbit("twice", ((u, v),)):
             yield rest + ((u, a), (a, b), (a, b), (v, b))
@@ -449,31 +468,38 @@ def _classes(g: int, bridgeless: bool = False, max_genus: int = 5) -> list:
     of the parent carries a move onto one whose result is isomorphic, and
     parallel edges do the same.  Each representative carries its canonical
     (sorted) edge list and the list is sorted by it, so output is
-    deterministic.  ``bridgeless=True`` keeps only the classes without a
-    bridge.
+    deterministic.
+
+    ``bridgeless=True`` gives only the classes without a bridge.  They grow
+    from the theta graph alone by the (a) moves, which by ear decomposition
+    reach every bridgeless class from a bridgeless parent and never make a
+    bridge (see :func:`_extensions`), so no bridged graph is built or
+    searched.  The classes, their order and their automorphism sets are
+    those of the full enumeration with the bridged classes left out.
     """
     if not _is_int(g):
         raise ValueError(f"g must be an integer, got {g!r}")
     if not _is_int(max_genus):
         raise ValueError(f"max_genus must be an integer, got {max_genus!r}")
+    if not isinstance(bridgeless, bool):
+        raise ValueError(f"bridgeless must be a bool, got {bridgeless!r}")
     if g < 2:
         raise BadCardinality("genus must be at least 2")
     if g > max_genus:
         raise GenusTooLarge(f"genus {g} exceeds the configured bound {max_genus}")
-    # genus 2: the dumbbell and the theta graph, each with its vertex swap
+    # genus 2: the dumbbell (not bridgeless) and the theta graph, each with
+    # its vertex swap
     swap = [(0, 1, 2), (0, 2, 1)]
-    level = {((1, 1), (1, 2), (2, 2)): swap, ((1, 2), (1, 2), (1, 2)): swap}
+    theta = ((1, 2), (1, 2), (1, 2))
+    level = {theta: swap} if bridgeless else {((1, 1), (1, 2), (2, 2)): swap, theta: swap}
     for n in range(2, 2 * g - 2, 2):
         grown = {}
         for form, maps in level.items():
-            for edges in _extensions(n, form, maps):
+            for edges in _extensions(n, form, maps, bridgeless):
                 child, child_maps, _ = _canon(FeynmanGraph(n + 2, edges))
                 grown.setdefault(child, child_maps)
         level = grown
-    out = [(FeynmanGraph(2 * g - 2, form), level[form]) for form in sorted(level)]
-    if bridgeless:
-        out = [(gr, maps) for gr, maps in out if not bridges(gr)]
-    return out
+    return [(FeynmanGraph(2 * g - 2, form), level[form]) for form in sorted(level)]
 
 
 class Orientation(Frozen):

@@ -5,8 +5,9 @@ order enters a count only through the orientation it induces) is a change
 to one function.  Only sums symmetric in the edges let it use the
 automorphisms.  ``f_g`` sums over the bridgeless classes of
 ``graphs._classes`` (the classes of ``enumerate_genus`` with the
-automorphisms their search found), so it makes no bridge test of its own
-and no automorphism count of a bridged class.  One constant-term engine,
+automorphisms their search found), which grow from the theta graph by edge
+insertion alone, so it makes no bridge test of its own and builds, searches
+and counts the automorphisms of no bridged graph.  One constant-term engine,
 ``integrals._eliminate``, serves the two single-order entry points with one
 (order, weight) pair and every integral sum with all its orbits, and it
 reads its edge factors only from one memo of bundle tables,

@@ -363,3 +363,74 @@ def test_cli_integer_flags_fuzz(theta, dumbbell, caterpillar, k4):
             assert (code == 0) == (err.getvalue() == "")
 
         check()
+
+
+# JSON values of every kind, nested a little: the shapes a graph file may
+# hold in place of a graph, a vertex count, an edge list or a vertex
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+_VERTEX = st.one_of(st.integers(-1, 7), st.booleans(), st.floats(-1, 7), st.sampled_from(["1", None, [1]]))
+_GRAPH_JSON = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"vertices": _VERTEX, "edges": st.lists(st.lists(_VERTEX, max_size=3) | _JSON, max_size=7)},
+        optional={"extra": _JSON},
+    ),
+)
+# comma-separated integer lists with junk entries mixed in; the integers stay
+# small so that every well-formed branch type is cheap to count
+_INT_LIST = st.lists(
+    st.integers(-2, 4).map(str) | st.sampled_from(["", " ", "x", "1.5", "+1", " 2", "1e1", "0x1", "-0", "\u0663"]),
+    max_size=8,
+).map(",".join)
+
+
+def _valid_graph_json(graph):
+    """A known graph with one of: nothing changed, an extra key, one vertex
+    moved out of range, one edge dropped."""
+    n, edges = graph.vertex_count, [list(e) for e in graph.edges]
+    return st.sampled_from(
+        [
+            {"vertices": n, "edges": edges},
+            {"vertices": n, "edges": edges, "loops": 0},
+            {"vertices": n, "edges": [[0, edges[0][1]]] + edges[1:]},
+            {"vertices": n, "edges": edges[1:]},
+        ]
+    )
+
+
+def test_cli_graph_and_list_inputs_fuzz(tmp_path, theta, dumbbell, caterpillar, k4):
+    # every graph file and every --branch / --order list exits 0 or 2 with a
+    # structured error, never a traceback
+    graph_json = st.one_of(_GRAPH_JSON, *(_valid_graph_json(G) for G in (theta, dumbbell, caterpillar, k4)))
+    contents = st.one_of(
+        graph_json.map(lambda data: json.dumps(data).encode()),
+        st.text(max_size=20).map(str.encode),
+        st.binary(max_size=20),
+    )
+    commands = st.one_of(
+        st.just(["igamma", "--max-degree", "1"]),
+        st.just(["gw", "--degree", "1"]),
+        st.just(["genfun", "--degree", "1"]),
+        st.just(["qfit", "--max-degree", "2"]),
+        _INT_LIST.map(lambda branch: ["gw", f"--branch={branch}"]),
+        st.tuples(_INT_LIST, _INT_LIST).map(lambda t: ["covers", f"--branch={t[0]}", f"--order={t[1]}"]),
+    )
+    path = tmp_path / "graph.json"
+
+    @settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(content=contents, command=commands, as_json=st.booleans())
+    def check(content, command, as_json):
+        path.write_bytes(content)
+        argv = (["--json"] if as_json else []) + command[:1] + ["--graph", str(path)] + command[1:]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert (code == 0) == (err.getvalue() == "")
+        assert "Traceback" not in err.getvalue()
+
+    check()

@@ -280,6 +280,15 @@ def test_enumerate_genus_takes_an_integer_bound(max_genus):
         enumerate_genus(3, max_genus=max_genus)
 
 
+@pytest.mark.parametrize("bridgeless", ["no", "", 1, 0, None, 1.0])
+@pytest.mark.parametrize("enumerate_", [enumerate_genus, graphs._classes])
+def test_enumeration_takes_a_bool_bridgeless_flag(enumerate_, bridgeless):
+    # the flag picks the start graphs and the moves, so a truthy string must
+    # not pass for True
+    with pytest.raises(ValueError, match="^bridgeless must be a bool, got "):
+        enumerate_(3, bridgeless=bridgeless)
+
+
 @pytest.mark.parametrize(
     "call",
     [canonical_form, automorphism_count, vertex_automorphisms, lambda G: is_isomorphic(G, G)],
@@ -371,10 +380,40 @@ def test_classes_carry_their_automorphisms(g):
         assert len(maps) * graphs._edge_symmetry(graph) == automorphism_count(graph)
 
 
-@pytest.mark.parametrize("g, searches", [(4, 58), (5, 396)])
-def test_enumeration_searches_once_per_orbit_of_moves(monkeypatch, g, searches):
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_bridgeless_classes_grow_from_bridgeless_parents(monkeypatch, g):
+    # growing from the theta graph by the (a) moves alone finds the bridged
+    # enumeration's bridgeless classes, in its order with its automorphism
+    # sets, and searches no graph with a bridge
+    searched = []
+
+    def recording(graph):
+        searched.append(graph)
+        return _canon(graph)
+
+    monkeypatch.setattr(graphs, "_canon", recording)
+    found = graphs._classes(g, bridgeless=True, max_genus=6)
+    monkeypatch.undo()
+    assert bool(searched) == (g > 2) and not any(bridges(G) for G in searched)
+    want = [(G, maps) for G, maps in graphs._classes(g, max_genus=6) if not bridges(G)]
+    assert [G for G, _ in found] == [G for G, _ in want]
+    for (_, maps), (_, want_maps) in zip(found, want):
+        assert maps[0] == want_maps[0] and len(maps) == len(set(maps)) and set(maps) == set(want_maps)
+
+
+@pytest.mark.parametrize(
+    "g, bridgeless, searches",
+    [
+        pytest.param(4, False, 58, id="4-58"),
+        pytest.param(5, False, 396, id="5-396"),
+        pytest.param(4, True, 11, id="4-bridgeless-11"),
+        pytest.param(5, True, 57, id="5-bridgeless-57"),
+    ],
+)
+def test_enumeration_searches_once_per_orbit_of_moves(monkeypatch, g, bridgeless, searches):
     # the full move set costs 153 and 1,071 searches, plus one more per class
-    # for its automorphisms
+    # for its automorphisms; the bridgeless classes need only the (a) moves
+    # on bridgeless parents
     calls = []
     search = graphs._search
 
@@ -383,7 +422,7 @@ def test_enumeration_searches_once_per_orbit_of_moves(monkeypatch, g, searches):
         return search(graph)
 
     monkeypatch.setattr(graphs, "_search", counting)
-    enumerate_genus(g)
+    enumerate_genus(g, bridgeless=bridgeless)
     assert len(calls) == searches
 
 
