@@ -85,19 +85,11 @@ class FeynmanGraph(Frozen):
     def from_edges(cls, vertex_count, edges) -> "FeynmanGraph":
         """Build from a vertex count and a list of vertex pairs; integers
         only (no floats, no booleans), else MalformedGraph."""
-        if not _is_int(vertex_count):
-            raise MalformedGraph(f'"vertices" must be an integer, got {vertex_count!r}')
-        if not isinstance(edges, (list, tuple)):
-            raise MalformedGraph(f'"edges" must be a list of vertex pairs, got {edges!r}')
-        norm = []
+        _check_types(vertex_count, edges)
         for k, e in enumerate(edges):
-            if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(x) for x in e)):
-                raise MalformedGraph(f'"edges"[{k}] must be a pair of integer vertices, got {e!r}')
-            u, v = e
-            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+            if not all(1 <= x <= vertex_count for x in e):
                 raise MalformedGraph(f'"edges"[{k}] = {e!r} references a vertex outside 1..{vertex_count}')
-            norm.append((u, v) if u <= v else (v, u))
-        return cls(vertex_count, tuple(norm))
+        return cls(vertex_count, tuple(_pair(u, v) for u, v in edges))
 
     @classmethod
     def from_json(cls, data) -> "FeynmanGraph":
@@ -154,6 +146,27 @@ class FeynmanGraph(Frozen):
         return m
 
 
+def _check_types(vertex_count, edges) -> None:
+    """MalformedGraph, naming the field, unless ``vertex_count`` is an
+    integer and ``edges`` a list of pairs of integers."""
+    if not _is_int(vertex_count):
+        raise MalformedGraph(f'"vertices" must be an integer, got {vertex_count!r}')
+    if not isinstance(edges, (list, tuple)):
+        raise MalformedGraph(f'"edges" must be a list of vertex pairs, got {edges!r}')
+    for k, e in enumerate(edges):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+            raise MalformedGraph(f'"edges"[{k}] must be a pair of integer vertices, got {e!r}')
+
+
+def _check_shape(graph) -> None:
+    """MalformedGraph unless ``graph`` is a :class:`FeynmanGraph` with an
+    integer vertex count and edges that are pairs of integers (whether they
+    are its vertices is for :func:`validate` to say)."""
+    if not isinstance(graph, FeynmanGraph):
+        raise MalformedGraph(f"expected a FeynmanGraph, got {graph!r}")
+    _check_types(graph.vertex_count, graph.edges)
+
+
 def _is_connected(n, edges):
     if n == 0:
         return False
@@ -178,8 +191,10 @@ def _is_connected(n, edges):
 def validate(graph: FeynmanGraph) -> int:
     """Check all invariants and return the genus.
 
-    Raises BadCardinality, NotTrivalent or NotConnected.
+    Raises MalformedGraph (see :func:`_check_shape`), BadCardinality,
+    NotTrivalent or NotConnected.
     """
+    _check_shape(graph)
     n = graph.vertex_count
     e = len(graph.edges)
     if n < 2 or n % 2 or 2 * e != 3 * n:
@@ -202,8 +217,10 @@ def bridges(graph: FeynmanGraph) -> tuple:
     One depth-first search with low points (Tarjan, 1974): the tree edge
     into v is a bridge exactly when no other edge leads from v's subtree to
     a vertex found before v.  The search tells parallel edges apart by
-    index, so none of them is a bridge.
+    index, so none of them is a bridge.  MalformedGraph for an argument
+    that is not a graph (see :func:`_check_shape`).
     """
+    _check_shape(graph)
     n = graph.vertex_count
     adj = [[] for _ in range(n + 1)]
     for k, (u, v) in enumerate(graph.edges):
@@ -287,23 +304,24 @@ def _search(graph: FeynmanGraph) -> list:
                 return cells
             cells = split
 
-    def descend(cells):
-        cells = refine(cells)
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                for v in cell:
-                    descend(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :])
-                return
+    # depth-first with an explicit stack of partitions, children pushed in
+    # reverse so they are searched in cell order
+    by_loops = {}
+    for v in range(1, n + 1):
+        by_loops.setdefault(m[v][v], []).append(v)
+    stack = [[by_loops[k] for k in sorted(by_loops)]]
+    while stack:
+        cells = refine(stack.pop())
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is not None:
+            cell = cells[i]
+            stack.extend(cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1 :] for v in reversed(cell))
+            continue
         lab = [0] * (n + 1)
         for i, (v,) in enumerate(cells):
             lab[v] = i + 1
         form = tuple(sorted((lab[u], lab[v]) if lab[u] <= lab[v] else (lab[v], lab[u]) for u, v in graph.edges))
         leaves.append((form, lab))
-
-    by_loops = {}
-    for v in range(1, n + 1):
-        by_loops.setdefault(m[v][v], []).append(v)
-    descend([by_loops[k] for k in sorted(by_loops)])
     return leaves
 
 

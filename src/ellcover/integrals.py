@@ -39,10 +39,10 @@ the graph series.  A single-order integral depends only on the acyclic
 orientation that the order induces on the distinct vertex pairs, and each
 orientation counts once per linear extension.  Every sum is one call to
 :func:`orbit_sum`, which validates the graph, returns nothing for a graph
-with a bridge (its counts all vanish) and otherwise visits one topological
-order per orbit of acyclic orientations (:func:`orientation_orbits`),
-weighted by the number of vertex orders in the orbit.  The orbits are taken
-under:
+with a bridge (its counts all vanish) and picks one of two ways to sum over
+the orders.  The first visits one topological order per orbit of acyclic
+orientations (:func:`orientation_orbits`), weighted by the number of vertex
+orders in the orbit.  The orbits are taken under:
 
 * reversal: reversing an order maps the integrand to its image under
   x -> 1/x, which keeps the constant term, so reversal is used for every
@@ -55,9 +55,38 @@ under:
   passes the automorphisms that enumeration found with each class, and
   takes |Aut| from them, so it searches no class again.
 
+The second, :func:`_order_search`, builds no orbit.  It is one depth-first
+search over vertex orders fused with the kernel: one state per depth, one
+vertex step per node, and a prefix whose state is empty is cut.  The cut
+loses nothing, since every completion of that prefix has constant term 0.
+While some automorphism fixes every placed vertex, only the least vertex of
+each orbit of those automorphisms is placed.  The group acts freely on
+orders (an automorphism that fixes an order fixes every vertex), so the
+orders placed this way meet each group orbit of orders exactly once, and
+each stands for len(maps) orders.  Once no automorphism but the identity
+fixes the prefix, every completion counts, and a completion enters only
+through the orientation of the remaining vertices.  So only the
+lexicographically first topological order of each such orientation is
+placed, and it weighs the orientation's linear extensions.  With the
+trivial group, only orders with pair 0 forward are placed, weighed twice,
+since reversal flips the pair and keeps the constant term.
+
+Most orientations vanish at low degree: at (g, d) = (6, 3), 202 of the
+71,117 orbits are nonzero.  Building the orbits then costs more than the
+sum, and the search cuts the vanishing ones at a prefix.  At high degree
+few vanish, and the search visits each nonzero orientation once per
+automorphism its stabilizer chain could not use, so the orbits win.
+:func:`orbit_sum` therefore sends the edge-symmetric kernel sums to the
+search when 2 d_max < g + 3 and to the orbits otherwise.  The crossover was
+measured per class: the search won on every class at (5, 3) and on 4 of 5
+at (4, 3) (the fifth was even), the orbits on all but the one or two most
+symmetric classes at (4, 4) and (5, 4), and genus 3 was about even from
+d = 6 to d = 10.  The tropical counts and the fixed-branch-type sums always
+take the orbits.
+
 Each integral sum hands :func:`orbit_sum` one kernel pass over all its
-orbits (one per branch type for :func:`generating_function`) and validates
-the graph once.
+orders (one per branch type for :func:`generating_function`), and the graph
+is validated once.
 
 :func:`order_orbits`, the orbits of the vertex orders themselves, is kept
 as a reference; no sum walks the n! orders.
@@ -74,10 +103,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from ._frozen import Frozen
-from .graphs import FeynmanGraph, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
+from .graphs import FeynmanGraph, _check_shape, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
 from .monodromy import hurwitz_numbers
 from .propagator import _factor_terms
 from .quasimodular import QSeries
@@ -202,13 +231,15 @@ def _first_extension(preds) -> tuple:
     return tuple(order)
 
 
-def _extension_count(preds) -> int:
-    """The number of orders of 1..n in which every vertex v follows the
-    vertices of the bitmask ``preds[v]``: placed-vertex subset -> number of
-    ways to place it, one vertex more per step."""
+def _extension_count(preds, placed=0) -> int:
+    """The number of orders of the vertices 1..n outside the bitmask
+    ``placed`` in which every vertex v follows the vertices of the bitmask
+    ``preds[v]`` (those in ``placed`` count as already there):
+    placed-vertex subset -> number of ways to place it, one vertex more per
+    step."""
     n = len(preds) - 1
-    ways = {0: 1}
-    for _ in range(n):
+    ways = {placed: 1}
+    for _ in range(n - placed.bit_count()):
         grown = {}
         for placed, c in ways.items():
             for v in range(1, n + 1):
@@ -224,7 +255,12 @@ def orbit_sum(graph: FeynmanGraph, counts, symmetric: bool = True, maps=None) ->
     taken over the orbits of :func:`orientation_orbits` (``symmetric`` as
     there), one order per orbit weighted by the number of orders in it.
     ``counts`` gets the whole list of (order, weight) pairs and returns key ->
-    the weighted sum, so a kernel can share work between orders.  The keys
+    the weighted sum, so a kernel can share work between orders.  A count
+    that is the kernel itself, ``partial(_eliminate, graph, degrees=...,
+    w_max=..., d_max=...)`` as :func:`_series_counts` makes it, is an
+    edge-symmetric kernel sum: with ``symmetric`` and 2 d_max < g + 3 it goes
+    to :func:`_order_search` instead, which builds no orbit (see the module
+    docstring for the rule).  The keys
     are the caller's: degrees for a series, branch types for
     :func:`generating_function`.  ``maps``, the group of vertex
     automorphisms that :func:`~ellcover.graphs.vertex_automorphisms` gives
@@ -240,19 +276,23 @@ def orbit_sum(graph: FeynmanGraph, counts, symmetric: bool = True, maps=None) ->
     Validates the graph.  A graph with a bridge gives ``{}`` and ``counts``
     is never called on it.
     """
-    validate(graph)
+    g = validate(graph)
     if bridges(graph):
         return {}
     if not symmetric:
         maps = _identity(graph)
     elif maps is None:
         maps = vertex_automorphisms(graph)
+    if symmetric and getattr(counts, "func", None) is _eliminate and 2 * counts.keywords["d_max"] < g + 3:
+        # an edge-symmetric kernel sum at low degree: most orientations
+        # vanish, so one pruned search beats building the orbits
+        return _order_search(graph, maps, **counts.keywords)
     return counts(_orientation_orbits(graph, maps))
 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
     validate(graph)
-    order = tuple(check_int(v, "order entry") for v in order)
+    order = check_ints(order, "order")
     if sorted(order) != list(range(1, graph.vertex_count + 1)):
         raise ValueError(f"{order!r} is not a permutation of 1..{graph.vertex_count}")
     return order
@@ -264,6 +304,16 @@ def check_int(value, name: str) -> int:
     return value
 
 
+def check_ints(values, name: str) -> tuple:
+    """``values`` as a tuple of integers; ValueError naming ``name`` for
+    anything else."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    return tuple(check_int(x, f"{name} entry") for x in values)
+
+
 def check_degree(d: int, name: str) -> int:
     check_int(d, name)
     if d < 0:
@@ -272,7 +322,8 @@ def check_degree(d: int, name: str) -> int:
 
 
 def check_branch_type(graph: FeynmanGraph, a) -> tuple:
-    a = tuple(check_int(x, "branch type entry") for x in a)
+    _check_shape(graph)
+    a = check_ints(a, "branch type")
     if len(a) != len(graph.edges):
         raise ValueError(f"branch type has {len(a)} entries, expected {len(graph.edges)}")
     if any(x < 0 for x in a):
@@ -282,12 +333,18 @@ def check_branch_type(graph: FeynmanGraph, a) -> tuple:
 
 def compositions(d: int, parts: int):
     """All ways to write d as an ordered sum of ``parts`` non-negative ints."""
+    check_int(d, "d")
+    check_int(parts, "parts")
+    return _compositions(d, parts)
+
+
+def _compositions(d: int, parts: int):
     if parts == 0:
         if d == 0:
             yield ()
         return
     for first in range(d + 1):
-        for rest in compositions(d - first, parts - 1):
+        for rest in _compositions(d - first, parts - 1):
             yield (first,) + rest
 
 
@@ -352,6 +409,62 @@ def _vertex_step(state, p, radix, bias, limit, plain, matched) -> dict:
     return product
 
 
+class _Kernel:
+    """The packing and bundle set-up of one kernel pass (see
+    :func:`_eliminate`), shared by :func:`_eliminate` and
+    :func:`_order_search`: ``zero`` is the packed monomial 1 and ``top``
+    the weight of the degree digit.  :meth:`step` eliminates one vertex.
+    Each (v, w) bundle's offsets, and each vertex's step for one set of
+    later neighbours, are built when first needed and then kept."""
+
+    __slots__ = (
+        "zero", "top", "radix", "bias", "limit", "place", "w_max", "d_max", "neighbours", "adjacent", "steps", "bundles"
+    )
+
+    def __init__(self, graph, degrees, w_max, d_max):
+        n = graph.vertex_count
+        weight = max([w_max] + [max(ds) for ds in degrees])
+        self.bias = 6 * weight + 1
+        self.radix = 2 * self.bias + 1
+        self.place = [self.radix ** (v - 1) for v in range(n + 1)]
+        self.top = self.radix**n
+        self.limit = (d_max + 1) * self.top
+        self.zero = (self.top - 1) // 2  # every vertex digit at the bias: the monomial 1
+        self.w_max, self.d_max = w_max, d_max
+        # per vertex, neighbour w -> the degree sets of the edges to w
+        self.neighbours = [{} for _ in range(n + 1)]
+        for k, (u, v) in enumerate(graph.edges):
+            self.neighbours[u].setdefault(v, []).append(tuple(degrees[k]))
+            self.neighbours[v].setdefault(u, []).append(tuple(degrees[k]))
+        self.adjacent = [sum(1 << w for w in ws) for ws in self.neighbours]
+        # steps[v]: bitmask of later neighbours -> v's _vertex_step arguments
+        self.steps = [{} for _ in range(n + 1)]
+        self.bundles = {}
+
+    def step(self, state, v, placed) -> dict:
+        """``state`` with vertex v eliminated, the vertices of the bitmask
+        ``placed`` eliminated before it."""
+        later = self.adjacent[v] & ~placed
+        args = self.steps[v].get(later)
+        if args is None:
+            ws = [w for w in self.neighbours[v] if later >> w & 1]
+            plain = [self.bundle(v, w)[0] for w in ws[:-1]]
+            matched = self.bundle(v, ws[-1])[1] if ws else None
+            args = self.steps[v][later] = (self.place[v], self.radix, self.bias, self.limit, plain, matched)
+        return _vertex_step(state, *args)
+
+    def bundle(self, v, w) -> tuple:
+        """The (plain, matched) offsets of the edges from source v to sink w."""
+        if (v, w) not in self.bundles:
+            shift = self.place[v] - self.place[w]
+            plain, matched = [], {}
+            for t, e, c in _bundle_terms(tuple(sorted(self.neighbours[v][w])), self.w_max, self.d_max):
+                plain.append((t * self.top + e * shift, c))
+                matched.setdefault(self.bias - e, []).append(plain[-1])
+            self.bundles[v, w] = plain, matched
+        return self.bundles[v, w]
+
+
 def _eliminate(graph, orders, degrees, w_max, d_max) -> dict:
     """Total branch degree t -> the sum, over the (order, weight) pairs of
     ``orders``, of weight times the constant term in every vertex variable
@@ -389,57 +502,136 @@ def _eliminate(graph, orders, degrees, w_max, d_max) -> dict:
     on the rest of the order.  So the orders are walked in sorted order as a
     prefix trie: one state is kept per depth, and each order redoes only the
     vertex steps past the prefix it shares with the order before it.  The
-    offsets of each (v, w) bundle are built once per call.
+    offsets of each (v, w) bundle are built once per call (:class:`_Kernel`).
     """
     if d_max < 1 or graph.has_loop():
         return {}
     n = graph.vertex_count
-    weight = max([w_max] + [max(ds) for ds in degrees])
-    bias = 6 * weight + 1
-    radix = 2 * bias + 1
-    place = [radix ** (v - 1) for v in range(n + 1)]
-    top = radix**n
-    limit = (d_max + 1) * top
-    zero = (top - 1) // 2  # every vertex digit at the bias: the monomial 1
-    # per vertex, neighbour w -> the degree sets of the edges to w
-    neighbours = [{} for _ in range(n + 1)]
-    for k, (u, v) in enumerate(graph.edges):
-        neighbours[u].setdefault(v, []).append(tuple(degrees[k]))
-        neighbours[v].setdefault(u, []).append(tuple(degrees[k]))
-    bundles = {}
-
-    def bundle(v, w):
-        # (plain, matched) offsets of the edges from source v to sink w
-        if (v, w) not in bundles:
-            shift = place[v] - place[w]
-            plain, matched = [], {}
-            for t, e, c in _bundle_terms(tuple(sorted(neighbours[v][w])), w_max, d_max):
-                plain.append((t * top + e * shift, c))
-                matched.setdefault(bias - e, []).append(plain[-1])
-            bundles[v, w] = plain, matched
-        return bundles[v, w]
-
+    kernel = _Kernel(graph, degrees, w_max, d_max)
+    zero, top = kernel.zero, kernel.top
     total = {}
     states = [{zero: 1}]
+    placed = [0]  # placed[j]: the bitmask of the first j vertices of the order
     prev = ()
     for order, count in sorted(orders):
         depth = 0
         while depth < len(states) - 1 and order[depth] == prev[depth]:
             depth += 1
-        del states[depth + 1 :]
-        placed = set(order[:depth])
-        while len(states) <= n and states[-1]:
+        del states[depth + 1 :], placed[depth + 1 :]
+        # the last vertex needs no step: every term adds as much to one
+        # exponent as it takes from another, so once the others are at 0,
+        # so is the last
+        while len(states) < n and states[-1]:
             v = order[len(states) - 1]
-            placed.add(v)
-            later = [w for w in neighbours[v] if w not in placed]
-            plain = [bundle(v, w)[0] for w in later[:-1]]
-            matched = bundle(v, later[-1])[1] if later else None
-            states.append(_vertex_step(states[-1], place[v], radix, bias, limit, plain, matched))
-        if len(states) > n:
-            for key, c in states[n].items():
+            states.append(kernel.step(states[-1], v, placed[-1]))
+            placed.append(placed[-1] | 1 << v)
+        if len(states) == n:
+            for key, c in states[-1].items():
                 t = (key - zero) // top
                 total[t] = total.get(t, 0) + count * c
         prev = order
+    return total
+
+
+def _order_search(graph, maps, degrees, w_max, d_max) -> dict:
+    """The kernel sum of :func:`_eliminate` over all n! vertex orders, for
+    counts symmetric in the edges under the automorphisms ``maps`` (identity
+    included, ``img[v]`` the image of v), by one depth-first search over
+    orders that keeps one state per depth and cuts every prefix whose state
+    is empty.  It builds no orientation orbit.  The search places:
+
+    * while some map fixes every placed vertex, only the least vertex of
+      each orbit of those maps; the maps act freely on orders, so each
+      order reached stands for ``len(maps)`` orders;
+    * after that, only lexicographically first topological orders of the
+      remaining vertices: when v is placed, a larger vertex at an earlier
+      position of that suffix forces v to have a neighbour at or after the
+      last such position.  A leaf weighs the linear extensions of the
+      orientation its suffix induces;
+    * with the trivial group, only orders with pair 0 (the least adjacent
+      pair) forward, each weighed twice, since reversal keeps the constant
+      term and flips the pair.
+    """
+    if d_max < 1 or graph.has_loop():
+        return {}
+    n = graph.vertex_count
+    kernel = _Kernel(graph, degrees, w_max, d_max)
+    zero, top, adjacent = kernel.zero, kernel.top, kernel.adjacent
+    # reversal is used only with the trivial group: pair 0 is kept forward
+    reversal = len(maps) == 1
+    first, second = min((u, v) if u < v else (v, u) for u, v in graph.edges)
+    weight = 2 if reversal else len(maps)
+    total = {}
+    order = []
+    before = [0] * (n + 1)  # before[v]: the bitmask of the vertices placed before v
+    placed = 0
+    states = [{zero: 1}]
+    # per depth: the maps that fix every placed vertex, and where the suffix
+    # of lex-first topological orders starts (None while the maps are many)
+    groups = [(maps, None) if len(maps) > 1 else (maps, 0)]
+    todo = [None]
+    while todo:
+        candidates = todo[-1]
+        if candidates is None:
+            # the vertices the search may place at this depth
+            depth = len(order)
+            group, start = groups[-1]
+            candidates = todo[-1] = []
+            for v in range(1, n + 1):
+                if placed >> v & 1:
+                    continue
+                if start is None:
+                    if all(img[v] >= v for img in group):
+                        candidates.append(v)
+                    continue
+                if reversal and v == second and not placed >> first & 1:
+                    continue
+                for i in range(depth - 1, start - 1, -1):
+                    u = order[i]
+                    if u > v:
+                        # v needs a neighbour placed at or after u
+                        if adjacent[v] & placed & ~before[u]:
+                            candidates.append(v)
+                        break
+                else:
+                    candidates.append(v)
+        if not candidates:
+            todo.pop()
+            if order:
+                placed ^= 1 << order.pop()
+                states.pop()
+                groups.pop()
+            continue
+        v = candidates.pop()
+        # the last vertex needs no step (see _eliminate)
+        state = kernel.step(states[-1], v, placed) if len(order) < n - 1 else states[-1]
+        if not state:
+            continue  # every completion of this prefix is 0
+        before[v] = placed
+        if len(order) + 1 < n:
+            order.append(v)
+            placed |= 1 << v
+            states.append(state)
+            group, start = groups[-1]
+            if start is None:
+                group = [img for img in group if img[v] == v]
+                groups.append((group, None if len(group) > 1 else len(order)))
+            else:
+                groups.append(groups[-1])
+            todo.append(None)
+            continue
+        # a leaf: no map but the identity fixes n - 1 vertices, so the
+        # suffix has started
+        start = groups[-1][1]
+        count = weight
+        if start < n - 1:
+            preds = [0] * (n + 1)
+            for u in order[start:] + [v]:
+                preds[u] = adjacent[u] & before[u]
+            count *= _extension_count(preds, before[order[start]])
+        for key, c in state.items():
+            t = (key - zero) // top
+            total[t] = total.get(t, 0) + count * c
     return total
 
 
@@ -513,6 +705,7 @@ class MultiSeries(Frozen):
 
 def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     """All labelled counts with total branch degree at most d_max."""
+    _check_shape(graph)
     check_degree(d_max, "d_max")
     types = [a for d in range(d_max + 1) for a in compositions(d, len(graph.edges))]
 
@@ -538,8 +731,9 @@ def _series_counts(graph: FeynmanGraph, d_max: int):
     """The counts behind :func:`i_gamma_series`, for :func:`orbit_sum`:
     (order, weight) pairs -> degree -> the weighted sum of their degree-graded
     single-order integrals up to d_max, in one kernel pass."""
+    _check_shape(graph)
     degrees = [range(d_max + 1)] * len(graph.edges)
-    return lambda orbits: _eliminate(graph, orbits, degrees, d_max, d_max)
+    return partial(_eliminate, graph, degrees=degrees, w_max=d_max, d_max=d_max)
 
 
 def orbit_series(graph: FeynmanGraph, d_max: int, series_counts, maps=None) -> QSeries:
@@ -569,10 +763,13 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
 
     * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
       over the bridgeless trivalent genus-g graphs (a graph with a bridge
-      adds nothing; genus at most 5, the bound of
-      :func:`~ellcover.graphs.enumerate_genus`);
+      adds nothing), genus at most 6.  When 2 d_max < g + 3 the graph sums
+      take the order search, which gives ``f_g(6, 3)`` in about a second;
+      genus 6 at d_max >= 5 takes the orientation orbits, which took 21 s at
+      d_max = 5;
     * ``"tropical"``: the same sum of
-      :func:`~ellcover.tropical.tropical_series`;
+      :func:`~ellcover.tropical.tropical_series`, genus at most 5 (the bound
+      of :func:`~ellcover.graphs.enumerate_genus`);
     * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_numbers`, the
       symmetric-group character formula for every degree up to ``d_max`` in
       one pass (no graphs, so the genus bound does not apply); its work
@@ -595,7 +792,9 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
             from .tropical import _series_counts as series_counts
         # the automorphisms that enumeration found pick the orbits and give
         # |Aut|, so no class is searched again
-        for graph, maps in _classes(g, bridgeless=True):
+        # the tropical oracle keeps enumeration's bound: its genus-6 cost is
+        # unmeasured
+        for graph, maps in _classes(g, bridgeless=True, max_genus=6 if oracle == "integral" else 5):
             aut = len(maps) * _edge_symmetry(graph)
             for e, c in orbit_series(graph, d_max, series_counts, maps).coeffs.items():
                 total[e] = total.get(e, 0) + Fraction(c, aut)

@@ -144,11 +144,18 @@ class QSeries(Frozen):
         return "+".join(parts).replace("+-", "-")
 
 
+def _check_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series of weight 2, 4 or 6, expanded in q^2 and
     truncated to O(q^order)."""
     if weight not in (2, 4, 6):
         raise ValueError("weight must be 2, 4 or 6")
+    _check_int(order, "order")
     mult, power = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}[weight]
     coeffs = {0: 1}
     n = 1
@@ -161,6 +168,7 @@ def eisenstein(weight: int, order: int) -> QSeries:
 def weight_monomials(weight: int) -> list:
     """All (i, j, k) with 2i + 4j + 6k = weight, in a fixed deterministic
     order (i ascending, then j ascending)."""
+    _check_int(weight, "weight")
     out = []
     for i in range(weight // 2 + 1):
         for j in range((weight - 2 * i) // 4 + 1):
@@ -235,6 +243,9 @@ def _monomial_table(monos, order: int) -> dict:
 
 def eval_rep(rep: QuasimodularRep, order: int) -> QSeries:
     """Expand the Eisenstein-monomial combination back into a q-series."""
+    if not isinstance(rep, QuasimodularRep):
+        raise ValueError(f"rep must be a QuasimodularRep, got {rep!r}")
+    _check_int(order, "order")
     table = _monomial_table(list(rep.coeffs), order)
     total = {}
     for ijk, c in rep.coeffs.items():
@@ -307,9 +318,9 @@ def fit(series: QSeries, g: int) -> QuasimodularRep:
     there are monomials; any extra coefficients turn the solve into an
     overdetermined consistency check.
     """
-    if isinstance(g, bool) or not isinstance(g, int):
-        raise ValueError(f"g must be an integer, got {g!r}")
-    if g < 2:
+    if not isinstance(series, QSeries):
+        raise ValueError(f"series must be a QSeries, got {series!r}")
+    if _check_int(g, "g") < 2:
         raise ValueError("genus must be at least 2")
     weight = 6 * g - 6
     monos = weight_monomials(weight)

@@ -58,7 +58,7 @@ The orbits are sound for these counts:
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .graphs import FeynmanGraph
+from .graphs import FeynmanGraph, _check_shape
 from .integrals import check_branch_type, check_order, orbit_series, orbit_sum
 from .propagator import divisors
 from .quasimodular import QSeries
@@ -173,26 +173,44 @@ def _search(graph, order, degrees, d_max, leaf):
     balance = [0] * (graph.vertex_count + 1)
     chosen = [None] * m
 
-    def assign(i, degree, mult):
-        if i == m:
-            leaf(degree, mult, chosen)
-            return
-        k = edge_seq[i]
+    # depth-first with an explicit stack: frame i holds edge edge_seq[i], its
+    # endpoints' open flags, the iterator over its remaining choices, the
+    # choice now applied (to undo) and the degree and product before it
+    frames = []
+    pending = (0, 1)  # the degree and product of a frame to open
+    while frames or pending:
+        if pending:
+            degree, mult = pending
+            pending = None
+            if len(frames) == m:
+                leaf(degree, mult, chosen)
+                continue
+            k = edge_seq[len(frames)]
+            u, v = edges[k]
+            remaining[u] -= 1
+            remaining[v] -= 1
+            u_open = remaining[u] > 0
+            v_open = remaining[v] > 0
+            if (u_open and v_open) or u == v:
+                # a loop leaves the balance as it is, so it keeps every choice
+                choices = options[k]
+            else:
+                # x saturates: a positive balance b needs weight b into x, a
+                # negative one weight -b out of x; a zero balance admits nothing
+                x, y = (v, u) if u_open else (u, v)
+                b = balance[x]
+                choices = forced[k].get((b, y) if b > 0 else (-b, x), ())
+            frames.append([k, u_open, v_open, iter(choices), None, degree, mult])
+        frame = frames[-1]
+        k, u_open, v_open, rest, applied, degree, mult = frame
         u, v = edges[k]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        u_open = remaining[u] > 0
-        v_open = remaining[v] > 0
-        if (u_open and v_open) or u == v:
-            # a loop leaves the balance as it is, so it keeps every choice
-            choices = options[k]
-        else:
-            # x saturates: a positive balance b needs weight b into x, a
-            # negative one weight -b out of x; a zero balance admits nothing
-            x, y = (v, u) if u_open else (u, v)
-            b = balance[x]
-            choices = forced[k].get((b, y) if b > 0 else (-b, x), ())
-        for opt in choices:
+        if applied:
+            _, w, src, _ = applied
+            snk = v if src == u else u
+            balance[src] -= w
+            balance[snk] += w
+            frame[4] = None
+        for opt in rest:
             a, w, src, _ = opt
             if degree + a > d_max:
                 break
@@ -200,14 +218,15 @@ def _search(graph, order, degrees, d_max, leaf):
             balance[src] += w
             balance[snk] -= w
             if (u_open or balance[u] == 0) and (v_open or balance[v] == 0):
-                chosen[k] = opt
-                assign(i + 1, degree + a, mult * w)
+                chosen[k] = frame[4] = opt
+                pending = (degree + a, mult * w)
+                break
             balance[src] -= w
             balance[snk] += w
-        remaining[u] += 1
-        remaining[v] += 1
-
-    assign(0, 0, 1)
+        if not pending:
+            frames.pop()
+            remaining[u] += 1
+            remaining[v] += 1
 
 
 def enumerate_tuples(graph: FeynmanGraph, a, order) -> list:
@@ -277,6 +296,7 @@ def _series_counts(graph: FeynmanGraph, d_max: int):
     """The counts behind :func:`tropical_series`, for
     :func:`~ellcover.integrals.orbit_sum`: (order, weight) pairs -> degree ->
     the weighted sum of their graded tuple counts up to d_max."""
+    _check_shape(graph)
     degrees = [range(d_max + 1)] * len(graph.edges)
     return lambda orbits: _graded_counts(graph, orbits, degrees, d_max)
 
@@ -290,6 +310,8 @@ def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> Tropica
     """
     a = check_branch_type(graph, a)
     order = check_order(graph, order)
+    if not isinstance(tup, CoverTuple):
+        raise ValueError(f"tup must be a CoverTuple, got {tup!r}")
     for k, (w, wrap) in enumerate(zip(tup.weights, tup.wraps)):
         if wrap * w != a[k]:
             raise ValueError(f"edge {k}: fiber count {wrap} * weight {w} != branch degree {a[k]}")

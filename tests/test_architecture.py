@@ -1,22 +1,26 @@
-"""Every per-graph sum goes through ``integrals.orbit_sum``: it alone picks
-the vertex orders and their weights and makes the bridge decision, so the
-way of summing over orders (one per orbit of acyclic orientations, since an
-order enters a count only through the orientation it induces) is a change
-to one function.  Only sums symmetric in the edges let it use the
-automorphisms.  ``f_g`` sums over the bridgeless classes of
+"""Every per-graph sum goes through ``integrals.orbit_sum``: it alone
+validates the graph, makes the bridge decision and picks how the vertex
+orders are summed, so a new way of summing is a change to one function.
+There are two ways: one order per orbit of acyclic orientations (an order
+enters a count only through the orientation it induces), and, for the
+edge-symmetric kernel sums at low degree, one pruned search over orders
+(``integrals._order_search``).  Only sums symmetric in the edges let it use
+the automorphisms.  ``f_g`` sums over the bridgeless classes of
 ``graphs._classes`` (the classes of ``enumerate_genus`` with the
 automorphisms their search found), which grow from the theta graph by edge
 insertion alone, so it makes no bridge test of its own and builds, searches
-and counts the automorphisms of no bridged graph.  One constant-term engine,
-``integrals._eliminate``, serves the two single-order entry points with one
-(order, weight) pair and every integral sum with all its orbits, and it
-reads its edge factors only from one memo of bundle tables,
-``integrals._bundle_terms``.  The symmetric-group path imports nothing from
-the package, so the cross-oracle checks compare independent code; it lists
-no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
-recurrence.  One routine, ``graphs._canon``, runs the graph refinement
-search: the canonical form, the isomorphism test, the automorphisms and
-enumeration all read its one search per graph."""
+and counts the automorphisms of no bridged graph.  One kernel set-up,
+``integrals._Kernel``, serves the prefix pass ``integrals._eliminate`` (the
+two single-order entry points with one (order, weight) pair, every other
+integral sum with all its orbits) and the order search; its one vertex step
+is the only caller of ``integrals._vertex_step``, and it reads its edge
+factors only from one memo of bundle tables, ``integrals._bundle_terms``.
+The symmetric-group path imports nothing from the package, so the
+cross-oracle checks compare independent code; it lists no partition, and
+``f_g`` reads the whole ``sym`` series off one pass of its recurrence.  One
+routine, ``graphs._canon``, runs the graph refinement search: the canonical
+form, the isomorphism test, the automorphisms and enumeration all read its
+one search per graph."""
 
 import ast
 from pathlib import Path
@@ -46,12 +50,15 @@ def callers(module_file, name):
 def test_orientation_orbits_is_called_only_by_orbit_sum():
     # the orbits are built by _orientation_orbits, which takes the
     # automorphisms as an argument so that f_g can pass those enumeration
-    # found; the public orientation_orbits is its view, and no sum calls it
+    # found; the public orientation_orbits is its view, and no sum calls it.
+    # The order search is the other way to sum, and only orbit_sum picks it
     assert callers("integrals.py", "_orientation_orbits") == {"orbit_sum", "orientation_orbits"}
+    assert callers("integrals.py", "_order_search") == {"orbit_sum"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         assert callers(module_file, "orientation_orbits") == set(), module_file
         if module_file != "integrals.py":
             assert callers(module_file, "_orientation_orbits") == set(), module_file
+            assert callers(module_file, "_order_search") == set(), module_file
         # order_orbits stays public, but no sum walks the n! orders any more
         assert callers(module_file, "order_orbits") == set(), module_file
 
@@ -100,23 +107,53 @@ def test_orbit_sum_uses_automorphisms_only_for_edge_symmetric_counts():
 def test_bridges_is_called_only_by_orbit_sum():
     assert callers("integrals.py", "bridges") == {"orbit_sum"}
     assert callers("tropical.py", "bridges") == set()
+    # and orbit_sum alone validates a sum's graph: neither way of summing
+    # over orders validates again
+    validating = callers("integrals.py", "validate") | callers("integrals.py", "check_order")
+    assert "orbit_sum" in validating
+    assert validating.isdisjoint({"_order_search", "_orientation_orbits", "_eliminate", "_Kernel"})
+
+
+def mentions(module_file, name):
+    """Names of the top-level functions and classes of a module whose
+    bodies name ``name`` at all, called or not."""
+    tree = ast.parse((PACKAGE / module_file).read_text())
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        if any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(top))
+    }
 
 
 def test_eliminate_is_called_only_by_the_single_order_entry_points():
     # and by the orbit-sum counts: the single-order entry points make
-    # one-pair calls, and every sum hands orbit_sum a count that makes one
-    # kernel pass over all the orbits (_series_counts serves
-    # gromov_witten_d, i_gamma_series and f_g; generating_function makes one
-    # per branch type)
-    want = {"integral_coeff", "i_gamma_coeffs_for_order", "gromov_witten_a", "generating_function", "_series_counts"}
+    # one-pair calls, and every fixed-branch-type sum hands orbit_sum a count
+    # that makes one kernel pass over all the orbits (generating_function
+    # makes one per branch type).  The edge-symmetric sums (_series_counts
+    # serves gromov_witten_d, i_gamma_series and f_g) hand it the kernel
+    # itself, bound to their degree sets, so that orbit_sum can send them to
+    # the order search instead
+    want = {"integral_coeff", "i_gamma_coeffs_for_order", "gromov_witten_a", "generating_function"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         assert callers(module_file, "_eliminate") == (want if module_file == "integrals.py" else set()), module_file
+    assert mentions("integrals.py", "_eliminate") == want | {"_series_counts", "orbit_sum"}
+
+
+def test_one_vertex_step_serves_every_integral():
+    # the prefix pass and the order search share one kernel set-up, and its
+    # step is the only caller of the vertex step
+    assert callers("integrals.py", "_Kernel") == {"_eliminate", "_order_search"}
+    assert callers("integrals.py", "_vertex_step") == {"_Kernel"}
+    for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
+        if module_file != "integrals.py":
+            assert callers(module_file, "_vertex_step") == set(), module_file
+            assert callers(module_file, "_Kernel") == set(), module_file
 
 
 def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
     # the per-(degree sets, w_max, d_max) bundle tables are the one memo of
-    # edge factor terms, and only the kernel reads them
-    assert callers("integrals.py", "_bundle_terms") == {"_eliminate"}
+    # edge factor terms, and only the kernel set-up reads them
+    assert callers("integrals.py", "_bundle_terms") == {"_Kernel"}
     assert callers("integrals.py", "_factor_terms") == {"_bundle_terms"}
     tree = ast.parse((PACKAGE / "integrals.py").read_text())
     memo = next(top for top in tree.body if getattr(top, "name", None) == "_bundle_terms")

@@ -1,0 +1,134 @@
+"""Library entry points at their boundaries: malformed arguments raise
+structured errors (``MalformedGraph`` for anything that is not a graph, a
+``ValueError`` naming the argument otherwise), and a call leaves no cyclic
+garbage behind, so nothing it built waits for the cycle collector."""
+
+import gc
+
+import pytest
+
+import ellcover as E
+from ellcover import graphs, integrals
+
+K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+K4 = E.FeynmanGraph.from_edges(4, K4_EDGES)
+A = (1, 0, 1, 0, 1, 1)
+ORDER = (1, 2, 3, 4)
+
+# every entry point that takes a graph, called with fixed K4-sized arguments
+GRAPH_ENTRY_POINTS = {
+    "validate": lambda g: E.validate(g),
+    "bridges": lambda g: E.bridges(g),
+    "has_bridge": lambda g: E.has_bridge(g),
+    "canonical_form": lambda g: E.canonical_form(g),
+    "is_isomorphic(g, k4)": lambda g: E.is_isomorphic(g, K4),
+    "is_isomorphic(k4, g)": lambda g: E.is_isomorphic(K4, g),
+    "automorphism_count": lambda g: E.automorphism_count(g),
+    "vertex_automorphisms": lambda g: graphs.vertex_automorphisms(g),
+    "balanced_orientation": lambda g: E.balanced_orientation(g),
+    "orientation_orbits": lambda g: E.orientation_orbits(g),
+    "order_orbits": lambda g: E.order_orbits(g),
+    "i_gamma_series": lambda g: E.i_gamma_series(g, 2),
+    "gromov_witten_d": lambda g: E.gromov_witten_d(g, 2),
+    "gromov_witten_a": lambda g: E.gromov_witten_a(g, A),
+    "generating_function": lambda g: E.generating_function(g, 1),
+    "integral_coeff": lambda g: E.integral_coeff(g, A, ORDER),
+    "i_gamma_coeffs_for_order": lambda g: integrals.i_gamma_coeffs_for_order(g, ORDER, 2),
+    "tropical_series": lambda g: E.tropical_series(g, 2),
+    "count_covers": lambda g: E.count_covers(g, A, ORDER),
+    "count_covers_total": lambda g: E.count_covers_total(g, A),
+    "enumerate_tuples": lambda g: E.enumerate_tuples(g, A, ORDER),
+    "reconstruct_cover": lambda g: E.reconstruct_cover(g, A, ORDER, E.CoverTuple(A, A, A)),
+}
+
+NOT_GRAPHS = {
+    "None": None,
+    "4.0": 4.0,
+    "str": "k4",
+    "edge list": [list(e) for e in K4_EDGES],
+    "float count": E.FeynmanGraph(4.0, K4_EDGES),
+    "None count": E.FeynmanGraph(None, K4_EDGES),
+    "None edges": E.FeynmanGraph(4, None),
+    "None edge": E.FeynmanGraph(4, K4_EDGES[:5] + (None,)),
+    "float vertex": E.FeynmanGraph(4, K4_EDGES[:5] + ((3, 4.0),)),
+}
+
+
+@pytest.mark.parametrize("call", GRAPH_ENTRY_POINTS.values(), ids=list(GRAPH_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", NOT_GRAPHS.values(), ids=list(NOT_GRAPHS))
+def test_a_non_graph_raises_malformed_graph(call, bad):
+    with pytest.raises(E.MalformedGraph):
+        call(bad)
+
+
+# (call, the argument its ValueError must name)
+BAD_ARGUMENTS = {
+    "gromov_witten_a(k4, None)": (lambda: E.gromov_witten_a(K4, None), "branch type"),
+    "gromov_witten_a(k4, 5)": (lambda: E.gromov_witten_a(K4, 5), "branch type"),
+    "integral_coeff(k4, None, order)": (lambda: E.integral_coeff(K4, None, ORDER), "branch type"),
+    "integral_coeff(k4, a, None)": (lambda: E.integral_coeff(K4, A, None), "order"),
+    "integral_coeff(k4, a, 5)": (lambda: E.integral_coeff(K4, A, 5), "order"),
+    "i_gamma_coeffs_for_order(k4, None, 2)": (
+        lambda: integrals.i_gamma_coeffs_for_order(K4, None, 2),
+        "order",
+    ),
+    "count_covers(k4, a, None)": (lambda: E.count_covers(K4, A, None), "order"),
+    "count_covers_total(k4, None)": (lambda: E.count_covers_total(K4, None), "branch type"),
+    "enumerate_tuples(k4, None, order)": (lambda: E.enumerate_tuples(K4, None, ORDER), "branch type"),
+    "reconstruct_cover(k4, a, order, None)": (lambda: E.reconstruct_cover(K4, A, ORDER, None), "tup"),
+    "compositions(None, 2)": (lambda: E.compositions(None, 2), "d"),
+    "compositions(2, None)": (lambda: E.compositions(2, None), "parts"),
+    "fit(None, 3)": (lambda: E.fit(None, 3), "series"),
+    "fit({}, 3)": (lambda: E.fit({}, 3), "series"),
+    "eval_rep(None, 4)": (lambda: E.eval_rep(None, 4), "rep"),
+    "eisenstein(2, None)": (lambda: E.eisenstein(2, None), "order"),
+    "weight_monomials(None)": (lambda: E.weight_monomials(None), "weight"),
+}
+
+
+@pytest.mark.parametrize("call, name", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
+def test_a_malformed_argument_raises_a_value_error_naming_it(call, name):
+    with pytest.raises(ValueError, match=f"^{name} (entry )?must be "):
+        call()
+
+
+ENTRY_POINTS = {
+    "validate": lambda: E.validate(K4),
+    "bridges": lambda: E.bridges(K4),
+    "canonical_form": lambda: E.canonical_form(K4),
+    "is_isomorphic": lambda: E.is_isomorphic(K4, K4),
+    "automorphism_count": lambda: E.automorphism_count(K4),
+    "vertex_automorphisms": lambda: graphs.vertex_automorphisms(K4),
+    "enumerate_genus": lambda: E.enumerate_genus(4),
+    "balanced_orientation": lambda: E.balanced_orientation(K4),
+    "orientation_orbits": lambda: E.orientation_orbits(K4),
+    "order_orbits": lambda: E.order_orbits(K4),
+    "f_g(4, 3)": lambda: E.f_g(4, 3),
+    "f_g(3, 4)": lambda: E.f_g(3, 4),
+    "f_g(3, 2, tropical)": lambda: E.f_g(3, 2, oracle="tropical"),
+    "f_g(3, 4, sym)": lambda: E.f_g(3, 4, oracle="sym"),
+    "i_gamma_series(k4, 2)": lambda: E.i_gamma_series(K4, 2),
+    "i_gamma_series(k4, 4)": lambda: E.i_gamma_series(K4, 4),
+    "gromov_witten_d": lambda: E.gromov_witten_d(K4, 2),
+    "gromov_witten_a": lambda: E.gromov_witten_a(K4, A),
+    "generating_function": lambda: E.generating_function(K4, 2),
+    "integral_coeff": lambda: E.integral_coeff(K4, A, ORDER),
+    "i_gamma_coeffs_for_order": lambda: integrals.i_gamma_coeffs_for_order(K4, ORDER, 3),
+    "tropical_series": lambda: E.tropical_series(K4, 3),
+    "count_covers": lambda: E.count_covers(K4, A, ORDER),
+    "count_covers_total": lambda: E.count_covers_total(K4, A),
+    "enumerate_tuples": lambda: E.enumerate_tuples(K4, A, ORDER),
+    "fit": lambda: E.fit(E.f_g(2, 6, oracle="sym"), 2),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+def test_a_call_leaves_no_cyclic_garbage(call):
+    call()  # fills the memos, which are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

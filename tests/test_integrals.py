@@ -8,6 +8,7 @@ from ellcover import (
     BadCardinality,
     CoverTuple,
     FeynmanGraph,
+    GenusTooLarge,
     NotConnected,
     bridges,
     count_covers,
@@ -765,6 +766,75 @@ def test_f5_through_degree_three():
     series = f_g(5, 3)
     assert series == f_g(5, 3, oracle="sym")
     assert series.coeffs == {4: 2, 6: 13120}
+
+
+def test_f6_through_degree_three():
+    # genus 6 through the integral oracle: 66 bridgeless classes, summed by
+    # the order search (2 * 3 < 6 + 3).  The tropical oracle and the full
+    # enumeration keep the genus bound 5
+    series = f_g(6, 3)
+    assert series == f_g(6, 3, oracle="sym")
+    assert series.coeffs == {4: 2, 6: 118096}
+    with pytest.raises(GenusTooLarge):
+        f_g(6, 1, oracle="tropical")
+    with pytest.raises(GenusTooLarge):
+        f_g(7, 1)
+
+
+def relabelled(graph, rng):
+    n = graph.vertex_count
+    perm = rng.sample(range(1, n + 1), n)
+    return FeynmanGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in graph.edges])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_order_search_matches_the_orbit_path(g):
+    # the pruned order search against the orientation orbits, coefficient by
+    # coefficient, on every bridgeless class as enumerated (with the maps
+    # _classes found) and in two seeded relabellings (with
+    # vertex_automorphisms), since the labels steer the lex-first test; each
+    # also with the trivial group, where the search uses reversal alone
+    rng = random.Random(101 + g)
+    nonzero = 0
+    for graph, maps in graphs._classes(g, bridgeless=True):
+        n = graph.vertex_count
+        copies = [(graph, maps)]
+        for copy in (relabelled(graph, rng), relabelled(graph, rng)):
+            copies.append((copy, graphs.vertex_automorphisms(copy)))
+        for copy, group in copies:
+            for group in (group, [tuple(range(n + 1))]):
+                orbits = integrals._orientation_orbits(copy, group)
+                for d in range(1, 6 if g <= 4 else 5):
+                    degrees = [range(d + 1)] * len(copy.edges)
+                    want = integrals._eliminate(copy, orbits, degrees, d, d)
+                    assert integrals._order_search(copy, group, degrees, d, d) == want, (copy.edges, len(group), d)
+                    nonzero += bool(want)
+    assert nonzero
+
+
+def test_orbit_sum_sends_low_degree_kernel_sums_to_the_search(monkeypatch, caterpillar, k4, genus4_bridgeless):
+    # i_gamma_series and gromov_witten_d take the search when 2 d_max < g + 3
+    # and the orbits otherwise, with the same values on both sides; the
+    # tropical counts and the fixed-branch-type sums always take the orbits
+    searched = []
+    real = integrals._order_search
+    monkeypatch.setattr(integrals, "_order_search", lambda *args, **kwargs: searched.append(1) or real(*args, **kwargs))
+    for graph in (caterpillar, k4, genus4_bridgeless[0], genus4_bridgeless[-1]):
+        g = graph.genus
+        orbits = orientation_orbits(graph)
+        for d in range(1, 5):
+            degrees = [range(d + 1)] * len(graph.edges)
+            want = integrals._eliminate(graph, orbits, degrees, d, d)
+            searched.clear()
+            assert i_gamma_series(graph, d).coeffs == {2 * t: c for t, c in want.items()}
+            assert gromov_witten_d(graph, d) == want.get(d, 0)
+            assert len(searched) == (2 if 2 * d < g + 3 else 0), (graph.edges, d)
+    searched.clear()
+    tropical_series(k4, 1)
+    gromov_witten_a(k4, (1, 0, 0, 0, 0, 1))
+    generating_function(k4, 1)
+    count_covers_total(k4, (1, 0, 0, 0, 0, 1))
+    assert searched == []
 
 
 def test_negative_degrees_are_rejected(k4):
