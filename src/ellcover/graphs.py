@@ -86,9 +86,7 @@ class FeynmanGraph(Frozen):
         """Build from a vertex count and a list of vertex pairs; integers
         only (no floats, no booleans), else MalformedGraph."""
         _check_types(vertex_count, edges)
-        for k, e in enumerate(edges):
-            if not all(1 <= x <= vertex_count for x in e):
-                raise MalformedGraph(f'"edges"[{k}] = {e!r} references a vertex outside 1..{vertex_count}')
+        _check_endpoints(vertex_count, edges)
         return cls(vertex_count, tuple(_pair(u, v) for u, v in edges))
 
     @classmethod
@@ -158,6 +156,14 @@ def _check_types(vertex_count, edges) -> None:
             raise MalformedGraph(f'"edges"[{k}] must be a pair of integer vertices, got {e!r}')
 
 
+def _check_endpoints(vertex_count, edges) -> None:
+    """MalformedGraph naming the first edge with an endpoint outside
+    1..vertex_count."""
+    for k, e in enumerate(edges):
+        if not all(1 <= x <= vertex_count for x in e):
+            raise MalformedGraph(f'"edges"[{k}] = {e!r} references a vertex outside 1..{vertex_count}')
+
+
 def _check_shape(graph) -> None:
     """MalformedGraph unless ``graph`` is a :class:`FeynmanGraph` with an
     integer vertex count and edges that are pairs of integers (whether they
@@ -218,10 +224,12 @@ def bridges(graph: FeynmanGraph) -> tuple:
     into v is a bridge exactly when no other edge leads from v's subtree to
     a vertex found before v.  The search tells parallel edges apart by
     index, so none of them is a bridge.  MalformedGraph for an argument
-    that is not a graph (see :func:`_check_shape`).
+    that is not a graph (see :func:`_check_shape`) or an edge with an
+    endpoint outside 1..n.
     """
     _check_shape(graph)
     n = graph.vertex_count
+    _check_endpoints(n, graph.edges)
     adj = [[] for _ in range(n + 1)]
     for k, (u, v) in enumerate(graph.edges):
         if u != v:

@@ -20,29 +20,23 @@ running product meets only the bundle terms that bring its x_v exponent to
 0, so x_v^0 is extracted as the product is formed and the terms the
 extraction would drop are never made.
 
-One engine, :func:`_eliminate`, computes every integral: it takes a list of
-(order, weight) pairs and returns the weighted sum of their constant terms
-by total degree, so a single order is a one-pair call.  Monomials are
-packed into ints with one digit per vertex, and vertex v owns digit v - 1
-whatever the order.  The state after eliminating a prefix of an order then
-does not depend on the rest of it, so the pass walks the sorted orders as a
-prefix trie and redoes only the vertex steps (:func:`_vertex_step`) past
-the prefix each order shares with the one before.  With label digits a
-term's key offset can be positive or negative within one degree, but a key
-passes the degree bound exactly when its degree digit does (no digit
-carries), so cutting a sorted-by-degree factor at the first overshoot stays
-exact.
+One kernel, :class:`_Kernel`, computes every integral, one vertex step
+(:func:`_vertex_step`) at a time.  Monomials are packed into ints with one
+digit per vertex, and vertex v owns digit v - 1 whatever the order.  The
+state after eliminating a prefix of an order then does not depend on the
+rest of it, so the order search below keeps one state per depth and shares
+it across every order through that prefix; :func:`_eliminate` runs a single
+order.  With label digits a term's key offset can be positive or negative
+within one degree, but a key passes the degree bound exactly when its
+degree digit does (no digit carries), so cutting a sorted-by-degree factor
+at the first overshoot stays exact.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
 the graph series.  A single-order integral depends only on the acyclic
-orientation that the order induces on the distinct vertex pairs, and each
-orientation counts once per linear extension.  Every sum is one call to
-:func:`orbit_sum`, which validates the graph, returns nothing for a graph
-with a bridge (its counts all vanish) and picks one of two ways to sum over
-the orders.  The first visits one topological order per orbit of acyclic
-orientations (:func:`orientation_orbits`), weighted by the number of vertex
-orders in the orbit.  The orbits are taken under:
+orientation o that the order induces on the distinct vertex pairs, and o
+counts once per linear extension, ext(o) times.  Two symmetries act on the
+orientations and keep the counts:
 
 * reversal: reversing an order maps the integrand to its image under
   x -> 1/x, which keeps the constant term, so reversal is used for every
@@ -55,41 +49,50 @@ orders in the orbit.  The orbits are taken under:
   passes the automorphisms that enumeration found with each class, and
   takes |Aut| from them, so it searches no class again.
 
-The second, :func:`_order_search`, builds no orbit.  It is one depth-first
-search over vertex orders fused with the kernel: one state per depth, one
-vertex step per node, and a prefix whose state is empty is cut.  The cut
-loses nothing, since every completion of that prefix has constant term 0.
-While some automorphism fixes every placed vertex, only the least vertex of
-each orbit of those automorphisms is placed.  The group acts freely on
-orders (an automorphism that fixes an order fixes every vertex), so the
-orders placed this way meet each group orbit of orders exactly once, and
-each stands for len(maps) orders.  Once no automorphism but the identity
-fixes the prefix, every completion counts, and a completion enters only
-through the orientation of the remaining vertices.  So only the
-lexicographically first topological order of each such orientation is
-placed, and it weighs the orientation's linear extensions.  With the
-trivial group, only orders with pair 0 forward are placed, weighed twice,
-since reversal flips the pair and keeps the constant term.
+With G the automorphisms used, every sum is one orientation per orbit of
+Gamma = G x {identity, reversal}, weighed by its orbit size
+2|G| / |Stab(o)| times ext(o).  Every sum is one call to :func:`orbit_sum`,
+which validates the graph, returns nothing for a graph with a bridge (its
+counts all vanish), chooses G and hands the caller's count one search,
+:func:`_order_search`.  It is the only enumerator of vertex orders: a
+depth-first search that stands for each orientation by its
+lexicographically first topological order, lexfirst(o), and places a vertex
+v only when
 
-Most orientations vanish at low degree: at (g, d) = (6, 3), 202 of the
-71,117 orbits are nonzero.  Building the orbits then costs more than the
-sum, and the search cuts the vanishing ones at a prefix.  At high degree
-few vanish, and the search visits each nonzero orientation once per
-automorphism its stabilizer chain could not use, so the orbits win.
-:func:`orbit_sum` therefore sends the edge-symmetric kernel sums to the
-search when 2 d_max < g + 3 and to the orbits otherwise.  The crossover was
-measured per class: the search won on every class at (5, 3) and on 4 of 5
-at (4, 3) (the fifth was even), the orbits on all but the one or two most
-symmetric classes at (4, 4) and (5, 4), and genus 3 was about even from
-d = 6 to d = 10.  The tropical counts and the fixed-branch-type sums always
-take the orbits.
+* lex-first: for the last placed vertex u larger than v, v has a neighbour
+  placed at or after u (else v was free to come before u);
+* prefix: no automorphism that fixes every placed vertex maps v below v.
+  This loses nothing: if g fixes the prefix p and g(v) < v, every order c
+  through p + v has g(c) <lex c, and g(c) is a topological order of g(o),
+  so lexfirst(g(o)) <= g(c) <lex c = lexfirst(o) and the leaf test below
+  drops c anyway;
+* first vertex: no source of o (a placed vertex with no earlier
+  neighbour) and no sink (a vertex all of whose neighbours are placed
+  before it) has a least image below c[0].  This loses nothing either:
+  lexfirst(g(o)) starts with the least image under g of a source, and
+  lexfirst(reversal of g(o)) with that of a sink, so either would start
+  below c.
 
-Each integral sum hands :func:`orbit_sum` one kernel pass over all its
-orders (one per branch type for :func:`generating_function`), and the graph
-is validated once.
+At a leaf c = lexfirst(o), c is kept only if no h in Gamma has
+lexfirst(h(o)) <lex c.  Each lexfirst(h(o)) is built greedily (the
+available vertex of least image; for a reversed h, available once its
+successors are placed) and abandoned at its first difference from c.  The
+h that tie are those with h(o) = o, so they number |Stab(o)|.  With the
+trivial group only orders with pair 0 (the least adjacent pair) forward are
+placed, weighed 2 ext(o), and neither the first-vertex rule nor the leaf
+test applies: reversal flips the pair.  So the search keeps one order per
+orbit, with no seen set and no orbit built.
 
-:func:`order_orbits`, the orbits of the vertex orders themselves, is kept
-as a reference; no sum walks the n! orders.
+Given a kernel, the search is fused with it: one state per depth, one
+vertex step (:class:`_Kernel`) per node, and a prefix whose state is empty
+is cut, which is exact, since every completion of that prefix has constant
+term 0.  Most orientations vanish at low degree (at (g, d) = (6, 3), 202 of
+the 71,117 orbits are nonzero), and the cut drops them at a prefix.  Every
+integral sum goes this way: one search over the degree-graded factors for
+the edge-symmetric sums, and one search with reversal alone per branch type
+of :func:`gromov_witten_a` and :func:`generating_function`.  Without a
+kernel the search returns the (order, weight) representatives themselves,
+which the tropical counts take.
 
 The single-order entry points (:func:`integral_coeff`,
 :func:`i_gamma_coeffs_for_order`) validate the graph but make no bridge
@@ -117,129 +120,13 @@ def all_orders(graph: FeynmanGraph):
     return itertools.permutations(range(1, graph.vertex_count + 1))
 
 
-def _identity(graph: FeynmanGraph) -> list:
-    """The trivial automorphism group, for sums that use reversal alone."""
-    return [tuple(range(graph.vertex_count + 1))]
-
-
-def order_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
-    """(representative order, weight) for every orbit of the vertex orders
-    under order reversal and, when ``symmetric``, the vertex automorphisms
-    of ``graph``.  The representative is the orbit's lexicographically first
-    order and the weight its size, so the weights sum to n!.
-    """
-    maps = vertex_automorphisms(graph) if symmetric else _identity(graph)
-    seen = set()
-    out = []
-    for order in all_orders(graph):
-        if order in seen:
-            continue
-        orbit = set()
-        for img in maps:
-            image = tuple(img[v] for v in order)
-            orbit.add(image)
-            orbit.add(image[::-1])
-        seen |= orbit
-        out.append((order, len(orbit)))
-    return out
-
-
-def orientation_orbits(graph: FeynmanGraph, symmetric: bool = True) -> list:
-    """(representative order, weight) for every orbit of the acyclic
-    orientations of the distinct vertex pairs of ``graph`` under reversal
-    and, when ``symmetric``, the vertex automorphisms (see
-    :func:`_orientation_orbits`)."""
-    return _orientation_orbits(graph, vertex_automorphisms(graph) if symmetric else _identity(graph))
-
-
-def _orientation_orbits(graph: FeynmanGraph, maps) -> list:
-    """(representative order, weight) for every orbit of the acyclic
-    orientations of the distinct vertex pairs of ``graph`` under reversal
-    and the vertex automorphisms ``maps`` (identity included; ``img[v]`` is
-    the image of v).  The representative is
-    the lexicographically first topological order of one orientation of the
-    orbit; the weight is the orbit size times the number of linear
-    extensions of that orientation (the vertex orders inducing it), so the
-    weights sum to n!.
-
-    No vertex order is listed: a depth-first search orients the pairs one at
-    a time and drops every choice that closes a cycle, the extensions are
-    counted over subsets of placed vertices, and the images of each new
-    orientation are marked as seen, so each orbit is counted once.  The first
-    pair keeps one direction, since every orbit has both (reversal flips it).
-    """
-    n = graph.vertex_count
-    pairs = sorted({(u, v) for u, v in graph.edges if u != v})
-    index = {p: i for i, p in enumerate(pairs)}
-    # an orientation is a bitmask: bit i set points pair i = (u, v) from v to
-    # u; moves[j][i][b] is the image bit, under map j, of pair i at direction b
-    moves = []
-    for img in maps:
-        move = []
-        for u, v in pairs:
-            bit = 1 << index[min(img[u], img[v]), max(img[u], img[v])]
-            move.append((0, bit) if img[u] < img[v] else (bit, 0))
-        moves.append(move)
-    full = (1 << len(pairs)) - 1
-    seen = set()
-    out = []
-
-    # depth-first over the pairs, with an explicit stack; reach[x] is the
-    # bitmask of the vertices reachable from x, x included.  The backward
-    # choice is pushed first, so the forward one is explored first.
-    stack = [(0, 0, [1 << x for x in range(n + 1)])]
-    while stack:
-        i, mask, reach = stack.pop()
-        if i < len(pairs):
-            u, v = pairs[i]
-            choices = ((1 << i, v, u), (0, u, v))
-            for bit, src, snk in choices if i else choices[1:]:
-                if reach[snk] >> src & 1:
-                    continue  # src -> snk would close a cycle
-                ahead = reach[snk]
-                stack.append((i + 1, mask | bit, [r | ahead if r >> src & 1 else r for r in reach]))
-            continue
-        if mask in seen:
-            continue
-        orbit = set()
-        for move in moves:
-            image = 0
-            for k, bits in enumerate(move):
-                image |= bits[mask >> k & 1]
-            orbit.add(image)
-            orbit.add(image ^ full)
-        seen.update(orbit)
-        preds = [0] * (n + 1)
-        for k, (u, v) in enumerate(pairs):
-            if mask >> k & 1:
-                preds[u] |= 1 << v
-            else:
-                preds[v] |= 1 << u
-        out.append((_first_extension(preds), _extension_count(preds) * len(orbit)))
-    return out
-
-
-def _first_extension(preds) -> tuple:
-    """The lexicographically first order of 1..n in which every vertex v
-    follows the vertices of the bitmask ``preds[v]``."""
-    placed = 0
-    order = []
-    for _ in range(len(preds) - 1):
-        v = next(v for v in range(1, len(preds)) if not placed >> v & 1 and not preds[v] & ~placed)
-        placed |= 1 << v
-        order.append(v)
-    return tuple(order)
-
-
-def _extension_count(preds, placed=0) -> int:
-    """The number of orders of the vertices 1..n outside the bitmask
-    ``placed`` in which every vertex v follows the vertices of the bitmask
-    ``preds[v]`` (those in ``placed`` count as already there):
-    placed-vertex subset -> number of ways to place it, one vertex more per
-    step."""
+def _extension_count(preds) -> int:
+    """The number of orders of the vertices 1..n in which every vertex v
+    follows the vertices of the bitmask ``preds[v]``: placed-vertex subset
+    -> number of ways to place it, one vertex more per step."""
     n = len(preds) - 1
-    ways = {placed: 1}
-    for _ in range(n - placed.bit_count()):
+    ways = {0: 1}
+    for _ in range(n):
         grown = {}
         for placed, c in ways.items():
             for v in range(1, n + 1):
@@ -251,43 +138,35 @@ def _extension_count(preds, placed=0) -> int:
 
 
 def orbit_sum(graph: FeynmanGraph, counts, symmetric: bool = True, maps=None) -> dict:
-    """key -> the sum over all vertex orders of the caller's per-order count,
-    taken over the orbits of :func:`orientation_orbits` (``symmetric`` as
-    there), one order per orbit weighted by the number of orders in it.
-    ``counts`` gets the whole list of (order, weight) pairs and returns key ->
-    the weighted sum, so a kernel can share work between orders.  A count
-    that is the kernel itself, ``partial(_eliminate, graph, degrees=...,
-    w_max=..., d_max=...)`` as :func:`_series_counts` makes it, is an
-    edge-symmetric kernel sum: with ``symmetric`` and 2 d_max < g + 3 it goes
-    to :func:`_order_search` instead, which builds no orbit (see the module
-    docstring for the rule).  The keys
-    are the caller's: degrees for a series, branch types for
-    :func:`generating_function`.  ``maps``, the group of vertex
-    automorphisms that :func:`~ellcover.graphs.vertex_automorphisms` gives
-    (in any order), spare that search when the caller already has them;
-    they are used only when ``symmetric``.
+    """key -> the sum over all vertex orders of the caller's per-order count.
+    ``counts`` gets the search, :func:`_order_search` bound to the graph and
+    the automorphisms it may use, and returns key -> the sum: it calls
+    ``search(degrees, w_max, d_max)`` for a kernel sum over all orders, or
+    ``search()`` for the (order, weight) representatives, one per orbit of
+    acyclic orientations, to count them itself.  The keys are the caller's:
+    degrees for a series, branch types for :func:`generating_function`.
+    ``maps``, the group of vertex automorphisms that
+    :func:`~ellcover.graphs.vertex_automorphisms` gives (in any order),
+    spare the graph search for them when the caller already has them; they
+    are used only when ``symmetric``.
 
     ``symmetric=True`` is sound only for counts that are symmetric in the
     edges, such as degree totals over all compositions: an automorphism
     permutes the edges, so per-branch-type counts would depend on which order
     represents each orbit.  Counts for a fixed branch type pass
-    ``symmetric=False``.
+    ``symmetric=False`` and the search uses reversal alone.
 
     Validates the graph.  A graph with a bridge gives ``{}`` and ``counts``
     is never called on it.
     """
-    g = validate(graph)
+    validate(graph)
     if bridges(graph):
         return {}
     if not symmetric:
-        maps = _identity(graph)
+        maps = [tuple(range(graph.vertex_count + 1))]
     elif maps is None:
         maps = vertex_automorphisms(graph)
-    if symmetric and getattr(counts, "func", None) is _eliminate and 2 * counts.keywords["d_max"] < g + 3:
-        # an edge-symmetric kernel sum at low degree: most orientations
-        # vanish, so one pruned search beats building the orbits
-        return _order_search(graph, maps, **counts.keywords)
-    return counts(_orientation_orbits(graph, maps))
+    return counts(partial(_order_search, graph, maps))
 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
@@ -465,13 +344,12 @@ class _Kernel:
         return self.bundles[v, w]
 
 
-def _eliminate(graph, orders, degrees, w_max, d_max) -> dict:
-    """Total branch degree t -> the sum, over the (order, weight) pairs of
-    ``orders``, of weight times the constant term in every vertex variable
-    of the product of the edge factors, the variables extracted in that
-    order, for t <= d_max.  ``{}`` when d_max < 1 (positive weights on an
-    acyclically oriented factor set cannot balance at total degree 0) or when
-    the graph has a loop (its factor is singular).
+def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
+    """Total branch degree t -> the constant term in every vertex variable
+    of the product of the edge factors, the variables extracted in
+    ``order``, for t <= d_max.  ``{}`` when d_max < 1 (positive weights on
+    an acyclically oriented factor set cannot balance at total degree 0) or
+    when the graph has a loop (its factor is singular).
 
     Edge k's factor is the sum of its factors over the branch degrees in
     ``degrees[k]`` (ascending), each tagged with its degree; degree-0
@@ -497,97 +375,70 @@ def _eliminate(graph, orders, degrees, w_max, d_max) -> dict:
     digit passes d_max, which depends on t alone, and the tables are sorted
     by degree.  x_v^0 is extracted inside the multiply by v's last bundle
     (:func:`_vertex_step`).
-
-    With label digits, the state after a prefix of an order does not depend
-    on the rest of the order.  So the orders are walked in sorted order as a
-    prefix trie: one state is kept per depth, and each order redoes only the
-    vertex steps past the prefix it shares with the order before it.  The
-    offsets of each (v, w) bundle are built once per call (:class:`_Kernel`).
     """
     if d_max < 1 or graph.has_loop():
         return {}
-    n = graph.vertex_count
     kernel = _Kernel(graph, degrees, w_max, d_max)
-    zero, top = kernel.zero, kernel.top
-    total = {}
-    states = [{zero: 1}]
-    placed = [0]  # placed[j]: the bitmask of the first j vertices of the order
-    prev = ()
-    for order, count in sorted(orders):
-        depth = 0
-        while depth < len(states) - 1 and order[depth] == prev[depth]:
-            depth += 1
-        del states[depth + 1 :], placed[depth + 1 :]
-        # the last vertex needs no step: every term adds as much to one
-        # exponent as it takes from another, so once the others are at 0,
-        # so is the last
-        while len(states) < n and states[-1]:
-            v = order[len(states) - 1]
-            states.append(kernel.step(states[-1], v, placed[-1]))
-            placed.append(placed[-1] | 1 << v)
-        if len(states) == n:
-            for key, c in states[-1].items():
-                t = (key - zero) // top
-                total[t] = total.get(t, 0) + count * c
-        prev = order
-    return total
+    state, placed = {kernel.zero: 1}, 0
+    # the last vertex needs no step: every term adds as much to one exponent
+    # as it takes from another, so once the others are at 0, so is the last
+    for v in order[:-1]:
+        state = kernel.step(state, v, placed)
+        placed |= 1 << v
+    return {(key - kernel.zero) // kernel.top: c for key, c in state.items()}
 
 
-def _order_search(graph, maps, degrees, w_max, d_max) -> dict:
-    """The kernel sum of :func:`_eliminate` over all n! vertex orders, for
-    counts symmetric in the edges under the automorphisms ``maps`` (identity
-    included, ``img[v]`` the image of v), by one depth-first search over
-    orders that keeps one state per depth and cuts every prefix whose state
-    is empty.  It builds no orientation orbit.  The search places:
+def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
+    """The sum over all n! vertex orders, by one depth-first search over
+    lexicographically first topological orders (see the module docstring
+    for its rules and why they lose nothing), one order kept per orbit of
+    acyclic orientations under reversal and the automorphisms ``maps``
+    (identity included, ``img[v]`` the image of v).
 
-    * while some map fixes every placed vertex, only the least vertex of
-      each orbit of those maps; the maps act freely on orders, so each
-      order reached stands for ``len(maps)`` orders;
-    * after that, only lexicographically first topological orders of the
-      remaining vertices: when v is placed, a larger vertex at an earlier
-      position of that suffix forces v to have a neighbour at or after the
-      last such position.  A leaf weighs the linear extensions of the
-      orientation its suffix induces;
-    * with the trivial group, only orders with pair 0 (the least adjacent
-      pair) forward, each weighed twice, since reversal keeps the constant
-      term and flips the pair.
+    Given the kernel's ``degrees``, ``w_max`` and ``d_max`` (as for
+    :func:`_eliminate`), it returns total branch degree -> the kernel sum
+    over all orders, keeping one state per depth and cutting every prefix
+    whose state is empty.  Without them, it returns the (order, weight)
+    pairs it keeps, the weights summing to n!.
     """
-    if d_max < 1 or graph.has_loop():
-        return {}
     n = graph.vertex_count
-    kernel = _Kernel(graph, degrees, w_max, d_max)
-    zero, top, adjacent = kernel.zero, kernel.top, kernel.adjacent
-    # reversal is used only with the trivial group: pair 0 is kept forward
-    reversal = len(maps) == 1
-    first, second = min((u, v) if u < v else (v, u) for u, v in graph.edges)
-    weight = 2 if reversal else len(maps)
-    total = {}
+    kernel = None
+    if degrees is not None:
+        if d_max < 1 or graph.has_loop():
+            return {}
+        kernel = _Kernel(graph, degrees, w_max, d_max)
+    adjacent = [0] * (n + 1)
+    for u, v in graph.edges:
+        if u != v:
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+    # the trivial group keeps pair 0, the least adjacent pair, forward
+    trivial = len(maps) == 1
+    first, second = min((u, v) if u < v else (v, u) for u, v in graph.edges if u != v)
+    out = {} if kernel else []
     order = []
     before = [0] * (n + 1)  # before[v]: the bitmask of the vertices placed before v
     placed = 0
-    states = [{zero: 1}]
-    # per depth: the maps that fix every placed vertex, and where the suffix
-    # of lex-first topological orders starts (None while the maps are many)
-    groups = [(maps, None) if len(maps) > 1 else (maps, 0)]
+    states = [{kernel.zero: 1} if kernel else None]
+    fixing = [maps]  # per depth: the maps that fix every placed vertex
+    low = [min(img[v] for img in maps) for v in range(n + 1)]  # least images
     todo = [None]
     while todo:
         candidates = todo[-1]
         if candidates is None:
-            # the vertices the search may place at this depth
-            depth = len(order)
-            group, start = groups[-1]
+            # the vertices the rules let the search place at this depth,
+            # largest first, so that the least is tried first
             candidates = todo[-1] = []
-            for v in range(1, n + 1):
-                if placed >> v & 1:
+            for v in range(n, 0, -1):
+                if (
+                    placed >> v & 1
+                    or trivial and v == second and not placed >> first & 1
+                    or any(img[v] < v for img in fixing[-1])
+                    # the first-vertex rule; no least image is below 1
+                    or not trivial and order and order[0] > 1 and _ends_below(v, placed, adjacent, low, order[0])
+                ):
                     continue
-                if start is None:
-                    if all(img[v] >= v for img in group):
-                        candidates.append(v)
-                    continue
-                if reversal and v == second and not placed >> first & 1:
-                    continue
-                for i in range(depth - 1, start - 1, -1):
-                    u = order[i]
+                for u in reversed(order):
                     if u > v:
                         # v needs a neighbour placed at or after u
                         if adjacent[v] & placed & ~before[u]:
@@ -600,39 +451,79 @@ def _order_search(graph, maps, degrees, w_max, d_max) -> dict:
             if order:
                 placed ^= 1 << order.pop()
                 states.pop()
-                groups.pop()
+                fixing.pop()
             continue
         v = candidates.pop()
-        # the last vertex needs no step (see _eliminate)
-        state = kernel.step(states[-1], v, placed) if len(order) < n - 1 else states[-1]
-        if not state:
-            continue  # every completion of this prefix is 0
+        state = states[-1]
         before[v] = placed
-        if len(order) + 1 < n:
+        if len(order) < n - 1:
+            if kernel:
+                state = kernel.step(state, v, placed)
+                if not state:
+                    continue  # every completion of this prefix is 0
             order.append(v)
             placed |= 1 << v
             states.append(state)
-            group, start = groups[-1]
-            if start is None:
-                group = [img for img in group if img[v] == v]
-                groups.append((group, None if len(group) > 1 else len(order)))
-            else:
-                groups.append(groups[-1])
+            fixing.append([img for img in fixing[-1] if img[v] == v])
             todo.append(None)
             continue
-        # a leaf: no map but the identity fixes n - 1 vertices, so the
-        # suffix has started
-        start = groups[-1][1]
-        count = weight
-        if start < n - 1:
-            preds = [0] * (n + 1)
-            for u in order[start:] + [v]:
-                preds[u] = adjacent[u] & before[u]
-            count *= _extension_count(preds, before[order[start]])
+        # a leaf; the last vertex needs no step (see _eliminate)
+        leaf = order + [v]
+        preds = [adjacent[u] & before[u] for u in range(n + 1)]
+        weight = 2 if trivial else _orbit_size(leaf, preds, [a & ~p for a, p in zip(adjacent, preds)], maps)
+        if not weight:
+            continue
+        weight *= _extension_count(preds)
+        if not kernel:
+            out.append((tuple(leaf), weight))
+            continue
         for key, c in state.items():
-            t = (key - zero) // top
-            total[t] = total.get(t, 0) + count * c
-    return total
+            t = (key - kernel.zero) // kernel.top
+            out[t] = out.get(t, 0) + weight * c
+    return out
+
+
+def _ends_below(v, placed, adjacent, low, head) -> bool:
+    """Whether placing v after the vertices of the bitmask ``placed`` makes
+    a source (v, if no neighbour is placed) or a sink (v or a neighbour of
+    it, once all of its own neighbours are placed) whose least image
+    ``low[u]`` is below ``head``, the first vertex."""
+    after = placed | 1 << v
+    if low[v] < head and not adjacent[v] & placed:
+        return True
+    ends = (adjacent[v] | 1 << v) & ~placed
+    return any(low[u] < head and not adjacent[u] & ~after for u in range(1, len(low)) if ends >> u & 1)
+
+
+def _orbit_size(order, preds, succs, maps) -> int:
+    """The orbit size 2|G| / |Stab(o)| of the orientation o whose
+    lexicographically first topological order is ``order`` (v follows the
+    bitmask ``preds[v]`` and precedes ``succs[v]``), under the automorphisms
+    ``maps`` with and without reversal; 0 if some image of o has a
+    lexicographically first topological order below ``order``.  Each
+    image's order is built greedily and abandoned at its first difference
+    from ``order``; its first vertex is the least image of a source (of a
+    sink, reversed)."""
+    ties = 0
+    for deps in (succs, preds):
+        starts = [u for u in order if not deps[u]]
+        for img in maps:
+            y = min(img[u] for u in starts)
+            if y != order[0]:
+                if y < order[0]:
+                    return 0
+                continue
+            done = 1 << img.index(y)
+            for x in order[1:]:
+                y = min(img[u] for u in order if not done >> u & 1 and not deps[u] & ~done)
+                if y != x:
+                    if y < x:
+                        return 0
+                    break
+                done |= 1 << img.index(y)
+            else:
+                ties += 1
+    return 2 * len(maps) // ties
 
 
 def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
@@ -650,17 +541,16 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
         raise ValueError(f"w_max must be at least 1, got {w_max}")
     total = sum(a)
     w_max = total if w_max is None else w_max
-    return _eliminate(graph, [(order, 1)], [(x,) for x in a], w_max, total).get(total, 0)
+    return _eliminate(graph, order, [(x,) for x in a], w_max, total).get(total, 0)
 
 
 def gromov_witten_a(graph: FeynmanGraph, a) -> int:
     """Labelled count for one branch type: the sum of the single-order
     integrals over all vertex orders, one per reversal orbit of acyclic
-    orientations, in one kernel pass."""
+    orientations, in one kernel search."""
     a = check_branch_type(graph, a)
     degrees, total = [(x,) for x in a], sum(a)
-    counts = orbit_sum(graph, lambda orbits: _eliminate(graph, orbits, degrees, total, total), symmetric=False)
-    return counts.get(total, 0)
+    return orbit_sum(graph, lambda search: search(degrees, total, total), symmetric=False).get(total, 0)
 
 
 def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
@@ -709,9 +599,9 @@ def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     check_degree(d_max, "d_max")
     types = [a for d in range(d_max + 1) for a in compositions(d, len(graph.edges))]
 
-    def counts(orbits):
-        # one kernel pass over the orbits per branch type
-        return {a: _eliminate(graph, orbits, [(x,) for x in a], sum(a), sum(a)).get(sum(a), 0) for a in types}
+    def counts(search):
+        # one kernel search per branch type
+        return {a: search([(x,) for x in a], sum(a), sum(a)).get(sum(a), 0) for a in types}
 
     return MultiSeries(len(graph.edges), orbit_sum(graph, counts, symmetric=False))
 
@@ -724,16 +614,16 @@ def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
     """
     order = check_order(graph, order)
     check_degree(d_max, "d_max")
-    return _eliminate(graph, [(order, 1)], [range(d_max + 1)] * len(graph.edges), d_max, d_max)
+    return _eliminate(graph, order, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
 
 
 def _series_counts(graph: FeynmanGraph, d_max: int):
     """The counts behind :func:`i_gamma_series`, for :func:`orbit_sum`:
-    (order, weight) pairs -> degree -> the weighted sum of their degree-graded
-    single-order integrals up to d_max, in one kernel pass."""
+    the search -> degree -> the sum over all orders of the degree-graded
+    single-order integrals up to d_max, in one kernel search."""
     _check_shape(graph)
     degrees = [range(d_max + 1)] * len(graph.edges)
-    return partial(_eliminate, graph, degrees=degrees, w_max=d_max, d_max=d_max)
+    return lambda search: search(degrees, d_max, d_max)
 
 
 def orbit_series(graph: FeynmanGraph, d_max: int, series_counts, maps=None) -> QSeries:
@@ -763,10 +653,9 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
 
     * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
       over the bridgeless trivalent genus-g graphs (a graph with a bridge
-      adds nothing), genus at most 6.  When 2 d_max < g + 3 the graph sums
-      take the order search, which gives ``f_g(6, 3)`` in about a second;
-      genus 6 at d_max >= 5 takes the orientation orbits, which took 21 s at
-      d_max = 5;
+      adds nothing), genus at most 6.  The order search sums every class
+      at every degree: the graph sums of ``f_g(6, 3)`` take about 0.5 s,
+      and those of ``f_g(6, 5)`` about 22 s;
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`, genus at most 5 (the bound
       of :func:`~ellcover.graphs.enumerate_genus`);

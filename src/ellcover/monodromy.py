@@ -34,8 +34,8 @@ up to l rows when row j reads it.  The table and the recurrence take about
 
 This path imports nothing from the package and shares no ideas with the
 graph-integral and tropical-cover paths, so agreement across all three is a
-strong end-to-end check.  The permutation helpers, :func:`partitions` and
-:func:`content_sum` build the tests' references; no count here calls them.
+strong end-to-end check.  The permutation helpers serve :func:`verify_tuple`
+alone; the tests build their tuple-by-tuple references with their own.
 
 Permutations are tuples of images on 0-based points.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 
 class BudgetExceeded(RuntimeError):
@@ -53,10 +53,6 @@ class BudgetExceeded(RuntimeError):
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "HURWITZ_WORK_BUDGET"
-
-
-def identity(d: int) -> tuple:
-    return tuple(range(d))
 
 
 def compose(p, q):
@@ -76,28 +72,9 @@ def conjugate(alpha, sigma):
     return compose(alpha, compose(sigma, inverse(alpha)))
 
 
-def from_cycles(d: int, cycles) -> tuple:
-    """Permutation of {0..d-1} from disjoint cycles of 0-based points."""
-    img = list(range(d))
-    for cyc in cycles:
-        for i, x in enumerate(cyc):
-            img[x] = cyc[(i + 1) % len(cyc)]
-    return tuple(img)
-
-
 def is_transposition(p) -> bool:
     moved = [i for i, x in enumerate(p) if x != i]
     return len(moved) == 2 and p[moved[0]] == moved[1] and p[moved[1]] == moved[0]
-
-
-def transpositions(d: int) -> list:
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            img = list(range(d))
-            img[i], img[j] = j, i
-            out.append(tuple(img))
-    return out
 
 
 def orbit_labels(maps, d: int) -> tuple:
@@ -122,8 +99,33 @@ def is_transitive(perms, d: int) -> bool:
     return not any(orbit_labels(perms, d))
 
 
+def _check_permutation(p, name: str, d=None) -> tuple:
+    """``p`` as a tuple if it is a permutation of 0..d-1 (of 0..len(p)-1
+    when d is None); ValueError naming ``name`` otherwise."""
+    try:
+        img = tuple(p)
+    except TypeError:
+        img = None
+    if (
+        img is None
+        or any(isinstance(x, bool) or not isinstance(x, int) for x in img)
+        or sorted(img) != list(range(len(img) if d is None else d))
+    ):
+        raise ValueError(f"{name} must be a permutation of 0..{'d-1' if d is None else d - 1}, got {p!r}")
+    return img
+
+
 def verify_tuple(taus, alpha, sigma) -> bool:
-    """Check the three monodromy conditions for a single tuple."""
+    """Check the three monodromy conditions for a single tuple.  ValueError
+    naming the argument unless every entry of ``taus`` and ``alpha`` is a
+    permutation of the points of ``sigma``."""
+    sigma = _check_permutation(sigma, "sigma")
+    alpha = _check_permutation(alpha, "alpha", len(sigma))
+    try:
+        taus = list(taus)
+    except TypeError:
+        raise ValueError(f"taus must be a sequence of permutations, got {taus!r}") from None
+    taus = [_check_permutation(t, "taus entry", len(sigma)) for t in taus]
     if not all(is_transposition(t) for t in taus):
         return False
     product = sigma
@@ -131,48 +133,7 @@ def verify_tuple(taus, alpha, sigma) -> bool:
         product = compose(t, product)
     if product != conjugate(alpha, sigma):
         return False
-    return is_transitive(list(taus) + [sigma, alpha], len(sigma))
-
-
-def partitions(d: int):
-    """Partitions of d as non-increasing tuples, in reverse lexicographic
-    order: each one lowers the last part above 1 of the previous and refills
-    the rest greedily with parts no larger."""
-    parts = [d] if d else []
-    while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        parts[-1] -= 1
-        largest, rest = parts[-1], ones + 1
-        while rest > largest:
-            parts.append(largest)
-            rest -= largest
-        if rest:
-            parts.append(rest)
-
-
-def partition_representative(d: int, cycle_type) -> tuple:
-    """A permutation with the given cycle type, on consecutive points."""
-    cycles = []
-    start = 0
-    for length in cycle_type:
-        cycles.append(tuple(range(start, start + length)))
-        start += length
-    return from_cycles(d, cycles)
-
-
-def conjugacy_class_size(d: int, cycle_type) -> int:
-    """Size of the conjugacy class: d! / prod(i^{m_i} m_i!)."""
-    centralizer = 1
-    for length in set(cycle_type):
-        m = cycle_type.count(length)
-        centralizer *= length**m * factorial(m)
-    return factorial(d) // centralizer
+    return is_transitive(taus + [sigma, alpha], len(sigma))
 
 
 def _estimated_work(d: int, g: int) -> int:
@@ -195,12 +156,6 @@ def check_budget(d: int, g: int, budget=None) -> None:
             f"estimated work for degree {d}, genus {g} is at least {work}, over the budget {limit}"
             f" (raise {BUDGET_ENV_VAR} to override)"
         )
-
-
-def content_sum(shape) -> int:
-    """c(lambda): the sum of j - i over the boxes (i, j) of the Young
-    diagram with row lengths ``shape``, from the top."""
-    return sum(part * (part - 1) // 2 - i * part for i, part in enumerate(shape))
 
 
 def _check_int(value, name: str) -> int:

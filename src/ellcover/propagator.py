@@ -28,6 +28,22 @@ class LoopEdge(ValueError):
     singular there.  Callers must exclude loops via the bridge criterion."""
 
 
+def _check_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_slots(arity, **slots) -> None:
+    """ValueError naming the argument unless ``arity`` is a non-negative
+    integer and every slot an integer in 0..arity-1."""
+    if _check_int(arity, "arity") < 0:
+        raise ValueError(f"arity must be non-negative, got {arity}")
+    for name, slot in slots.items():
+        if not 0 <= _check_int(slot, name) < arity:
+            raise ValueError(f"{name} must be a slot in 0..{arity - 1}, got {slot}")
+
+
 def divisors(n: int) -> list:
     return [w for w in range(1, n + 1) if n % w == 0]
 
@@ -81,7 +97,8 @@ def propagator_coeff(arity: int, x: int, y: int, d: int):
     Returns a LaurentPoly for d > 0 and a :class:`ZeroDegreeFactor` tag for
     d = 0.
     """
-    if d < 0:
+    _check_slots(arity, x=x, y=y)
+    if _check_int(d, "d") < 0:
         raise ValueError("branch degree must be non-negative")
     if d == 0:
         return ZeroDegreeFactor(x, y)
@@ -93,7 +110,8 @@ def expand_zero_term(arity: int, source: int, sink: int, w_max: int) -> LaurentP
 
     ``source`` must be the vertex slot earlier in the active vertex order.
     """
-    terms = _factor_terms(0, w_max)
+    _check_slots(arity, source=source, sink=sink)
+    terms = _factor_terms(0, _check_int(w_max, "w_max"))
     if source == sink:
         raise LoopEdge("cannot expand the degree-0 factor of a loop")
     return _laurent(arity, source, sink, terms)
@@ -124,8 +142,19 @@ def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: 
     endpoint becomes the numerator of the expansion; for a_k > 0 the factor
     is symmetric and the order is irrelevant.
     """
-    u, v = endpoints
+    _check_slots(arity)
+    try:
+        u, v = endpoints
+    except (TypeError, ValueError):
+        u = v = None
+    if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= arity for x in (u, v)):
+        raise ValueError(f"endpoints must be a pair of vertices in 1..{arity}, got {endpoints!r}")
+    _check_int(a_k, "a_k")
+    _check_int(w_max, "w_max")
     if u == v:
         raise LoopEdge(f"edge {u}-{v} is a loop; its factor is singular")
-    src, snk = (u, v) if order.index(u) < order.index(v) else (v, u)
+    try:
+        src, snk = (u, v) if order.index(u) < order.index(v) else (v, u)
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"order must be a sequence of vertices holding both endpoints, got {order!r}") from None
     return EdgeFactor(edge_index, (u, v), a_k, _laurent(arity, src - 1, snk - 1, _factor_terms(a_k, w_max)))

@@ -32,19 +32,25 @@ a_k).
 
 Every sum over vertex orders is one call to
 :func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
-the graph, gives zero for a graph with a bridge, and visits one order per
-orbit of acyclic orientations, weighted by the number of orders in the
-orbit.  The count it is given (:func:`_graded_counts`) takes the list of
-(order, weight) pairs, like the integral kernel, but searches each order on
-its own and shares nothing between them, so the oracles stay independent.
-The order enters the search only through the source of each
-degree-0 edge (:func:`_options`, the endpoint of lower rank); the order in
-which edges are assigned changes no count.  So a per-order count depends
-only on the acyclic orientation the order induces.  The per-order functions validate the
-graph but make no bridge test, since the search finds no tuple on such a
-graph: the bridge carries a positive weight across a cut that balance says
-no net weight may cross.
-The orbits are sound for these counts:
+the graph, gives zero for a graph with a bridge, and hands the count the one
+order search of :mod:`.integrals`.  The order enters the tuple search only
+through the source of each degree-0 edge (:func:`_options`, the endpoint of
+lower rank); the order in which edges are assigned changes no count.  So a
+per-order count depends only on the acyclic orientation o the order
+induces, and the order search, called without a kernel, returns one
+(order, weight) pair per orbit of acyclic orientations.  Its order is a
+lexicographically first topological order, placed only when no
+automorphism fixing the placed vertices maps the next one lower, and kept
+at the leaf only when no image of o under the automorphisms and reversal
+has a smaller first topological order; its weight is the orbit size times
+the linear extensions of o (the :mod:`.integrals` docstring gives the
+rules and why they lose nothing).  The count (:func:`_graded_counts`)
+searches each of those orders on its own and shares nothing between them,
+so the two oracles share the orbit decomposition but no arithmetic.  The
+per-order functions validate the graph but make no bridge test, since the
+search finds no tuple on such a graph: the bridge carries a positive weight
+across a cut that balance says no net weight may cross.  The orbits are
+sound for these counts:
 
 * reversing the order and flipping every source is a bijection between the
   tuples of an order and those of its reverse, weights kept, so reversal is
@@ -280,7 +286,7 @@ def count_covers_total(graph: FeynmanGraph, a) -> int:
     a = check_branch_type(graph, a)
     total = sum(a)
     degrees = [(x,) for x in a]
-    counts = orbit_sum(graph, lambda orbits: _graded_counts(graph, orbits, degrees, total), symmetric=False)
+    counts = orbit_sum(graph, lambda search: _graded_counts(graph, search(), degrees, total), symmetric=False)
     return counts.get(total, 0)
 
 
@@ -294,11 +300,12 @@ def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
 
 def _series_counts(graph: FeynmanGraph, d_max: int):
     """The counts behind :func:`tropical_series`, for
-    :func:`~ellcover.integrals.orbit_sum`: (order, weight) pairs -> degree ->
-    the weighted sum of their graded tuple counts up to d_max."""
+    :func:`~ellcover.integrals.orbit_sum`: the search -> degree -> the
+    weighted sum of the graded tuple counts of its (order, weight)
+    representatives up to d_max."""
     _check_shape(graph)
     degrees = [range(d_max + 1)] * len(graph.edges)
-    return lambda orbits: _graded_counts(graph, orbits, degrees, d_max)
+    return lambda search: _graded_counts(graph, search(), degrees, d_max)
 
 
 def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> TropicalCover:

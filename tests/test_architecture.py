@@ -1,26 +1,26 @@
 """Every per-graph sum goes through ``integrals.orbit_sum``: it alone
-validates the graph, makes the bridge decision and picks how the vertex
-orders are summed, so a new way of summing is a change to one function.
-There are two ways: one order per orbit of acyclic orientations (an order
-enters a count only through the orientation it induces), and, for the
-edge-symmetric kernel sums at low degree, one pruned search over orders
-(``integrals._order_search``).  Only sums symmetric in the edges let it use
-the automorphisms.  ``f_g`` sums over the bridgeless classes of
-``graphs._classes`` (the classes of ``enumerate_genus`` with the
-automorphisms their search found), which grow from the theta graph by edge
-insertion alone, so it makes no bridge test of its own and builds, searches
-and counts the automorphisms of no bridged graph.  One kernel set-up,
-``integrals._Kernel``, serves the prefix pass ``integrals._eliminate`` (the
-two single-order entry points with one (order, weight) pair, every other
-integral sum with all its orbits) and the order search; its one vertex step
-is the only caller of ``integrals._vertex_step``, and it reads its edge
-factors only from one memo of bundle tables, ``integrals._bundle_terms``.
-The symmetric-group path imports nothing from the package, so the
-cross-oracle checks compare independent code; it lists no partition, and
-``f_g`` reads the whole ``sym`` series off one pass of its recurrence.  One
-routine, ``graphs._canon``, runs the graph refinement search: the canonical
-form, the isomorphism test, the automorphisms and enumeration all read its
-one search per graph."""
+validates the graph, makes the bridge decision, chooses the automorphisms
+and hands the count the one search over vertex orders
+(``integrals._order_search``), so a new way of summing is a change to one
+function.  The search keeps one lexicographically first order per orbit of
+acyclic orientations (an order enters a count only through the orientation
+it induces); no orbit builder is left in the package, and no sum walks the
+n! orders.  Only sums symmetric in the edges let it use the automorphisms.
+``f_g`` sums over the bridgeless classes of ``graphs._classes`` (the classes
+of ``enumerate_genus`` with the automorphisms their search found), which
+grow from the theta graph by edge insertion alone, so it makes no bridge
+test of its own and builds, searches and counts the automorphisms of no
+bridged graph.  One kernel set-up, ``integrals._Kernel``, serves the order
+search and the single-order pass ``integrals._eliminate`` (behind the two
+single-order entry points alone); its one vertex step is the only caller of
+``integrals._vertex_step``, and it reads its edge factors only from one memo
+of bundle tables, ``integrals._bundle_terms``.  The symmetric-group path
+imports nothing from the package, so the cross-oracle checks compare
+independent code; it lists no partition, and ``f_g`` reads the whole
+``sym`` series off one pass of its recurrence.  One routine,
+``graphs._canon``, runs the graph refinement search: the canonical form, the
+isomorphism test, the automorphisms and enumeration all read its one search
+per graph."""
 
 import ast
 from pathlib import Path
@@ -47,20 +47,27 @@ def callers(module_file, name):
     return found
 
 
-def test_orientation_orbits_is_called_only_by_orbit_sum():
-    # the orbits are built by _orientation_orbits, which takes the
-    # automorphisms as an argument so that f_g can pass those enumeration
-    # found; the public orientation_orbits is its view, and no sum calls it.
-    # The order search is the other way to sum, and only orbit_sum picks it
-    assert callers("integrals.py", "_orientation_orbits") == {"orbit_sum", "orientation_orbits"}
-    assert callers("integrals.py", "_order_search") == {"orbit_sum"}
+def defines(module_file, name):
+    """Whether a module defines ``name`` at its top level."""
+    tree = ast.parse((PACKAGE / module_file).read_text())
+    return any(getattr(top, "name", None) == name for top in tree.body)
+
+
+def test_order_search_is_named_only_by_orbit_sum():
+    # the search is the one way to sum over orders, and orbit_sum alone hands
+    # it to the counts, so it alone picks how orders are summed
+    assert mentions("integrals.py", "_order_search") == {"orbit_sum"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
-        assert callers(module_file, "orientation_orbits") == set(), module_file
         if module_file != "integrals.py":
-            assert callers(module_file, "_orientation_orbits") == set(), module_file
-            assert callers(module_file, "_order_search") == set(), module_file
-        # order_orbits stays public, but no sum walks the n! orders any more
-        assert callers(module_file, "order_orbits") == set(), module_file
+            assert "_order_search" not in (PACKAGE / module_file).read_text(), module_file
+        # the orbit builders and the n!-order reference live in the tests
+        for name in ("orientation_orbits", "_orientation_orbits", "order_orbits", "_first_extension"):
+            assert not defines(module_file, name), (module_file, name)
+        # no sum walks the n! orders: all_orders, kept for the tests, is the
+        # only listing of permutations, and nothing in the package calls it
+        assert callers(module_file, "all_orders") == set(), module_file
+        assert callers(module_file, "permutations") == ({"all_orders"} if module_file == "integrals.py" else set())
+    assert not {"order_orbits", "orientation_orbits"} & set(ellcover.__all__)
 
 
 def test_graph_search_runs_only_inside_canon():
@@ -107,11 +114,11 @@ def test_orbit_sum_uses_automorphisms_only_for_edge_symmetric_counts():
 def test_bridges_is_called_only_by_orbit_sum():
     assert callers("integrals.py", "bridges") == {"orbit_sum"}
     assert callers("tropical.py", "bridges") == set()
-    # and orbit_sum alone validates a sum's graph: neither way of summing
-    # over orders validates again
+    # and orbit_sum alone validates a sum's graph: neither the search nor
+    # the kernel validates again
     validating = callers("integrals.py", "validate") | callers("integrals.py", "check_order")
     assert "orbit_sum" in validating
-    assert validating.isdisjoint({"_order_search", "_orientation_orbits", "_eliminate", "_Kernel"})
+    assert validating.isdisjoint({"_order_search", "_orbit_size", "_eliminate", "_Kernel"})
 
 
 def mentions(module_file, name):
@@ -126,22 +133,18 @@ def mentions(module_file, name):
 
 
 def test_eliminate_is_called_only_by_the_single_order_entry_points():
-    # and by the orbit-sum counts: the single-order entry points make
-    # one-pair calls, and every fixed-branch-type sum hands orbit_sum a count
-    # that makes one kernel pass over all the orbits (generating_function
-    # makes one per branch type).  The edge-symmetric sums (_series_counts
-    # serves gromov_witten_d, i_gamma_series and f_g) hand it the kernel
-    # itself, bound to their degree sets, so that orbit_sum can send them to
-    # the order search instead
-    want = {"integral_coeff", "i_gamma_coeffs_for_order", "gromov_witten_a", "generating_function"}
+    # every sum over orders runs the kernel inside the search (the
+    # edge-symmetric sums once, generating_function once per branch type),
+    # so the single-order pass serves the two single-order entry points alone
+    want = {"integral_coeff", "i_gamma_coeffs_for_order"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         assert callers(module_file, "_eliminate") == (want if module_file == "integrals.py" else set()), module_file
-    assert mentions("integrals.py", "_eliminate") == want | {"_series_counts", "orbit_sum"}
+    assert mentions("integrals.py", "_eliminate") == want
 
 
 def test_one_vertex_step_serves_every_integral():
-    # the prefix pass and the order search share one kernel set-up, and its
-    # step is the only caller of the vertex step
+    # the single-order pass and the order search share one kernel set-up,
+    # and its step is the only caller of the vertex step
     assert callers("integrals.py", "_Kernel") == {"_eliminate", "_order_search"}
     assert callers("integrals.py", "_vertex_step") == {"_Kernel"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
@@ -164,8 +167,10 @@ def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
 
 
 def test_sym_lists_no_partition_and_makes_one_pass_per_series():
-    # partitions, content_sum and transpositions stay as test references only
-    for name in ("partitions", "content_sum", "transpositions"):
+    # the partition and permutation listers are test references only, kept
+    # in the tests' reference module
+    for name in ("partitions", "content_sum", "transpositions", "conjugacy_class_size", "from_cycles"):
+        assert not defines("monodromy.py", name), name
         assert callers("monodromy.py", name) == set(), name
     assert "f_g" in callers("integrals.py", "hurwitz_numbers")
     assert "f_g" not in callers("integrals.py", "hurwitz_count")
@@ -173,9 +178,9 @@ def test_sym_lists_no_partition_and_makes_one_pass_per_series():
 
 
 def test_the_guard_sees_calls_inside_lambdas():
-    # gromov_witten_a calls _eliminate only from the lambda it passes to
-    # orbit_sum
-    assert "gromov_witten_a" in callers("integrals.py", "_eliminate")
+    # count_covers_total calls _graded_counts only from the lambda it passes
+    # to orbit_sum
+    assert "count_covers_total" in callers("tropical.py", "_graded_counts")
 
 
 def package_imports(module_file):

@@ -8,12 +8,20 @@ import gc
 import pytest
 
 import ellcover as E
+import reference
 from ellcover import graphs, integrals
 
 K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K4 = E.FeynmanGraph.from_edges(4, K4_EDGES)
 A = (1, 0, 1, 0, 1, 1)
 ORDER = (1, 2, 3, 4)
+
+
+def orientation_orbits(graph):
+    """The orbit representatives of acyclic orientations, as ``orbit_sum``
+    hands them to a count that asks the search for them."""
+    return integrals.orbit_sum(graph, lambda search: search())
+
 
 # every entry point that takes a graph, called with fixed K4-sized arguments
 GRAPH_ENTRY_POINTS = {
@@ -26,8 +34,11 @@ GRAPH_ENTRY_POINTS = {
     "automorphism_count": lambda g: E.automorphism_count(g),
     "vertex_automorphisms": lambda g: graphs.vertex_automorphisms(g),
     "balanced_orientation": lambda g: E.balanced_orientation(g),
-    "orientation_orbits": lambda g: E.orientation_orbits(g),
-    "order_orbits": lambda g: E.order_orbits(g),
+    # the orbit listings left the package: the orientation orbits come from
+    # orbit_sum's search, and the n!-order reference of the tests reaches
+    # the graph only through vertex_automorphisms
+    "orientation_orbits": orientation_orbits,
+    "order_orbits": lambda g: reference.order_orbits(g),
     "i_gamma_series": lambda g: E.i_gamma_series(g, 2),
     "gromov_witten_d": lambda g: E.gromov_witten_d(g, 2),
     "gromov_witten_a": lambda g: E.gromov_witten_a(g, A),
@@ -83,6 +94,23 @@ BAD_ARGUMENTS = {
     "eval_rep(None, 4)": (lambda: E.eval_rep(None, 4), "rep"),
     "eisenstein(2, None)": (lambda: E.eisenstein(2, None), "order"),
     "weight_monomials(None)": (lambda: E.weight_monomials(None), "weight"),
+    "verify_tuple(None, alpha, sigma)": (lambda: E.verify_tuple(None, (0, 1), (0, 1)), "taus"),
+    "verify_tuple([None], alpha, sigma)": (lambda: E.verify_tuple([None], (0, 1), (0, 1)), "taus"),
+    "verify_tuple(taus, None, sigma)": (lambda: E.verify_tuple([(1, 0)], None, (0, 1)), "alpha"),
+    "verify_tuple(taus, alpha, (0, 0))": (lambda: E.verify_tuple([(1, 0)], (0, 1), (0, 0)), "sigma"),
+    "verify_tuple(taus, (0, 1, 2), sigma)": (lambda: E.verify_tuple([(1, 0)], (0, 1, 2), (0, 1)), "alpha"),
+    "edge_factor(None, ...)": (lambda: E.edge_factor(None, 0, (1, 2), 1, (1, 2), 1), "arity"),
+    "edge_factor(2, 0, None, ...)": (lambda: E.edge_factor(2, 0, None, 1, (1, 2), 1), "endpoints"),
+    "edge_factor(2, 0, (1, 3), ...)": (lambda: E.edge_factor(2, 0, (1, 3), 1, (1, 2), 1), "endpoints"),
+    "edge_factor(..., a_k=None, ...)": (lambda: E.edge_factor(2, 0, (1, 2), None, (1, 2), 1), "a_k"),
+    "edge_factor(..., order=None, ...)": (lambda: E.edge_factor(2, 0, (1, 2), 0, None, 1), "order"),
+    "edge_factor(..., w_max=None)": (lambda: E.edge_factor(2, 0, (1, 2), 0, (1, 2), None), "w_max"),
+    "propagator_coeff(None, 1, 1, 1)": (lambda: E.propagator_coeff(None, 1, 1, 1), "arity"),
+    "propagator_coeff(2, 0, 2, 1)": (lambda: E.propagator_coeff(2, 0, 2, 1), "y"),
+    "propagator_coeff(2, 0, 1, None)": (lambda: E.propagator_coeff(2, 0, 1, None), "d"),
+    "expand_zero_term(None, 1, 2, 1)": (lambda: E.expand_zero_term(None, 1, 2, 1), "arity"),
+    "expand_zero_term(2, -1, 1, 1)": (lambda: E.expand_zero_term(2, -1, 1, 1), "source"),
+    "expand_zero_term(2, 0, 1, None)": (lambda: E.expand_zero_term(2, 0, 1, None), "w_max"),
 }
 
 
@@ -90,6 +118,21 @@ BAD_ARGUMENTS = {
 def test_a_malformed_argument_raises_a_value_error_naming_it(call, name):
     with pytest.raises(ValueError, match=f"^{name} (entry )?must be "):
         call()
+
+
+# FeynmanGraph's constructor checks types only; from_edges and validate
+# check the endpoints
+OUTSIDE = {
+    "(1, 5)": E.FeynmanGraph(2, ((1, 5), (1, 2), (1, 2))),
+    "(0, 1)": E.FeynmanGraph(2, ((0, 1), (1, 2), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("call", [E.bridges, E.has_bridge, E.balanced_orientation], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("graph", OUTSIDE.values(), ids=list(OUTSIDE))
+def test_an_endpoint_outside_the_vertices_raises_malformed_graph_naming_the_edge(call, graph):
+    with pytest.raises(E.MalformedGraph, match=r'^"edges"\[0\] = .* references a vertex outside 1\.\.2$'):
+        call(graph)
 
 
 ENTRY_POINTS = {
@@ -101,8 +144,8 @@ ENTRY_POINTS = {
     "vertex_automorphisms": lambda: graphs.vertex_automorphisms(K4),
     "enumerate_genus": lambda: E.enumerate_genus(4),
     "balanced_orientation": lambda: E.balanced_orientation(K4),
-    "orientation_orbits": lambda: E.orientation_orbits(K4),
-    "order_orbits": lambda: E.order_orbits(K4),
+    "orientation_orbits": lambda: orientation_orbits(K4),
+    "order_orbits": lambda: reference.order_orbits(K4),
     "f_g(4, 3)": lambda: E.f_g(4, 3),
     "f_g(3, 4)": lambda: E.f_g(3, 4),
     "f_g(3, 2, tropical)": lambda: E.f_g(3, 2, oracle="tropical"),

@@ -31,12 +31,11 @@ from ellcover.integrals import (
     compositions,
     i_gamma_coeffs_for_order,
     orbit_sum,
-    order_orbits,
-    orientation_orbits,
 )
 from ellcover.tropical import _graded_counts
 from ellcover.laurent import LaurentPoly
 from ellcover.propagator import edge_factor
+from reference import order_orbits, orientation_orbits, trivial_group
 
 
 BRANCH = (0, 0, 0, 0, 1, 1)
@@ -512,12 +511,19 @@ def reference_pass(graph, orders, degrees, w_max, d_max):
     return total
 
 
+def searched(graph, degrees, w_max, d_max, symmetric=True):
+    """The kernel sum over all orders, as :func:`orbit_sum` has the search
+    make it."""
+    return orbit_sum(graph, lambda search: search(degrees, w_max, d_max), symmetric)
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_prefix_pass_matches_the_per_order_engine(g):
-    # the prefix-sharing pass against one-order runs of the engine it
-    # replaced, coefficient by coefficient: graded over the orientation
-    # orbits of every bridgeless class, for fixed random branch types over
-    # the reversal orbits, and with the representatives shuffled
+    # the search, which shares each prefix's state across every order
+    # through it, against one-order runs of the engine it replaced over the
+    # reference orbits, coefficient by coefficient: graded over the
+    # orientation orbits of every bridgeless class, and for fixed random
+    # branch types over the reversal orbits
     rng = random.Random(89 + g)
     classes = enumerate_genus(g, bridgeless=True)
     graded = 0
@@ -527,10 +533,9 @@ def test_prefix_pass_matches_the_per_order_engine(g):
         for d in (1, 3, 5) if g <= 4 else (1, 3):
             degrees = [range(d + 1)] * m
             want = reference_pass(graph, orbits, degrees, d, d)
-            assert integrals._eliminate(graph, orbits, degrees, d, d) == want
-            assert integrals._eliminate(graph, rng.sample(orbits, len(orbits)), degrees, d, d) == want
+            assert searched(graph, degrees, d, d) == want
             graded += d == 3 and bool(want)
-        reversal = orientation_orbits(graph, symmetric=False)
+        reversal = orientation_orbits(graph, trivial_group(graph))
         nonzero = 0
         for _ in range(3 if g <= 4 else 1):
             a = tuple(rng.randint(0, 2) for _ in range(m))
@@ -538,13 +543,12 @@ def test_prefix_pass_matches_the_per_order_engine(g):
             if not total:
                 continue
             want = reference_pass(graph, reversal, degrees, total, total)
-            assert integrals._eliminate(graph, reversal, degrees, total, total) == want
-            assert integrals._eliminate(graph, rng.sample(reversal, len(reversal)), degrees, total, total) == want
+            assert searched(graph, degrees, total, total, symmetric=False) == want
             nonzero += bool(want)
             if g <= 4:
                 # a weight bound below the total degree truncates the same way
                 want = reference_pass(graph, reversal, degrees, 1, total)
-                assert integrals._eliminate(graph, reversal, degrees, 1, total) == want
+                assert searched(graph, degrees, 1, total, symmetric=False) == want
         assert nonzero or g == 5, graph.edges
     # 3 of the 16 genus-5 classes first count in degree 4
     assert graded == len(classes) - (3 if g == 5 else 0)
@@ -635,24 +639,26 @@ def test_order_orbit_structure(k4, caterpillar, theta, genus4_bridgeless):
         assert all(w == 2 for _, w in order_orbits(graph, symmetric=False))
 
 
+def weighted_sum(counts_for_order, orbits):
+    """key -> the sum of weight x ``counts_for_order(order)`` over the
+    (order, weight) pairs of ``orbits``."""
+    total = {}
+    for order, weight in orbits:
+        for key, c in counts_for_order(order).items():
+            total[key] = total.get(key, 0) + weight * c
+    return total
+
+
 def weighted(counts_for_order):
-    """An :func:`orbit_sum` count from a per-order one: (order, weight)
-    pairs -> key -> the weighted sum of ``counts_for_order``."""
-
-    def counts(orbits):
-        total = {}
-        for order, weight in orbits:
-            for key, c in counts_for_order(order).items():
-                total[key] = total.get(key, 0) + weight * c
-        return total
-
-    return counts
+    """An :func:`orbit_sum` count from a per-order one: the search -> the
+    :func:`weighted_sum` over the representatives it keeps."""
+    return lambda search: weighted_sum(counts_for_order, search())
 
 
 def order_orbit_sum(graph, counts_for_order, symmetric):
-    """The sum of :func:`orbit_sum` over :func:`order_orbits`: one order per
-    orbit of vertex orders, weighted by its size."""
-    return weighted(counts_for_order)(order_orbits(graph, symmetric))
+    """The same sum over :func:`order_orbits`: one order per orbit of vertex
+    orders, weighted by its size."""
+    return weighted_sum(counts_for_order, order_orbits(graph, symmetric))
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -685,24 +691,45 @@ def test_orientation_orbits_sum_like_order_orbits(symmetric, genus4_bridgeless):
     assert orbit_sum(graph, weighted(gf_counts), symmetric) == order_orbit_sum(graph, gf_counts, symmetric)
 
 
+def representatives(graph, symmetric=True):
+    """The (order, weight) pairs the search keeps, as :func:`orbit_sum`
+    hands them to a count."""
+    return orbit_sum(graph, lambda search: search(), symmetric)
+
+
+def reference_orbits(graph, symmetric=True):
+    """The reference orbit builder's listing, with reversal alone unless
+    ``symmetric``."""
+    return orientation_orbits(graph, None if symmetric else trivial_group(graph))
+
+
 def test_orientation_orbit_structure(k4, caterpillar, theta):
     # K4's orientations form one orbit of acyclic tournaments: its 4! orders
-    assert orientation_orbits(k4) == [((1, 2, 3, 4), 24)]
-    assert orientation_orbits(theta) == [((1, 2), 2)]
-    assert orientation_orbits(theta, symmetric=False) == [((1, 2), 2)]
-    assert sum(w for _, w in orientation_orbits(caterpillar)) == 24
-    counts = []
+    for listing in (representatives, reference_orbits):
+        assert listing(k4) == [((1, 2, 3, 4), 24)]
+        assert listing(theta) == [((1, 2), 2)]
+        assert listing(theta, symmetric=False) == [((1, 2), 2)]
+        assert sum(w for _, w in listing(caterpillar)) == 24
+    counts = {True: [], False: []}
     for g in (2, 3, 4, 5):
         graphs = enumerate_genus(g, bridgeless=True)
-        for graph in graphs:
-            n = graph.vertex_count
-            for symmetric in (True, False):
-                orbits = orientation_orbits(graph, symmetric)
+        for symmetric in (True, False):
+            found = 0
+            for graph in graphs:
+                n = graph.vertex_count
+                orbits = representatives(graph, symmetric)
                 assert sum(w for _, w in orbits) == factorial(n)
                 assert all(sorted(order) == list(range(1, n + 1)) for order, _ in orbits)
-        counts.append(sum(len(orientation_orbits(graph)) for graph in graphs))
-    # the 315 order orbits of genus 4 and 70,256 of genus 5 fall into these
-    assert counts == [1, 5, 65, 1665]
+                assert len({order for order, _ in orbits}) == len(orbits)
+                found += len(orbits)
+            counts[symmetric].append(found)
+    # the search keeps one order per orbit of acyclic orientations: the 315
+    # order orbits of genus 4 and 70,256 of genus 5 fall into these, and
+    # reversal alone leaves these many
+    assert counts[True] == [1, 5, 65, 1665]
+    assert counts[False] == [1, 19, 363, 8118]
+    # the reference orbit pass finds as many
+    assert sum(len(orientation_orbits(graph)) for graph in enumerate_genus(4, bridgeless=True)) == 65
 
 
 def test_orientation_orbits_list_no_vertex_order(monkeypatch, genus4_bridgeless):
@@ -710,7 +737,7 @@ def test_orientation_orbits_list_no_vertex_order(monkeypatch, genus4_bridgeless)
         raise AssertionError("an order was listed")
 
     monkeypatch.setattr(itertools, "permutations", forbidden)
-    assert sum(len(orientation_orbits(graph)) for graph in genus4_bridgeless) == 65
+    assert sum(len(representatives(graph)) for graph in genus4_bridgeless) == 65
 
 
 def test_factor_term_tables_are_built_once_per_degree_and_bound(monkeypatch, genus4_bridgeless):
@@ -770,8 +797,8 @@ def test_f5_through_degree_three():
 
 def test_f6_through_degree_three():
     # genus 6 through the integral oracle: 66 bridgeless classes, summed by
-    # the order search (2 * 3 < 6 + 3).  The tropical oracle and the full
-    # enumeration keep the genus bound 5
+    # the order search.  The tropical oracle and the full enumeration keep
+    # the genus bound 5
     series = f_g(6, 3)
     assert series == f_g(6, 3, oracle="sym")
     assert series.coeffs == {4: 2, 6: 118096}
@@ -787,13 +814,42 @@ def relabelled(graph, rng):
     return FeynmanGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in graph.edges])
 
 
+def orbit_pass(graph, orbits, degrees, d):
+    """Degree -> the sum of weight x the single-order kernel, up to degree
+    d, over the (order, weight) pairs of ``orbits``: the orbit pass that the
+    search replaced.  It walks the sorted orders as a prefix trie, keeping
+    one state per depth, so each order redoes only the vertex steps past the
+    prefix it shares with the order before it."""
+    kernel = integrals._Kernel(graph, degrees, d, d)
+    n = graph.vertex_count
+    total = {}
+    states, placed, prev = [{kernel.zero: 1}], [0], ()
+    for order, weight in sorted(orbits):
+        depth = 0
+        while depth < len(states) - 1 and order[depth] == prev[depth]:
+            depth += 1
+        del states[depth + 1 :], placed[depth + 1 :]
+        while len(states) < n and states[-1]:
+            v = order[len(states) - 1]
+            states.append(kernel.step(states[-1], v, placed[-1]))
+            placed.append(placed[-1] | 1 << v)
+        if len(states) == n:
+            for key, c in states[-1].items():
+                t = (key - kernel.zero) // kernel.top
+                total[t] = total.get(t, 0) + weight * c
+        prev = order
+    return total
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_order_search_matches_the_orbit_path(g):
-    # the pruned order search against the orientation orbits, coefficient by
+    # the order search against the reference orbit pass, coefficient by
     # coefficient, on every bridgeless class as enumerated (with the maps
     # _classes found) and in two seeded relabellings (with
-    # vertex_automorphisms), since the labels steer the lex-first test; each
-    # also with the trivial group, where the search uses reversal alone
+    # vertex_automorphisms), since the labels steer the lex-first and leaf
+    # tests; each also with the trivial group, where the search uses
+    # reversal alone.  Without a kernel it keeps one order per orbit, with
+    # the orbit's weight
     rng = random.Random(101 + g)
     nonzero = 0
     for graph, maps in graphs._classes(g, bridgeless=True):
@@ -803,38 +859,62 @@ def test_order_search_matches_the_orbit_path(g):
             copies.append((copy, graphs.vertex_automorphisms(copy)))
         for copy, group in copies:
             for group in (group, [tuple(range(n + 1))]):
-                orbits = integrals._orientation_orbits(copy, group)
+                orbits = orientation_orbits(copy, group)
+                kept = integrals._order_search(copy, group)
+                assert sorted(w for _, w in kept) == sorted(w for _, w in orbits), (copy.edges, len(group))
                 for d in range(1, 6 if g <= 4 else 5):
                     degrees = [range(d + 1)] * len(copy.edges)
-                    want = integrals._eliminate(copy, orbits, degrees, d, d)
+                    want = orbit_pass(copy, orbits, degrees, d)
                     assert integrals._order_search(copy, group, degrees, d, d) == want, (copy.edges, len(group), d)
                     nonzero += bool(want)
+                # the representatives kept sum to the same series
+                assert orbit_pass(copy, kept, degrees, d) == want, (copy.edges, len(group))
     assert nonzero
 
 
-def test_orbit_sum_sends_low_degree_kernel_sums_to_the_search(monkeypatch, caterpillar, k4, genus4_bridgeless):
-    # i_gamma_series and gromov_witten_d take the search when 2 d_max < g + 3
-    # and the orbits otherwise, with the same values on both sides; the
-    # tropical counts and the fixed-branch-type sums always take the orbits
-    searched = []
+@pytest.mark.parametrize("g", [3, 4])
+def test_tropical_series_matches_the_orbit_path(g):
+    # the tropical counts take the search's representatives: their sums
+    # equal the graded tuple counts over the reference orbits, on every
+    # bridgeless class and a seeded relabelling of it
+    rng = random.Random(103 + g)
+    nonzero = 0
+    for graph in enumerate_genus(g, bridgeless=True):
+        for copy in (graph, relabelled(graph, rng)):
+            orbits = orientation_orbits(copy)
+            for d in range(1, 5 if g == 3 else 4):
+                want = _graded_counts(copy, orbits, [range(d + 1)] * len(copy.edges), d)
+                assert tropical_series(copy, d).coeffs == {2 * t: c for t, c in want.items() if c}, (copy.edges, d)
+                nonzero += bool(want)
+    assert nonzero
+
+
+def test_orbit_sum_hands_every_count_the_search(monkeypatch, caterpillar, k4, genus4_bridgeless):
+    # every sum over orders, at every degree, is one call of the search:
+    # i_gamma_series and gromov_witten_d with the automorphisms, the
+    # fixed-branch-type sums and count_covers_total with the identity alone
+    # (generating_function once per branch type), tropical_series for its
+    # representatives; the values are those of the reference orbit pass
+    calls = []
     real = integrals._order_search
-    monkeypatch.setattr(integrals, "_order_search", lambda *args, **kwargs: searched.append(1) or real(*args, **kwargs))
+    monkeypatch.setattr(integrals, "_order_search", lambda graph, maps, *args: calls.append(len(maps)) or real(graph, maps, *args))
     for graph in (caterpillar, k4, genus4_bridgeless[0], genus4_bridgeless[-1]):
-        g = graph.genus
         orbits = orientation_orbits(graph)
-        for d in range(1, 5):
-            degrees = [range(d + 1)] * len(graph.edges)
-            want = integrals._eliminate(graph, orbits, degrees, d, d)
-            searched.clear()
+        aut = len(graphs.vertex_automorphisms(graph))
+        for d in range(1, 6):
+            want = orbit_pass(graph, orbits, [range(d + 1)] * len(graph.edges), d)
+            calls.clear()
             assert i_gamma_series(graph, d).coeffs == {2 * t: c for t, c in want.items()}
             assert gromov_witten_d(graph, d) == want.get(d, 0)
-            assert len(searched) == (2 if 2 * d < g + 3 else 0), (graph.edges, d)
-    searched.clear()
+            assert calls == [aut, aut], (graph.edges, d)
+    calls.clear()
     tropical_series(k4, 1)
+    assert calls == [24]
+    calls.clear()
     gromov_witten_a(k4, (1, 0, 0, 0, 0, 1))
-    generating_function(k4, 1)
     count_covers_total(k4, (1, 0, 0, 0, 0, 1))
-    assert searched == []
+    generating_function(k4, 1)
+    assert calls == [1] * (2 + 7)
 
 
 def test_negative_degrees_are_rejected(k4):
