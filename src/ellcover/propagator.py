@@ -95,11 +95,13 @@ def propagator_coeff(arity: int, x: int, y: int, d: int):
     (0-based slots).
 
     Returns a LaurentPoly for d > 0 and a :class:`ZeroDegreeFactor` tag for
-    d = 0.
+    d = 0.  A loop (x == y) raises :class:`LoopEdge` at every degree.
     """
     _check_slots(arity, x=x, y=y)
     if _check_int(d, "d") < 0:
         raise ValueError("branch degree must be non-negative")
+    if x == y:
+        raise LoopEdge(f"x = y = {x} is a loop; its factor is singular")
     if d == 0:
         return ZeroDegreeFactor(x, y)
     return _laurent(arity, x, y, _factor_terms(d, 0))

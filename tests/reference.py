@@ -5,6 +5,8 @@ and helpers that no count of the library calls.
 * :func:`orientation_orbits` builds the orbits of acyclic orientations pair
   by pair, marking each orbit's images in a seen set: the orbit pass that
   the library's order search replaced.
+* :func:`vertex_step` is the kernel's vertex step without the filter on
+  the bundles before the last: it makes every term of their products.
 * The permutation and partition helpers build the monodromy tests'
   tuple-by-tuple references (``ellcover.monodromy`` lists no partition and
   builds no permutation).
@@ -133,6 +135,33 @@ def extension_count(preds) -> int:
                     grown[placed | 1 << v] = grown.get(placed | 1 << v, 0) + c
         ways = grown
     return ways.popitem()[1]
+
+
+def vertex_step(state, p, radix, bias, limit, top, stages, matched) -> dict:
+    """``ellcover.integrals._vertex_step`` on the same arguments, with every
+    bundle but the last multiplied in full: every term of state x bundle
+    below ``limit`` is made, whether or not the bundles after it can bring
+    the vertex's digit to the bias within the degree bound; ``top`` and the
+    rows and rooms are not read."""
+    for factor, _, _ in stages[:-1]:
+        product = {}
+        for key, c in state.items():
+            for _, _, offset, c2 in factor:
+                s = key + offset
+                if s >= limit:
+                    break
+                product[s] = product.get(s, 0) + c * c2
+        state = product
+    if matched is None:
+        return {key: c for key, c in state.items() if key // p % radix == bias}
+    product = {}
+    for key, c in state.items():
+        for offset, c2 in matched.get(key // p % radix, ()):
+            s = key + offset
+            if s >= limit:
+                break
+            product[s] = product.get(s, 0) + c * c2
+    return product
 
 
 # -- permutations and partitions, on 0-based points ----------------------

@@ -13,7 +13,8 @@ test of its own and builds, searches and counts the automorphisms of no
 bridged graph.  One kernel set-up, ``integrals._Kernel``, serves the order
 search and the single-order pass ``integrals._eliminate`` (behind the two
 single-order entry points alone); its one vertex step is the only caller of
-``integrals._vertex_step``, and it reads its edge factors only from one memo
+``integrals._vertex_step``, which alone builds the rows that filter its
+bundles (``integrals._row``), and it reads its edge factors only from one memo
 of bundle tables, ``integrals._bundle_terms``.  The symmetric-group path
 imports nothing from the package, so the cross-oracle checks compare
 independent code; it lists no partition, and ``f_g`` reads the whole
@@ -147,6 +148,8 @@ def test_one_vertex_step_serves_every_integral():
     # and its step is the only caller of the vertex step
     assert callers("integrals.py", "_Kernel") == {"_eliminate", "_order_search"}
     assert callers("integrals.py", "_vertex_step") == {"_Kernel"}
+    # the filtered rows are the step's own, built by it alone
+    assert callers("integrals.py", "_row") == {"_vertex_step", "_row"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         if module_file != "integrals.py":
             assert callers(module_file, "_vertex_step") == set(), module_file

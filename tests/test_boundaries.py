@@ -120,6 +120,24 @@ def test_a_malformed_argument_raises_a_value_error_naming_it(call, name):
         call()
 
 
+# a loop's factor is singular, so every factor builder refuses it at every
+# degree, after the argument checks
+LOOPS = {
+    "propagator_coeff(2, 0, 0, 0)": lambda: E.propagator_coeff(2, 0, 0, 0),
+    "propagator_coeff(2, 0, 0, 1)": lambda: E.propagator_coeff(2, 0, 0, 1),
+    "propagator_coeff(2, 1, 1, 4)": lambda: E.propagator_coeff(2, 1, 1, 4),
+    "expand_zero_term(2, 0, 0, 1)": lambda: E.expand_zero_term(2, 0, 0, 1),
+    "edge_factor(2, 0, (1, 1), 0, ...)": lambda: E.edge_factor(2, 0, (1, 1), 0, (1, 2), 1),
+    "edge_factor(2, 0, (2, 2), 3, ...)": lambda: E.edge_factor(2, 0, (2, 2), 3, (1, 2), 1),
+}
+
+
+@pytest.mark.parametrize("call", LOOPS.values(), ids=list(LOOPS))
+def test_a_loop_raises_loop_edge_at_every_degree(call):
+    with pytest.raises(E.LoopEdge):
+        call()
+
+
 # FeynmanGraph's constructor checks types only; from_edges and validate
 # check the endpoints
 OUTSIDE = {

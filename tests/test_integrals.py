@@ -35,7 +35,7 @@ from ellcover.integrals import (
 from ellcover.tropical import _graded_counts
 from ellcover.laurent import LaurentPoly
 from ellcover.propagator import edge_factor
-from reference import order_orbits, orientation_orbits, trivial_group
+from reference import order_orbits, orientation_orbits, trivial_group, vertex_step
 
 
 BRANCH = (0, 0, 0, 0, 1, 1)
@@ -585,6 +585,47 @@ def test_offsets_that_descend_within_a_degree_break_exactly(k4, genus4_bridgeles
                 assert i_gamma_coeffs_for_order(graph, order, d) == want
                 nonzero += bool(want)
         assert nonzero, graph.edges
+
+
+def test_the_filtered_vertex_step_matches_the_full_one(monkeypatch, genus4_bridgeless):
+    # the step multiplies each bundle of a vertex before its last only where
+    # the bundles after it can still bring the vertex's digit to the bias
+    # within the degree bound; every call returns exactly what the reference
+    # step, which makes every term of those products, returns on the same
+    # arguments, at each degree bound up to 10 on genus 2 and 3 and up to 6
+    # on genus 4
+    real = integrals._vertex_step
+    seen = {"filtered": 0, "dropped": 0}
+
+    def checked(state, *args):
+        want = vertex_step(state, *args)
+        got = real(state, *args)
+        assert got == want
+        stages = args[5]
+        seen["filtered"] += len(stages) > 1
+        # some row of a bundle before the last left out a term
+        seen["dropped"] += any(len(row) < len(terms) for terms, rows, _ in stages[:-1] for row in rows.values())
+        return got
+
+    monkeypatch.setattr(integrals, "_vertex_step", checked)
+    classes = [(graph, 10) for graph in enumerate_genus(2, bridgeless=True) + enumerate_genus(3, bridgeless=True)]
+    for graph, d_max in classes + [(graph, 6) for graph in genus4_bridgeless]:
+        for d in range(1, d_max + 1):
+            i_gamma_series(graph, d)
+    assert seen["filtered"] and seen["dropped"], seen
+
+
+def test_the_kernel_matches_the_laurent_reference_at_high_degree(k4, caterpillar):
+    # at d = 8 the filter drops most of the products before the matched
+    # multiply (it rarely drops any at d <= 3); every orbit representative of the two genus-3
+    # classes against the LaurentPoly reference, with no packing and no filter
+    nonzero = 0
+    for graph in (k4, caterpillar):
+        for order, _ in representatives(graph):
+            want = reference_coeffs(graph, order, [range(9)] * len(graph.edges), 8)
+            assert i_gamma_coeffs_for_order(graph, order, 8) == want, order
+            nonzero += bool(want)
+    assert nonzero
 
 
 @pytest.mark.parametrize(

@@ -331,7 +331,7 @@ def test_budget_variable_must_be_a_positive_integer(monkeypatch, value):
     assert hurwitz_count(2, 2) == 2
 
 
-@pytest.mark.parametrize("g,d", [(2, 14), (3, 10), (4, 5), (4, 7)])
+@pytest.mark.parametrize("g,d", [(2, 14), (3, 10), (4, 5), (4, 7), (5, 5)])
 def test_sym_oracle_matches_the_integral_oracle(g, d):
     assert f_g(g, d, oracle="sym") == f_g(g, d)
 
