@@ -63,10 +63,12 @@ orientations and keep the counts:
 
 With G the automorphisms used, every sum is one orientation per orbit of
 Gamma = G x {identity, reversal}, weighed by its orbit size
-2|G| / |Stab(o)| times ext(o).  Every sum is one call to :func:`orbit_sum`,
-which validates the graph, returns nothing for a graph with a bridge (its
-counts all vanish), chooses G and hands the caller's count one search,
-:func:`_order_search`.  It is the only enumerator of vertex orders: a
+2|G| / |Stab(o)| times ext(o).  Every sum calls one search,
+:func:`_order_search`, with the G that :func:`_group` gives: it validates
+the graph and gives no automorphism at all for a graph with a bridge (its
+counts all vanish, and an empty group has no orbits).  ``f_g`` passes its
+classes' automorphisms directly, since they are valid and bridgeless by
+construction.  The search is the only enumerator of vertex orders: a
 depth-first search that stands for each orientation by its
 lexicographically first topological order, lexfirst(o), and places a vertex
 v only when
@@ -101,7 +103,8 @@ is cut, which is exact, since every completion of that prefix has constant
 term 0.  Most orientations vanish at low degree (at (g, d) = (6, 3), 202 of
 the 71,117 orbits are nonzero), and the cut drops them at a prefix.  Every
 integral sum goes this way: one search over the degree-graded factors for
-the edge-symmetric sums, and one search with reversal alone per branch type
+the edge-symmetric sums (:func:`gromov_witten_d` reads one coefficient of
+:func:`i_gamma_series`), and one search with reversal alone per branch type
 of :func:`gromov_witten_a` and :func:`generating_function`.  Without a
 kernel the search returns the (order, weight) representatives themselves,
 which the tropical counts take.
@@ -118,11 +121,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 
 from ._frozen import Frozen
 from .graphs import FeynmanGraph, _check_shape, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
+from .laurent import _check_int
 from .monodromy import hurwitz_numbers
 from .propagator import _factor_terms
 from .quasimodular import QSeries
@@ -150,18 +154,13 @@ def _extension_count(preds) -> int:
     return ways.popitem()[1]
 
 
-def orbit_sum(graph: FeynmanGraph, counts, symmetric: bool = True, maps=None) -> dict:
-    """key -> the sum over all vertex orders of the caller's per-order count.
-    ``counts`` gets the search, :func:`_order_search` bound to the graph and
-    the automorphisms it may use, and returns key -> the sum: it calls
-    ``search(degrees, w_max, d_max)`` for a kernel sum over all orders, or
-    ``search()`` for the (order, weight) representatives, one per orbit of
-    acyclic orientations, to count them itself.  The keys are the caller's:
-    degrees for a series, branch types for :func:`generating_function`.
-    ``maps``, the group of vertex automorphisms that
-    :func:`~ellcover.graphs.vertex_automorphisms` gives (in any order),
-    spare the graph search for them when the caller already has them; they
-    are used only when ``symmetric``.
+def _group(graph: FeynmanGraph, symmetric: bool = True) -> list:
+    """The automorphisms that a sum over the vertex orders of ``graph`` may
+    hand :func:`_order_search` (each ``img`` with ``img[v]`` the image of
+    v): ``[]`` for a graph with a bridge, whose counts all vanish (an empty
+    group has no orbits, so the search returns at once); the identity alone
+    unless ``symmetric``; and :func:`~ellcover.graphs.vertex_automorphisms`
+    otherwise.
 
     ``symmetric=True`` is sound only for counts that are symmetric in the
     edges, such as degree totals over all compositions: an automorphism
@@ -169,17 +168,14 @@ def orbit_sum(graph: FeynmanGraph, counts, symmetric: bool = True, maps=None) ->
     represents each orbit.  Counts for a fixed branch type pass
     ``symmetric=False`` and the search uses reversal alone.
 
-    Validates the graph.  A graph with a bridge gives ``{}`` and ``counts``
-    is never called on it.
+    Validates the graph.
     """
     validate(graph)
     if bridges(graph):
-        return {}
+        return []
     if not symmetric:
-        maps = [tuple(range(graph.vertex_count + 1))]
-    elif maps is None:
-        maps = vertex_automorphisms(graph)
-    return counts(partial(_order_search, graph, maps))
+        return [tuple(range(graph.vertex_count + 1))]
+    return vertex_automorphisms(graph)
 
 
 def check_order(graph: FeynmanGraph, order) -> tuple:
@@ -190,12 +186,6 @@ def check_order(graph: FeynmanGraph, order) -> tuple:
     return order
 
 
-def check_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def check_ints(values, name: str) -> tuple:
     """``values`` as a tuple of integers; ValueError naming ``name`` for
     anything else."""
@@ -203,11 +193,11 @@ def check_ints(values, name: str) -> tuple:
         values = tuple(values)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
-    return tuple(check_int(x, f"{name} entry") for x in values)
+    return tuple(_check_int(x, f"{name} entry") for x in values)
 
 
 def check_degree(d: int, name: str) -> int:
-    check_int(d, name)
+    _check_int(d, name)
     if d < 0:
         raise ValueError(f"{name} must be non-negative, got {d}")
     return d
@@ -224,20 +214,20 @@ def check_branch_type(graph: FeynmanGraph, a) -> tuple:
 
 
 def compositions(d: int, parts: int):
-    """All ways to write d as an ordered sum of ``parts`` non-negative ints."""
-    check_int(d, "d")
-    check_int(parts, "parts")
-    return _compositions(d, parts)
-
-
-def _compositions(d: int, parts: int):
-    if parts == 0:
-        if d == 0:
-            yield ()
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, parts - 1):
-            yield (first,) + rest
+    """All ways to write d as an ordered sum of ``parts`` non-negative ints,
+    in lexicographic order; none for a negative d."""
+    _check_int(d, "d")
+    if _check_int(parts, "parts") < 0:
+        raise ValueError(f"parts must be non-negative, got {parts}")
+    if d < 0 or parts == 0:
+        return iter([()] if d == parts == 0 else [])
+    # stars and bars: the parts - 1 bars among d + parts - 1 slots, in
+    # lexicographic order, cut the d stars into the parts in that order
+    slots = d + parts - 1
+    return (
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in itertools.combinations(range(slots), parts - 1)
+    )
 
 
 @lru_cache(maxsize=256)
@@ -455,7 +445,8 @@ def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
     lexicographically first topological orders (see the module docstring
     for its rules and why they lose nothing), one order kept per orbit of
     acyclic orientations under reversal and the automorphisms ``maps``
-    (identity included, ``img[v]`` the image of v).
+    (identity included, ``img[v]`` the image of v), as :func:`_group`
+    gives them.  An empty group has no orbits, so the search returns at once.
 
     Given the kernel's ``degrees``, ``w_max`` and ``d_max`` (as for
     :func:`_eliminate`), it returns total branch degree -> the kernel sum
@@ -466,9 +457,11 @@ def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
     n = graph.vertex_count
     kernel = None
     if degrees is not None:
-        if d_max < 1 or graph.has_loop():
+        if not maps or d_max < 1 or graph.has_loop():
             return {}
         kernel = _Kernel(graph, degrees, w_max, d_max)
+    elif not maps:
+        return []
     adjacent = [0] * (n + 1)
     for u, v in graph.edges:
         if u != v:
@@ -599,7 +592,7 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    if w_max is not None and check_int(w_max, "w_max") < 1:
+    if w_max is not None and _check_int(w_max, "w_max") < 1:
         raise ValueError(f"w_max must be at least 1, got {w_max}")
     total = sum(a)
     w_max = total if w_max is None else w_max
@@ -611,17 +604,16 @@ def gromov_witten_a(graph: FeynmanGraph, a) -> int:
     integrals over all vertex orders, one per reversal orbit of acyclic
     orientations, in one kernel search."""
     a = check_branch_type(graph, a)
-    degrees, total = [(x,) for x in a], sum(a)
-    return orbit_sum(graph, lambda search: search(degrees, total, total), symmetric=False).get(total, 0)
+    total = sum(a)
+    return _order_search(graph, _group(graph, symmetric=False), [(x,) for x in a], total, total).get(total, 0)
 
 
 def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     """Degree-d count scaled by |Aut|: the sum of the labelled counts over
-    every composition of d into one part per edge, read off the degree-graded
-    single-order integrals.  The sum is symmetric in the edges, so one order
-    per automorphism-and-reversal orbit of acyclic orientations suffices."""
+    every composition of d into one part per edge, the q^{2d} coefficient of
+    :func:`i_gamma_series` up to d (one search)."""
     check_degree(d, "degree")
-    return orbit_sum(graph, _series_counts(graph, d)).get(d, 0)
+    return i_gamma_series(graph, d).coeff(2 * d)
 
 
 class MultiSeries(Frozen):
@@ -660,12 +652,10 @@ def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     _check_shape(graph)
     check_degree(d_max, "d_max")
     types = [a for d in range(d_max + 1) for a in compositions(d, len(graph.edges))]
-
-    def counts(search):
-        # one kernel search per branch type
-        return {a: search([(x,) for x in a], sum(a), sum(a)).get(sum(a), 0) for a in types}
-
-    return MultiSeries(len(graph.edges), orbit_sum(graph, counts, symmetric=False))
+    maps = _group(graph, symmetric=False)
+    # one kernel search per branch type
+    counts = {a: _order_search(graph, maps, [(x,) for x in a], sum(a), sum(a)).get(sum(a), 0) for a in types}
+    return MultiSeries(len(graph.edges), counts)
 
 
 def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
@@ -679,31 +669,15 @@ def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
     return _eliminate(graph, order, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
 
 
-def _series_counts(graph: FeynmanGraph, d_max: int):
-    """The counts behind :func:`i_gamma_series`, for :func:`orbit_sum`:
-    the search -> degree -> the sum over all orders of the degree-graded
-    single-order integrals up to d_max, in one kernel search."""
-    _check_shape(graph)
-    degrees = [range(d_max + 1)] * len(graph.edges)
-    return lambda search: search(degrees, d_max, d_max)
-
-
-def orbit_series(graph: FeynmanGraph, d_max: int, series_counts, maps=None) -> QSeries:
-    """A graph series: coefficient of q^{2d} is the :func:`orbit_sum` of
-    ``series_counts(graph, d_max)`` at d, for d <= d_max.  ``maps``, the
-    vertex automorphisms of ``graph`` when the caller has them, go to
-    :func:`orbit_sum`."""
-    check_degree(d_max, "d_max")
-    counts = orbit_sum(graph, series_counts(graph, d_max), maps=maps)
-    return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
-
-
 def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     """The graph series: coefficient of q^{2d} is the total labelled count in
     degree d, summed over all vertex orders (one per automorphism-and-reversal
     orbit of acyclic orientations, weighted by the orders in it), for
-    d <= d_max."""
-    return orbit_series(graph, d_max, _series_counts)
+    d <= d_max, in one kernel search over the degree-graded factors."""
+    check_degree(d_max, "d_max")
+    maps = _group(graph)
+    counts = _order_search(graph, maps, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
+    return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
 
 
 ORACLES = ("integral", "tropical", "sym")
@@ -715,10 +689,9 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
 
     * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
       over the bridgeless trivalent genus-g graphs (a graph with a bridge
-      adds nothing), genus at most 6.  The order search sums every class
-      at every degree: the graph sums of ``f_g(6, 3)`` take about 0.3 s,
-      and those of ``f_g(6, 5)`` about 6 s (2-core x86_64 VM, CPython
-      3.11);
+      adds nothing), genus at most 6.  One order search sums each class at
+      every degree: the graph sums of ``f_g(6, 3)`` take about 0.3 s, and
+      those of ``f_g(6, 5)`` about 6 s (2-core x86_64 VM, CPython 3.11);
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`, genus at most 5 (the bound
       of :func:`~ellcover.graphs.enumerate_genus`);
@@ -727,29 +700,36 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
       one pass (no graphs, so the genus bound does not apply); its work
       budget is checked before any degree is counted.
 
+    The two graph paths hand the order search the automorphisms that
+    enumeration found with each class.  The classes are valid and
+    bridgeless by construction, so no class is validated, tested for a
+    bridge or searched for its automorphisms again.
+
     Every coefficient is checked to be a non-negative integer.
     """
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}, expected one of {', '.join(ORACLES)}")
-    if check_int(g, "g") < 2:
+    if _check_int(g, "g") < 2:
         raise ValueError("genus must be at least 2")
     check_degree(d_max, "d_max")
     if oracle == "sym":
         total = {2 * d: h for d, h in enumerate(hurwitz_numbers(d_max, g), 1)}
     else:
-        total = {}
-        series_counts = _series_counts
         if oracle == "tropical":
             # tropical imports this module, so it is imported here
-            from .tropical import _series_counts as series_counts
-        # the automorphisms that enumeration found pick the orbits and give
-        # |Aut|, so no class is searched again
+            from .tropical import _graded_counts
+        total = {}
+        degrees = [range(d_max + 1)] * (3 * g - 3)  # every class has 3g - 3 edges
         # the tropical oracle keeps enumeration's bound: its genus-6 cost is
         # unmeasured
         for graph, maps in _classes(g, bridgeless=True, max_genus=6 if oracle == "integral" else 5):
+            if oracle == "integral":
+                counts = _order_search(graph, maps, degrees, d_max, d_max)
+            else:
+                counts = _graded_counts(graph, _order_search(graph, maps), degrees, d_max)
             aut = len(maps) * _edge_symmetry(graph)
-            for e, c in orbit_series(graph, d_max, series_counts, maps).coeffs.items():
-                total[e] = total.get(e, 0) + Fraction(c, aut)
+            for d, c in counts.items():
+                total[2 * d] = total.get(2 * d, 0) + Fraction(c, aut)
     out = {}
     for e, c in total.items():
         if c != 0:

@@ -26,6 +26,14 @@ def _check_coeff(c):
     raise TypeError(f"exact coefficient (int or Fraction) required, got {type(c).__name__}")
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` if it is an integer (not a bool); ValueError naming
+    ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def coeff_str(c) -> str:
     """Canonical "p" / "p/q" rendering of an exact coefficient."""
     c = Fraction(c)

@@ -20,18 +20,12 @@ multiplies plain factors.
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _check_int
 
 
 class LoopEdge(ValueError):
     """Raised when asked to expand a factor for a loop; the integrand is
     singular there.  Callers must exclude loops via the bridge criterion."""
-
-
-def _check_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _check_slots(arity, **slots) -> None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._frozen import Frozen
-from .laurent import _check_coeff, coeff_str
+from .laurent import _check_coeff, _check_int, coeff_str
 
 
 class Inconsistent(ValueError):
@@ -49,6 +49,14 @@ def divisor_sigma(n: int, power: int = 1) -> int:
     return total
 
 
+def _check_order(order) -> int:
+    """``order`` if it is a non-negative integer; ValueError naming it
+    otherwise."""
+    if _check_int(order, "order") < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    return order
+
+
 class QSeries(Frozen):
     """Power series in q, truncated: coefficients are known exactly for all
     exponents < ``order`` (the series is O(q^order)).
@@ -62,6 +70,7 @@ class QSeries(Frozen):
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: dict, order: int):
+        _check_order(order)
         clean = {e: c for e, c in coeffs.items() if _check_coeff(c) != 0 and e < order}
         if any(e < 0 for e in clean):
             raise ValueError("negative exponents are not allowed in a QSeries")
@@ -82,7 +91,7 @@ class QSeries(Frozen):
         return self.coeffs.get(exponent, 0)
 
     def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
+        if _check_order(order) > self.order:
             raise ValueError("cannot extend a truncated series")
         return QSeries({e: c for e, c in self.coeffs.items() if e < order}, order)
 
@@ -144,18 +153,12 @@ class QSeries(Frozen):
         return "+".join(parts).replace("+-", "-")
 
 
-def _check_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series of weight 2, 4 or 6, expanded in q^2 and
     truncated to O(q^order)."""
     if weight not in (2, 4, 6):
         raise ValueError("weight must be 2, 4 or 6")
-    _check_int(order, "order")
+    _check_order(order)
     mult, power = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}[weight]
     coeffs = {0: 1}
     n = 1
@@ -245,7 +248,7 @@ def eval_rep(rep: QuasimodularRep, order: int) -> QSeries:
     """Expand the Eisenstein-monomial combination back into a q-series."""
     if not isinstance(rep, QuasimodularRep):
         raise ValueError(f"rep must be a QuasimodularRep, got {rep!r}")
-    _check_int(order, "order")
+    _check_order(order)
     table = _monomial_table(list(rep.coeffs), order)
     total = {}
     for ijk, c in rep.coeffs.items():

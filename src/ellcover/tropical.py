@@ -30,15 +30,16 @@ total weight equal to the net weight carried back across the cut by edges of
 positive branch degree, at most sum(a) = d (each such weight divides its
 a_k).
 
-Every sum over vertex orders is one call to
-:func:`~ellcover.integrals.orbit_sum`, as on the integral path: it validates
-the graph, gives zero for a graph with a bridge, and hands the count the one
-order search of :mod:`.integrals`.  The order enters the tuple search only
-through the source of each degree-0 edge (:func:`_options`, the endpoint of
-lower rank); the order in which edges are assigned changes no count.  So a
-per-order count depends only on the acyclic orientation o the order
-induces, and the order search, called without a kernel, returns one
-(order, weight) pair per orbit of acyclic orientations.  Its order is a
+Every sum over vertex orders calls the one order search of :mod:`.integrals`
+with the automorphisms that :func:`~ellcover.integrals._group` gives, as on
+the integral path: it validates the graph and gives none for a graph with a
+bridge, so the search keeps no order and the sum is zero.  The order enters
+the tuple search only through the source of each degree-0 edge
+(:func:`_options`, the endpoint of lower rank); the order in which edges are
+assigned changes no count.  So a per-order count depends only on the
+acyclic orientation o the order induces, and the order search, called
+without a kernel, returns one (order, weight) pair per orbit of acyclic
+orientations.  Its order is a
 lexicographically first topological order, placed only when no
 automorphism fixing the placed vertices maps the next one lower, and kept
 at the leaf only when no image of o under the automorphisms and reversal
@@ -64,8 +65,8 @@ sound for these counts:
 from __future__ import annotations
 
 from ._frozen import Frozen
-from .graphs import FeynmanGraph, _check_shape
-from .integrals import check_branch_type, check_order, orbit_series, orbit_sum
+from .graphs import FeynmanGraph
+from .integrals import _group, _order_search, check_branch_type, check_degree, check_order
 from .propagator import divisors
 from .quasimodular import QSeries
 
@@ -285,27 +286,20 @@ def count_covers_total(graph: FeynmanGraph, a) -> int:
     automorphisms are not used)."""
     a = check_branch_type(graph, a)
     total = sum(a)
-    degrees = [(x,) for x in a]
-    counts = orbit_sum(graph, lambda search: _graded_counts(graph, search(), degrees, total), symmetric=False)
-    return counts.get(total, 0)
+    orders = _order_search(graph, _group(graph, symmetric=False))
+    return _graded_counts(graph, orders, [(x,) for x in a], total).get(total, 0)
 
 
 def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     """The graph series by tropical enumeration: coefficient of q^{2d} is
     the weighted tuple count in total degree d, summed over all vertex
     orders (one per automorphism-and-reversal orbit of acyclic orientations,
-    weighted by the orders in it), for d <= d_max.  Equal to :func:`~ellcover.integrals.i_gamma_series`."""
-    return orbit_series(graph, d_max, _series_counts)
-
-
-def _series_counts(graph: FeynmanGraph, d_max: int):
-    """The counts behind :func:`tropical_series`, for
-    :func:`~ellcover.integrals.orbit_sum`: the search -> degree -> the
-    weighted sum of the graded tuple counts of its (order, weight)
-    representatives up to d_max."""
-    _check_shape(graph)
-    degrees = [range(d_max + 1)] * len(graph.edges)
-    return lambda search: _graded_counts(graph, search(), degrees, d_max)
+    weighted by the orders in it), for d <= d_max.  Equal to
+    :func:`~ellcover.integrals.i_gamma_series`."""
+    check_degree(d_max, "d_max")
+    orders = _order_search(graph, _group(graph))
+    counts = _graded_counts(graph, orders, [range(d_max + 1)] * len(graph.edges), d_max)
+    return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
 
 
 def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> TropicalCover:

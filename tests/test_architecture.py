@@ -1,27 +1,30 @@
-"""Every per-graph sum goes through ``integrals.orbit_sum``: it alone
-validates the graph, makes the bridge decision, chooses the automorphisms
-and hands the count the one search over vertex orders
-(``integrals._order_search``), so a new way of summing is a change to one
-function.  The search keeps one lexicographically first order per orbit of
-acyclic orientations (an order enters a count only through the orientation
-it induces); no orbit builder is left in the package, and no sum walks the
-n! orders.  Only sums symmetric in the edges let it use the automorphisms.
-``f_g`` sums over the bridgeless classes of ``graphs._classes`` (the classes
-of ``enumerate_genus`` with the automorphisms their search found), which
-grow from the theta graph by edge insertion alone, so it makes no bridge
-test of its own and builds, searches and counts the automorphisms of no
-bridged graph.  One kernel set-up, ``integrals._Kernel``, serves the order
-search and the single-order pass ``integrals._eliminate`` (behind the two
-single-order entry points alone); its one vertex step is the only caller of
-``integrals._vertex_step``, which alone builds the rows that filter its
-bundles (``integrals._row``), and it reads its edge factors only from one memo
-of bundle tables, ``integrals._bundle_terms``.  The symmetric-group path
-imports nothing from the package, so the cross-oracle checks compare
-independent code; it lists no partition, and ``f_g`` reads the whole
-``sym`` series off one pass of its recurrence.  One routine,
-``graphs._canon``, runs the graph refinement search: the canonical form, the
-isomorphism test, the automorphisms and enumeration all read its one search
-per graph."""
+"""Every per-graph sum calls the one search over vertex orders,
+``integrals._order_search``, with the automorphisms that
+``integrals._group`` gives: it alone validates a sum's graph, makes the
+bridge decision (no automorphism at all, so no orbit, for a graph with a
+bridge) and picks the automorphisms, so a new way of summing is a change to
+one function.  No callback stands between a sum and the search.  The search
+keeps one lexicographically first order per orbit of acyclic orientations
+(an order enters a count only through the orientation it induces); no orbit
+builder is left in the package, and no sum walks the n! orders.  Only sums
+symmetric in the edges use the automorphisms.  ``f_g`` sums over the
+bridgeless classes of ``graphs._classes`` (the classes of
+``enumerate_genus`` with the automorphisms their search found), which grow
+from the theta graph by edge insertion alone, so it hands the search their
+automorphisms directly: it makes no bridge test of its own and builds,
+searches and counts the automorphisms of no bridged graph.  One kernel
+set-up, ``integrals._Kernel``, serves the order search and the single-order
+pass ``integrals._eliminate`` (behind the two single-order entry points
+alone); its one vertex step is the only caller of ``integrals._vertex_step``,
+which alone builds the rows that filter its bundles (``integrals._row``),
+and it reads its edge factors only from one memo of bundle tables,
+``integrals._bundle_terms``.  The symmetric-group path imports nothing from
+the package, so the cross-oracle checks compare independent code; it lists
+no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
+recurrence.  One routine, ``graphs._canon``, runs the graph refinement
+search: the canonical form, the isomorphism test, the automorphisms and
+enumeration all read its one search per graph.  Every top-level import and
+every private top-level name of the package is used in it."""
 
 import ast
 from pathlib import Path
@@ -36,16 +39,23 @@ def callers(module_file, name):
     bodies (nested lambdas and functions included) call ``name``; other
     module-level calls count as ``<module>``."""
     tree = ast.parse((PACKAGE / module_file).read_text())
-    found = set()
-    for top in tree.body:
-        owner = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    found.add(owner)
-    return found
+    return {getattr(top, "name", "<module>") for top in tree.body if any(called_name(c) == name for c in calls_in(top))}
+
+
+def called_name(call):
+    """The name a call node calls: the function's name or the attribute's."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def calls_in(tree):
+    """Every call node in ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def names_in(tree):
+    """Every name node in ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
 
 
 def defines(module_file, name):
@@ -54,15 +64,23 @@ def defines(module_file, name):
     return any(getattr(top, "name", None) == name for top in tree.body)
 
 
-def test_order_search_is_named_only_by_orbit_sum():
-    # the search is the one way to sum over orders, and orbit_sum alone hands
-    # it to the counts, so it alone picks how orders are summed
-    assert mentions("integrals.py", "_order_search") == {"orbit_sum"}
+def test_order_search_is_called_only_by_the_sums_over_orders():
+    # the search is the one way to sum over orders, and each sum calls it
+    # itself, so no callback stands between them
+    assert mentions("integrals.py", "_order_search") == {"gromov_witten_a", "generating_function", "i_gamma_series", "f_g"}
+    assert mentions("tropical.py", "_order_search") == {"count_covers_total", "tropical_series"}
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
-        if module_file != "integrals.py":
+        if module_file not in ("integrals.py", "tropical.py"):
             assert "_order_search" not in (PACKAGE / module_file).read_text(), module_file
-        # the orbit builders and the n!-order reference live in the tests
-        for name in ("orientation_orbits", "_orientation_orbits", "order_orbits", "_first_extension"):
+        # no lambda is handed a search or calls it
+        for node in ast.walk(ast.parse((PACKAGE / module_file).read_text())):
+            if isinstance(node, ast.Lambda):
+                assert "search" not in {a.arg for a in node.args.args}, module_file
+                assert not any(called_name(call) == "_order_search" for call in calls_in(node)), module_file
+        # the callback layers are gone, and the orbit builders and the
+        # n!-order reference live in the tests
+        for name in ("orbit_sum", "orbit_series", "_series_counts", "orientation_orbits", "_orientation_orbits",
+                     "order_orbits", "_first_extension"):
             assert not defines(module_file, name), (module_file, name)
         # no sum walks the n! orders: all_orders, kept for the tests, is the
         # only listing of permutations, and nothing in the package calls it
@@ -87,39 +105,76 @@ def test_graph_search_runs_only_inside_canon():
             assert any(getattr(top, "name", None) == "_search" for top in tree.body), module_file
 
 
-def orbit_sum_symmetry(module_file):
+def group_symmetry(module_file):
     """Top-level function of a module -> the ``symmetric`` argument of its
-    ``orbit_sum`` calls (True when left at the default)."""
+    ``_group`` calls (True when left at the default)."""
     found = {}
     for top in ast.parse((PACKAGE / module_file).read_text()).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "orbit_sum":
+        for node in calls_in(top):
+            if called_name(node) == "_group":
                 flags = [ast.literal_eval(kw.value) for kw in node.keywords if kw.arg == "symmetric"]
-                flags += [ast.literal_eval(arg) for arg in node.args[2:]]
+                flags += [ast.literal_eval(arg) for arg in node.args[1:]]
                 found.setdefault(getattr(top, "name", "<module>"), set()).update(flags or [True])
     return found
 
 
-def test_orbit_sum_uses_automorphisms_only_for_edge_symmetric_counts():
+def search_groups(module_file):
+    """Top-level function of a module -> where the automorphisms of its
+    ``_order_search`` calls come from: the name of the function whose call
+    gives them, passed directly or through a variable that is assigned that
+    call or bound by a for loop over it."""
+    found = {}
+    for top in ast.parse((PACKAGE / module_file).read_text()).body:
+        bound = {}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                bound.update((name.id, called_name(node.value)) for t in node.targets for name in names_in(t))
+            elif isinstance(node, ast.For) and isinstance(node.iter, ast.Call):
+                bound.update((name.id, called_name(node.iter)) for name in names_in(node.target))
+        for node in calls_in(top):
+            if called_name(node) == "_order_search":
+                maps = node.args[1]
+                source = called_name(maps) if isinstance(maps, ast.Call) else bound.get(getattr(maps, "id", None))
+                found.setdefault(getattr(top, "name", "<module>"), set()).add(source)
+    return found
+
+
+def test_sums_use_automorphisms_only_for_edge_symmetric_counts():
     # per-branch-type counts are not symmetric in the edges, so their sums
     # pass symmetric=False; the other callers sum over all compositions
-    assert orbit_sum_symmetry("integrals.py") == {
+    assert group_symmetry("integrals.py") == {
         "gromov_witten_a": {False},
-        "gromov_witten_d": {True},
         "generating_function": {False},
-        "orbit_series": {True},
+        "i_gamma_series": {True},
     }
-    assert orbit_sum_symmetry("tropical.py") == {"count_covers_total": {False}}
+    assert group_symmetry("tropical.py") == {"count_covers_total": {False}, "tropical_series": {True}}
+    # gromov_witten_d reads one coefficient of the graph series
+    assert callers("integrals.py", "i_gamma_series") == {"gromov_witten_d"}
+    # every search takes its automorphisms from _group, but f_g's, which
+    # come with the classes that enumeration found
+    assert search_groups("integrals.py") == {
+        "gromov_witten_a": {"_group"},
+        "generating_function": {"_group"},
+        "i_gamma_series": {"_group"},
+        "f_g": {"_classes"},
+    }
+    assert search_groups("tropical.py") == {"count_covers_total": {"_group"}, "tropical_series": {"_group"}}
 
 
-def test_bridges_is_called_only_by_orbit_sum():
-    assert callers("integrals.py", "bridges") == {"orbit_sum"}
-    assert callers("tropical.py", "bridges") == set()
-    # and orbit_sum alone validates a sum's graph: neither the search nor
-    # the kernel validates again
+def test_bridges_is_called_only_by_group():
+    # _group alone tests a sum's graph for a bridge and picks its
+    # automorphisms
+    for name in ("bridges", "vertex_automorphisms"):
+        assert callers("integrals.py", name) == {"_group"}, name
+        assert callers("tropical.py", name) == set(), name
+    # and _group alone validates a sum's graph: neither the sums, nor the
+    # search, nor the kernel validates again
     validating = callers("integrals.py", "validate") | callers("integrals.py", "check_order")
-    assert "orbit_sum" in validating
-    assert validating.isdisjoint({"_order_search", "_orbit_size", "_eliminate", "_Kernel"})
+    assert "_group" in validating
+    sums = {"gromov_witten_a", "gromov_witten_d", "generating_function", "i_gamma_series", "f_g"}
+    assert validating.isdisjoint(sums | {"_order_search", "_orbit_size", "_eliminate", "_Kernel"})
+    assert callers("tropical.py", "validate") == set()
+    assert callers("tropical.py", "check_order").isdisjoint({"count_covers_total", "tropical_series"})
 
 
 def mentions(module_file, name):
@@ -181,9 +236,15 @@ def test_sym_lists_no_partition_and_makes_one_pass_per_series():
 
 
 def test_the_guard_sees_calls_inside_lambdas():
-    # count_covers_total calls _graded_counts only from the lambda it passes
-    # to orbit_sum
-    assert "count_covers_total" in callers("tropical.py", "_graded_counts")
+    # tropical._search calls max only from the sort key it hands sorted, a
+    # lambda, and enumerate_tuples makes its CoverTuples only in a nested
+    # function
+    search = next(top for top in ast.parse((PACKAGE / "tropical.py").read_text()).body if getattr(top, "name", None) == "_search")
+    in_lambdas = [call for node in ast.walk(search) if isinstance(node, ast.Lambda) for call in calls_in(node)]
+    maxes = [call for call in calls_in(search) if called_name(call) == "max"]
+    assert maxes and all(call in in_lambdas for call in maxes)
+    assert "_search" in callers("tropical.py", "max")
+    assert "enumerate_tuples" in callers("tropical.py", "CoverTuple")
 
 
 def package_imports(module_file):
@@ -206,3 +267,47 @@ def test_monodromy_imports_nothing_from_the_package():
     # the walk sees the package imports of a module that has them, nested
     # ones included (f_g imports tropical inside its body)
     assert {"graphs", "monodromy", "tropical", "quasimodular"} <= package_imports("integrals.py")
+
+
+def test_every_import_and_private_name_is_used():
+    # a top-level import is used in its module (or, in __init__, exported);
+    # a private top-level name is used in its module outside its own
+    # definition, or imported by another module of the package, whose
+    # import is then checked in turn
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+    def used(tree, name, skip=None):
+        return any(
+            isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+            for top in tree.body
+            if top is not skip
+            for node in ast.walk(top)
+        )
+
+    def imported(module, name):
+        return any(
+            isinstance(node, ast.ImportFrom) and node.level and node.module == module and name in {a.name for a in node.names}
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        )
+
+    unused = []
+    for module, tree in trees.items():
+        exported = set(getattr(ellcover, "__all__", ())) if module == "__init__" else set()
+        for top in tree.body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)) and getattr(top, "module", None) != "__future__":
+                for alias in top.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in exported and not used(tree, name):
+                        unused.append((module, name))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                defined = [name.id for t in getattr(top, "targets", [getattr(top, "target", None)]) for name in names_in(t)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__"):
+                    if not used(tree, name, skip=top) and not imported(module, name):
+                        unused.append((module, name))
+    assert unused == []

@@ -18,9 +18,9 @@ ORDER = (1, 2, 3, 4)
 
 
 def orientation_orbits(graph):
-    """The orbit representatives of acyclic orientations, as ``orbit_sum``
-    hands them to a count that asks the search for them."""
-    return integrals.orbit_sum(graph, lambda search: search())
+    """The orbit representatives of acyclic orientations, as the search
+    keeps them under the automorphisms that ``_group`` gives."""
+    return integrals._order_search(graph, integrals._group(graph))
 
 
 # every entry point that takes a graph, called with fixed K4-sized arguments
@@ -35,7 +35,7 @@ GRAPH_ENTRY_POINTS = {
     "vertex_automorphisms": lambda g: graphs.vertex_automorphisms(g),
     "balanced_orientation": lambda g: E.balanced_orientation(g),
     # the orbit listings left the package: the orientation orbits come from
-    # orbit_sum's search, and the n!-order reference of the tests reaches
+    # the order search, and the n!-order reference of the tests reaches
     # the graph only through vertex_automorphisms
     "orientation_orbits": orientation_orbits,
     "order_orbits": lambda g: reference.order_orbits(g),
@@ -89,10 +89,19 @@ BAD_ARGUMENTS = {
     "reconstruct_cover(k4, a, order, None)": (lambda: E.reconstruct_cover(K4, A, ORDER, None), "tup"),
     "compositions(None, 2)": (lambda: E.compositions(None, 2), "d"),
     "compositions(2, None)": (lambda: E.compositions(2, None), "parts"),
+    "compositions(2, -1)": (lambda: E.compositions(2, -1), "parts"),
     "fit(None, 3)": (lambda: E.fit(None, 3), "series"),
     "fit({}, 3)": (lambda: E.fit({}, 3), "series"),
     "eval_rep(None, 4)": (lambda: E.eval_rep(None, 4), "rep"),
     "eisenstein(2, None)": (lambda: E.eisenstein(2, None), "order"),
+    "eisenstein(2, -3)": (lambda: E.eisenstein(2, -3), "order"),
+    "eval_rep(rep, -2)": (lambda: E.eval_rep(E.QuasimodularRep(2, {(1, 0, 0): 1}), -2), "order"),
+    "QSeries({0: 1}, 1.5)": (lambda: E.QSeries({0: 1}, 1.5), "order"),
+    "QSeries({}, 'a')": (lambda: E.QSeries({}, "a"), "order"),
+    "QSeries({}, -1)": (lambda: E.QSeries({}, -1), "order"),
+    "QSeries.zero(True)": (lambda: E.QSeries.zero(True), "order"),
+    "truncate(-1)": (lambda: E.QSeries({0: 1}, 4).truncate(-1), "order"),
+    "truncate(2.0)": (lambda: E.QSeries({0: 1}, 4).truncate(2.0), "order"),
     "weight_monomials(None)": (lambda: E.weight_monomials(None), "weight"),
     "verify_tuple(None, alpha, sigma)": (lambda: E.verify_tuple(None, (0, 1), (0, 1)), "taus"),
     "verify_tuple([None], alpha, sigma)": (lambda: E.verify_tuple([None], (0, 1), (0, 1)), "taus"),

@@ -24,13 +24,12 @@ from ellcover import (
     reconstruct_cover,
     tropical_series,
 )
-from ellcover import graphs, integrals
+from ellcover import graphs, integrals, tropical
 from ellcover.integrals import (
     MultiSeries,
     all_orders,
     compositions,
     i_gamma_coeffs_for_order,
-    orbit_sum,
 )
 from ellcover.tropical import _graded_counts
 from ellcover.laurent import LaurentPoly
@@ -229,6 +228,20 @@ def test_compositions_count():
         assert len(list(compositions(d, parts))) == comb(d + parts - 1, parts - 1)
     assert list(compositions(2, 0)) == []
     assert list(compositions(0, 0)) == [()]
+
+
+def test_compositions_come_in_lexicographic_order_without_recursion():
+    assert list(compositions(2, 3)) == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    for d, parts in [(0, 1), (3, 1), (4, 3), (5, 4)]:
+        listed = list(compositions(d, parts))
+        assert listed == sorted(listed)
+        assert listed == [a for a in itertools.product(range(d + 1), repeat=parts) if sum(a) == d]
+    assert list(compositions(-1, 1)) == list(compositions(-1, 3)) == []
+    # no recursion: many parts are as easy as few
+    assert list(compositions(0, 2000)) == [(0,) * 2000]
+    assert next(compositions(1, 2000)) == (0,) * 1999 + (1,)
+    with pytest.raises(ValueError, match="^parts must be non-negative, got -1$"):
+        compositions(2, -1)
 
 
 def test_branch_type_validation(caterpillar):
@@ -512,9 +525,9 @@ def reference_pass(graph, orders, degrees, w_max, d_max):
 
 
 def searched(graph, degrees, w_max, d_max, symmetric=True):
-    """The kernel sum over all orders, as :func:`orbit_sum` has the search
+    """The kernel sum over all orders, as the public sums have the search
     make it."""
-    return orbit_sum(graph, lambda search: search(degrees, w_max, d_max), symmetric)
+    return integrals._order_search(graph, integrals._group(graph, symmetric), degrees, w_max, d_max)
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -690,12 +703,6 @@ def weighted_sum(counts_for_order, orbits):
     return total
 
 
-def weighted(counts_for_order):
-    """An :func:`orbit_sum` count from a per-order one: the search -> the
-    :func:`weighted_sum` over the representatives it keeps."""
-    return lambda search: weighted_sum(counts_for_order, search())
-
-
 def order_orbit_sum(graph, counts_for_order, symmetric):
     """The same sum over :func:`order_orbits`: one order per orbit of vertex
     orders, weighted by its size."""
@@ -715,7 +722,7 @@ def test_orientation_orbits_sum_like_order_orbits(symmetric, genus4_bridgeless):
             lambda order: _graded_counts(graph, [(order, 1)], degrees, 2),
         ):
             want = order_orbit_sum(graph, counts_for_order, symmetric)
-            assert orbit_sum(graph, weighted(counts_for_order), symmetric) == want
+            assert weighted_sum(counts_for_order, representatives(graph, symmetric)) == want
     graph = genus4_bridgeless[0]
     types = [a for d in range(3) for a in compositions(d, len(graph.edges))]
 
@@ -729,13 +736,14 @@ def test_orientation_orbits_sum_like_order_orbits(symmetric, genus4_bridgeless):
             counts[key] = counts.get(key, 0) + integral_coeff(graph, a, order)
         return counts
 
-    assert orbit_sum(graph, weighted(gf_counts), symmetric) == order_orbit_sum(graph, gf_counts, symmetric)
+    want = order_orbit_sum(graph, gf_counts, symmetric)
+    assert weighted_sum(gf_counts, representatives(graph, symmetric)) == want
 
 
 def representatives(graph, symmetric=True):
-    """The (order, weight) pairs the search keeps, as :func:`orbit_sum`
-    hands them to a count."""
-    return orbit_sum(graph, lambda search: search(), symmetric)
+    """The (order, weight) pairs the search keeps, as the tropical sums
+    take them."""
+    return integrals._order_search(graph, integrals._group(graph, symmetric))
 
 
 def reference_orbits(graph, symmetric=True):
@@ -808,6 +816,28 @@ def test_skipping_the_bridge_test_gives_the_same_value():
         order = tuple(range(1, graph.vertex_count + 1))
         assert integral_coeff(graph, (1,) * len(graph.edges), order) == 0
         assert i_gamma_coeffs_for_order(graph, order, 3) == {}
+
+
+def test_a_bridged_graph_sums_to_zero_without_a_kernel_or_a_tuple_search(monkeypatch):
+    # the loopless bridged graphs of genus 4 pass the search's loop exit, so
+    # only the empty group that _group gives for a bridge keeps every public
+    # sum from building a kernel or searching tuples
+    loopless = [graph for graph in enumerate_genus(4) if bridges(graph) and not graph.has_loop()]
+    assert loopless
+
+    def forbidden(*args):
+        raise AssertionError("a bridged graph reached the kernel or the tuple search")
+
+    monkeypatch.setattr(integrals, "_Kernel", forbidden)
+    monkeypatch.setattr(tropical, "_search", forbidden)
+    for graph in loopless:
+        ones = (1,) * len(graph.edges)
+        assert gromov_witten_a(graph, ones) == 0
+        assert gromov_witten_d(graph, 3) == 0
+        assert generating_function(graph, 2).coeffs == {}
+        assert i_gamma_series(graph, 3).coeffs == {}
+        assert tropical_series(graph, 3).coeffs == {}
+        assert count_covers_total(graph, ones) == 0
 
 
 def test_single_order_entry_points_give_zero_on_a_graph_with_a_loop():
@@ -935,10 +965,17 @@ def test_orbit_sum_hands_every_count_the_search(monkeypatch, caterpillar, k4, ge
     # i_gamma_series and gromov_witten_d with the automorphisms, the
     # fixed-branch-type sums and count_covers_total with the identity alone
     # (generating_function once per branch type), tropical_series for its
-    # representatives; the values are those of the reference orbit pass
+    # representatives; the values are those of the reference orbit pass.
+    # tropical imports the search by name, so it is spied on there too
     calls = []
     real = integrals._order_search
-    monkeypatch.setattr(integrals, "_order_search", lambda graph, maps, *args: calls.append(len(maps)) or real(graph, maps, *args))
+
+    def spy(graph, maps, *args):
+        calls.append(len(maps))
+        return real(graph, maps, *args)
+
+    monkeypatch.setattr(integrals, "_order_search", spy)
+    monkeypatch.setattr(tropical, "_order_search", spy)
     for graph in (caterpillar, k4, genus4_bridgeless[0], genus4_bridgeless[-1]):
         orbits = orientation_orbits(graph)
         aut = len(graphs.vertex_automorphisms(graph))
