@@ -36,7 +36,7 @@ import json
 from collections import deque
 from math import factorial
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _check_int, _is_int
 
 
 class GraphError(ValueError):
@@ -67,19 +67,11 @@ class MalformedGraph(GraphError):
     """Graph input of the wrong shape or type; the message names the field."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class FeynmanGraph(Frozen):
     """A labelled multigraph: ``vertex_count`` vertices 1..n, edges as an
     ordered tuple of unordered pairs (stored min-first)."""
 
     __slots__ = ("vertex_count", "edges")
-
-    def __init__(self, vertex_count: int, edges: tuple):
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, vertex_count, edges) -> "FeynmanGraph":
@@ -503,10 +495,8 @@ def _classes(g: int, bridgeless: bool = False, max_genus: int = 5) -> list:
     searched.  The classes, their order and their automorphism sets are
     those of the full enumeration with the bridged classes left out.
     """
-    if not _is_int(g):
-        raise ValueError(f"g must be an integer, got {g!r}")
-    if not _is_int(max_genus):
-        raise ValueError(f"max_genus must be an integer, got {max_genus!r}")
+    _check_int(g, "g")
+    _check_int(max_genus, "max_genus")
     if not isinstance(bridgeless, bool):
         raise ValueError(f"bridgeless must be a bool, got {bridgeless!r}")
     if g < 2:
@@ -533,9 +523,6 @@ class Orientation(Frozen):
 
     __slots__ = ("sources",)
 
-    def __init__(self, sources: tuple):
-        object.__setattr__(self, "sources", sources)
-
     def source(self, k):
         return self.sources[k]
 
@@ -545,10 +532,6 @@ class BalancedFlow(Frozen):
     in-flow equals out-flow at every vertex."""
 
     __slots__ = ("orientation", "weights")
-
-    def __init__(self, orientation: Orientation, weights: tuple):
-        object.__setattr__(self, "orientation", orientation)
-        object.__setattr__(self, "weights", weights)
 
 
 def _dfs_orientation(graph: FeynmanGraph):

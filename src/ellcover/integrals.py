@@ -124,9 +124,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _check_int
 from .graphs import FeynmanGraph, _check_shape, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
-from .laurent import _check_int
 from .monodromy import hurwitz_numbers
 from .propagator import _factor_terms
 from .quasimodular import QSeries
@@ -196,13 +195,6 @@ def check_ints(values, name: str) -> tuple:
     return tuple(_check_int(x, f"{name} entry") for x in values)
 
 
-def check_degree(d: int, name: str) -> int:
-    _check_int(d, name)
-    if d < 0:
-        raise ValueError(f"{name} must be non-negative, got {d}")
-    return d
-
-
 def check_branch_type(graph: FeynmanGraph, a) -> tuple:
     _check_shape(graph)
     a = check_ints(a, "branch type")
@@ -217,8 +209,7 @@ def compositions(d: int, parts: int):
     """All ways to write d as an ordered sum of ``parts`` non-negative ints,
     in lexicographic order; none for a negative d."""
     _check_int(d, "d")
-    if _check_int(parts, "parts") < 0:
-        raise ValueError(f"parts must be non-negative, got {parts}")
+    _check_int(parts, "parts", 0)
     if d < 0 or parts == 0:
         return iter([()] if d == parts == 0 else [])
     # stars and bars: the parts - 1 bars among d + parts - 1 slots, in
@@ -592,8 +583,8 @@ def integral_coeff(graph: FeynmanGraph, a, order, w_max=None) -> int:
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    if w_max is not None and _check_int(w_max, "w_max") < 1:
-        raise ValueError(f"w_max must be at least 1, got {w_max}")
+    if w_max is not None:
+        _check_int(w_max, "w_max", 1)
     total = sum(a)
     w_max = total if w_max is None else w_max
     return _eliminate(graph, order, [(x,) for x in a], w_max, total).get(total, 0)
@@ -612,7 +603,7 @@ def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     """Degree-d count scaled by |Aut|: the sum of the labelled counts over
     every composition of d into one part per edge, the q^{2d} coefficient of
     :func:`i_gamma_series` up to d (one search)."""
-    check_degree(d, "degree")
+    _check_int(d, "degree", 0)
     return i_gamma_series(graph, d).coeff(2 * d)
 
 
@@ -622,8 +613,7 @@ class MultiSeries(Frozen):
     __slots__ = ("arity", "coeffs")
 
     def __init__(self, arity: int, coeffs: dict):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "coeffs", {tuple(a): c for a, c in coeffs.items() if c != 0})
+        Frozen.__init__(self, arity, {tuple(a): c for a, c in coeffs.items() if c != 0})
 
     def coeff(self, a) -> int:
         return self.coeffs.get(tuple(a), 0)
@@ -650,7 +640,7 @@ class MultiSeries(Frozen):
 def generating_function(graph: FeynmanGraph, d_max: int) -> MultiSeries:
     """All labelled counts with total branch degree at most d_max."""
     _check_shape(graph)
-    check_degree(d_max, "d_max")
+    _check_int(d_max, "d_max", 0)
     types = [a for d in range(d_max + 1) for a in compositions(d, len(graph.edges))]
     maps = _group(graph, symmetric=False)
     # one kernel search per branch type
@@ -665,7 +655,7 @@ def i_gamma_coeffs_for_order(graph: FeynmanGraph, order, d_max: int) -> dict:
     d_max).  A graph with a loop gives ``{}``, as for :func:`integral_coeff`.
     """
     order = check_order(graph, order)
-    check_degree(d_max, "d_max")
+    _check_int(d_max, "d_max", 0)
     return _eliminate(graph, order, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
 
 
@@ -674,7 +664,7 @@ def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     degree d, summed over all vertex orders (one per automorphism-and-reversal
     orbit of acyclic orientations, weighted by the orders in it), for
     d <= d_max, in one kernel search over the degree-graded factors."""
-    check_degree(d_max, "d_max")
+    _check_int(d_max, "d_max", 0)
     maps = _group(graph)
     counts = _order_search(graph, maps, [range(d_max + 1)] * len(graph.edges), d_max, d_max)
     return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
@@ -709,9 +699,8 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     """
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}, expected one of {', '.join(ORACLES)}")
-    if _check_int(g, "g") < 2:
-        raise ValueError("genus must be at least 2")
-    check_degree(d_max, "d_max")
+    _check_int(g, "g", 2)
+    _check_int(d_max, "d_max", 0)
     if oracle == "sym":
         total = {2 * d: h for d, h in enumerate(hurwitz_numbers(d_max, g), 1)}
     else:

@@ -10,10 +10,10 @@ are rejected so no rounding can ever sneak in.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _check_int, _is_int
 
 
 class ArityMismatch(ValueError):
@@ -24,14 +24,6 @@ def _check_coeff(c):
     if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
     raise TypeError(f"exact coefficient (int or Fraction) required, got {type(c).__name__}")
-
-
-def _check_int(value, name: str) -> int:
-    """``value`` if it is an integer (not a bool); ValueError naming
-    ``name`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def coeff_str(c) -> str:
@@ -48,21 +40,20 @@ class LaurentPoly(Frozen):
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms: Mapping[tuple, object] | None = None):
-        if arity < 0:
-            raise ValueError("arity must be non-negative")
-        object.__setattr__(self, "arity", arity)
+        _check_int(arity, "arity", 0)
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise ValueError(f"terms must be a mapping from exponent vectors to coefficients, got {terms!r}")
         clean = {}
-        if terms:
-            for exps, c in terms.items():
-                _check_coeff(c)
-                if c == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != arity:
-                    raise ArityMismatch(f"exponent vector {exps} has length {len(exps)}, expected {arity}")
+        for exps, c in terms.items():
+            if not (isinstance(exps, tuple) and all(map(_is_int, exps))):
+                raise ValueError(f"exponent vector must be a tuple of integers, got {exps!r}")
+            if len(exps) != arity:
+                raise ArityMismatch(f"exponent vector {exps} has length {len(exps)}, expected {arity}")
+            if _check_coeff(c) != 0:
                 clean[exps] = clean.get(exps, 0) + c
-            clean = {e: c for e, c in clean.items() if c != 0}
-        object.__setattr__(self, "terms", clean)
+        Frozen.__init__(self, arity, {e: c for e, c in clean.items() if c != 0})
 
     # -- constructors ------------------------------------------------------
 
@@ -142,8 +133,7 @@ class LaurentPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        _check_int(k, "exponent", 0)
         result = LaurentPoly.one(self.arity)
         base = self
         while k:
@@ -210,7 +200,6 @@ class LaurentPoly(Frozen):
 def _raw(arity: int, terms: dict) -> LaurentPoly:
     """Internal constructor skipping validation (terms already clean)."""
     p = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(p, "arity", arity)
-    object.__setattr__(p, "terms", terms)
+    Frozen.__init__(p, arity, terms)
     return p
 

@@ -19,8 +19,8 @@ multiplies plain factors.
 
 from __future__ import annotations
 
-from ._frozen import Frozen
-from .laurent import LaurentPoly, _check_int
+from ._frozen import Frozen, _check_int, _is_int
+from .laurent import LaurentPoly
 
 
 class LoopEdge(ValueError):
@@ -31,8 +31,7 @@ class LoopEdge(ValueError):
 def _check_slots(arity, **slots) -> None:
     """ValueError naming the argument unless ``arity`` is a non-negative
     integer and every slot an integer in 0..arity-1."""
-    if _check_int(arity, "arity") < 0:
-        raise ValueError(f"arity must be non-negative, got {arity}")
+    _check_int(arity, "arity", 0)
     for name, slot in slots.items():
         if not 0 <= _check_int(slot, name) < arity:
             raise ValueError(f"{name} must be a slot in 0..{arity - 1}, got {slot}")
@@ -50,10 +49,6 @@ class ZeroDegreeFactor(Frozen):
     """
 
     __slots__ = ("x_index", "y_index")
-
-    def __init__(self, x_index: int, y_index: int):
-        object.__setattr__(self, "x_index", x_index)
-        object.__setattr__(self, "y_index", y_index)
 
 
 def _factor_terms(a_k: int, w_max: int) -> tuple:
@@ -92,8 +87,7 @@ def propagator_coeff(arity: int, x: int, y: int, d: int):
     d = 0.  A loop (x == y) raises :class:`LoopEdge` at every degree.
     """
     _check_slots(arity, x=x, y=y)
-    if _check_int(d, "d") < 0:
-        raise ValueError("branch degree must be non-negative")
+    _check_int(d, "d", 0)
     if x == y:
         raise LoopEdge(f"x = y = {x} is a loop; its factor is singular")
     if d == 0:
@@ -107,7 +101,7 @@ def expand_zero_term(arity: int, source: int, sink: int, w_max: int) -> LaurentP
     ``source`` must be the vertex slot earlier in the active vertex order.
     """
     _check_slots(arity, source=source, sink=sink)
-    terms = _factor_terms(0, _check_int(w_max, "w_max"))
+    terms = _factor_terms(0, _check_int(w_max, "w_max", 1))
     if source == sink:
         raise LoopEdge("cannot expand the degree-0 factor of a loop")
     return _laurent(arity, source, sink, terms)
@@ -123,12 +117,6 @@ class EdgeFactor(Frozen):
 
     __slots__ = ("edge_index", "endpoints", "branch_degree", "expansion")
 
-    def __init__(self, edge_index: int, endpoints: tuple, branch_degree: int, expansion: LaurentPoly):
-        object.__setattr__(self, "edge_index", edge_index)
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "branch_degree", branch_degree)
-        object.__setattr__(self, "expansion", expansion)
-
 
 def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: int) -> EdgeFactor:
     """Expanded factor for one edge under a vertex order.
@@ -143,9 +131,9 @@ def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: 
         u, v = endpoints
     except (TypeError, ValueError):
         u = v = None
-    if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= arity for x in (u, v)):
+    if not all(_is_int(x) and 1 <= x <= arity for x in (u, v)):
         raise ValueError(f"endpoints must be a pair of vertices in 1..{arity}, got {endpoints!r}")
-    _check_int(a_k, "a_k")
+    _check_int(a_k, "a_k", 0)
     _check_int(w_max, "w_max")
     if u == v:
         raise LoopEdge(f"edge {u}-{v} is a loop; its factor is singular")

@@ -18,11 +18,12 @@ integer lists of the powers of each Eisenstein series.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
-from ._frozen import Frozen
-from .laurent import _check_coeff, _check_int, coeff_str
+from ._frozen import Frozen, _check_int, _is_int
+from .laurent import _check_coeff, coeff_str
 
 
 class Inconsistent(ValueError):
@@ -49,14 +50,6 @@ def divisor_sigma(n: int, power: int = 1) -> int:
     return total
 
 
-def _check_order(order) -> int:
-    """``order`` if it is a non-negative integer; ValueError naming it
-    otherwise."""
-    if _check_int(order, "order") < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    return order
-
-
 class QSeries(Frozen):
     """Power series in q, truncated: coefficients are known exactly for all
     exponents < ``order`` (the series is O(q^order)).
@@ -64,18 +57,23 @@ class QSeries(Frozen):
     Exponents with no stored coefficient are zero.  Reading a coefficient at
     or beyond the truncation order raises, rather than silently returning 0.
     Coefficients must be exact (``int`` or ``Fraction``): a float raises
-    ``TypeError``, as in :class:`~ellcover.laurent.LaurentPoly`.
+    ``TypeError``, as in :class:`~ellcover.laurent.LaurentPoly`.  Exponents
+    must be non-negative integers.
     """
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: dict, order: int):
-        _check_order(order)
-        clean = {e: c for e, c in coeffs.items() if _check_coeff(c) != 0 and e < order}
-        if any(e < 0 for e in clean):
-            raise ValueError("negative exponents are not allowed in a QSeries")
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "order", order)
+        _check_int(order, "order", 0)
+        if not isinstance(coeffs, Mapping):
+            raise ValueError(f"coeffs must be a mapping from exponents to coefficients, got {coeffs!r}")
+        clean = {}
+        for e, c in coeffs.items():
+            if _check_int(e, "exponent") < 0:
+                raise ValueError("negative exponents are not allowed in a QSeries")
+            if _check_coeff(c) != 0 and e < order:
+                clean[e] = c
+        Frozen.__init__(self, clean, order)
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -91,11 +89,13 @@ class QSeries(Frozen):
         return self.coeffs.get(exponent, 0)
 
     def truncate(self, order: int) -> "QSeries":
-        if _check_order(order) > self.order:
+        if _check_int(order, "order", 0) > self.order:
             raise ValueError("cannot extend a truncated series")
         return QSeries({e: c for e, c in self.coeffs.items() if e < order}, order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -103,6 +103,8 @@ class QSeries(Frozen):
         return QSeries(out, order)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "QSeries":
@@ -111,6 +113,8 @@ class QSeries(Frozen):
     def __mul__(self, other: "QSeries") -> "QSeries":
         # truncated Cauchy product; valid because both factors have
         # non-negative exponents
+        if not isinstance(other, QSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -121,8 +125,7 @@ class QSeries(Frozen):
         return QSeries(out, order)
 
     def __pow__(self, k: int) -> "QSeries":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
+        _check_int(k, "exponent", 0)
         result = QSeries.one(self.order)
         for _ in range(k):
             result = result * self
@@ -156,9 +159,9 @@ class QSeries(Frozen):
 def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series of weight 2, 4 or 6, expanded in q^2 and
     truncated to O(q^order)."""
-    if weight not in (2, 4, 6):
+    if _check_int(weight, "weight") not in (2, 4, 6):
         raise ValueError("weight must be 2, 4 or 6")
-    _check_order(order)
+    _check_int(order, "order", 0)
     mult, power = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}[weight]
     coeffs = {0: 1}
     n = 1
@@ -188,14 +191,21 @@ class QuasimodularRep(Frozen):
     __slots__ = ("weight", "coeffs")
 
     def __init__(self, weight: int, coeffs: dict | None = None):
+        _check_int(weight, "weight")
+        if coeffs is None:
+            coeffs = {}
+        elif not isinstance(coeffs, Mapping):
+            raise ValueError(f"coeffs must be a mapping from monomials (i, j, k) to coefficients, got {coeffs!r}")
         clean = {}
-        for (i, j, k), c in (coeffs or {}).items():
+        for ijk, c in coeffs.items():
+            if not (isinstance(ijk, tuple) and len(ijk) == 3 and all(_is_int(p) and p >= 0 for p in ijk)):
+                raise ValueError(f"monomial must be a triple (i, j, k) of non-negative integers, got {ijk!r}")
+            i, j, k = ijk
             if 2 * i + 4 * j + 6 * k != weight:
                 raise ValueError(f"monomial {(i, j, k)} is not of weight {weight}")
-            if c != 0:
-                clean[(i, j, k)] = Fraction(c)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "coeffs", clean)
+            if _check_coeff(c) != 0:
+                clean[ijk] = Fraction(c)
+        Frozen.__init__(self, weight, clean)
 
     def coeff(self, ijk):
         return self.coeffs.get(tuple(ijk), Fraction(0))
@@ -248,7 +258,7 @@ def eval_rep(rep: QuasimodularRep, order: int) -> QSeries:
     """Expand the Eisenstein-monomial combination back into a q-series."""
     if not isinstance(rep, QuasimodularRep):
         raise ValueError(f"rep must be a QuasimodularRep, got {rep!r}")
-    _check_order(order)
+    _check_int(order, "order", 0)
     table = _monomial_table(list(rep.coeffs), order)
     total = {}
     for ijk, c in rep.coeffs.items():
@@ -323,8 +333,7 @@ def fit(series: QSeries, g: int) -> QuasimodularRep:
     """
     if not isinstance(series, QSeries):
         raise ValueError(f"series must be a QSeries, got {series!r}")
-    if _check_int(g, "g") < 2:
-        raise ValueError("genus must be at least 2")
+    _check_int(g, "g", 2)
     weight = 6 * g - 6
     monos = weight_monomials(weight)
     exponents = list(range(0, series.order, 2))

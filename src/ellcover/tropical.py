@@ -64,9 +64,9 @@ sound for these counts:
 
 from __future__ import annotations
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _check_int
 from .graphs import FeynmanGraph
-from .integrals import _group, _order_search, check_branch_type, check_degree, check_order
+from .integrals import _group, _order_search, check_branch_type, check_order
 from .propagator import divisors
 from .quasimodular import QSeries
 
@@ -77,11 +77,6 @@ class CoverTuple(Frozen):
     point: a_k / w_k, or 0 for branch degree 0)."""
 
     __slots__ = ("weights", "sources", "wraps")
-
-    def __init__(self, weights: tuple, sources: tuple, wraps: tuple):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "wraps", wraps)
 
     @property
     def multiplicity(self) -> int:
@@ -100,24 +95,6 @@ class TropicalCover(Frozen):
     base-point fiber counts, total degree and multiplicity."""
 
     __slots__ = ("graph", "order", "weights", "sources", "fiber_counts", "degree", "multiplicity")
-
-    def __init__(
-        self,
-        graph: FeynmanGraph,
-        order: tuple,
-        weights: tuple,
-        sources: tuple,
-        fiber_counts: tuple,
-        degree: int,
-        multiplicity: int,
-    ):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "fiber_counts", fiber_counts)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "multiplicity", multiplicity)
 
     def to_json(self) -> dict:
         return {
@@ -296,7 +273,7 @@ def tropical_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     orders (one per automorphism-and-reversal orbit of acyclic orientations,
     weighted by the orders in it), for d <= d_max.  Equal to
     :func:`~ellcover.integrals.i_gamma_series`."""
-    check_degree(d_max, "d_max")
+    _check_int(d_max, "d_max", 0)
     orders = _order_search(graph, _group(graph))
     counts = _graded_counts(graph, orders, [range(d_max + 1)] * len(graph.edges), d_max)
     return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
@@ -311,8 +288,10 @@ def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> Tropica
     """
     a = check_branch_type(graph, a)
     order = check_order(graph, order)
-    if not isinstance(tup, CoverTuple):
-        raise ValueError(f"tup must be a CoverTuple, got {tup!r}")
+    if not isinstance(tup, CoverTuple) or any(
+        not isinstance(field, (tuple, list)) or len(field) != len(a) for field in (tup.weights, tup.sources, tup.wraps)
+    ):
+        raise ValueError(f"tup must be a CoverTuple with one weight, source and wrap per edge, got {tup!r}")
     for k, (w, wrap) in enumerate(zip(tup.weights, tup.wraps)):
         if wrap * w != a[k]:
             raise ValueError(f"edge {k}: fiber count {wrap} * weight {w} != branch degree {a[k]}")

@@ -24,7 +24,14 @@ no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
 recurrence.  One routine, ``graphs._canon``, runs the graph refinement
 search: the canonical form, the isomorphism test, the automorphisms and
 enumeration all read its one search per graph.  Every top-level import and
-every private top-level name of the package is used in it."""
+every private top-level name of the package is used in it.  The value
+classes are ``Frozen`` records: ``Frozen``'s one constructor binds every
+record's fields, and only the four records that normalise their arguments
+define a constructor of their own, which passes the clean fields on to it.
+One integer rule, ``_frozen._is_int`` with its raiser ``_check_int``,
+checks every integer argument and field outside the symmetric-group path;
+the only other ``isinstance(..., int)`` tests are laurent's two tests for
+an exact coefficient."""
 
 import ast
 from pathlib import Path
@@ -311,3 +318,79 @@ def test_every_import_and_private_name_is_used():
                     if not used(tree, name, skip=top) and not imported(module, name):
                         unused.append((module, name))
     assert unused == []
+
+
+# the records that normalise their arguments before binding them
+NORMALISING = {"LaurentPoly", "QSeries", "QuasimodularRep", "MultiSeries"}
+
+
+def module_files():
+    return sorted(p.name for p in PACKAGE.glob("*.py"))
+
+
+def test_only_frozen_binds_the_fields_of_a_record():
+    for module_file in module_files():
+        tree = ast.parse((PACKAGE / module_file).read_text())
+        binds = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and ast.unparse(node.value) == "object"
+        ]
+        assert bool(binds) == (module_file == "_frozen.py"), module_file
+    # the normalising constructors and laurent's unchecked one hand their
+    # clean fields to Frozen's
+    for module_file, name in [("laurent.py", "LaurentPoly"), ("laurent.py", "_raw"), ("quasimodular.py", "QSeries"),
+                              ("quasimodular.py", "QuasimodularRep"), ("integrals.py", "MultiSeries")]:
+        top = next(t for t in ast.parse((PACKAGE / module_file).read_text()).body if getattr(t, "name", None) == name)
+        assert any(ast.unparse(call.func) == "Frozen.__init__" for call in calls_in(top)), name
+
+
+def test_only_the_normalising_records_define_a_constructor():
+    from ellcover._frozen import Frozen
+
+    records = {
+        top.name
+        for module_file in module_files()
+        for top in ast.parse((PACKAGE / module_file).read_text()).body
+        if isinstance(top, ast.ClassDef) and "Frozen" in map(ast.unparse, top.bases)
+    }
+    assert len(records) == 11
+    assert {cls.__name__ for cls in Frozen.__subclasses__()} == records
+    assert {cls.__name__ for cls in Frozen.__subclasses__() if "__init__" in vars(cls)} == NORMALISING
+
+
+def integer_tests(module_file):
+    """The scope (dotted names of the enclosing classes and functions) of
+    every ``isinstance`` call of a module whose class argument names
+    ``int``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and called_name(child) == "isinstance"
+                and len(child.args) == 2
+                and "int" in {name.id for name in names_in(child.args[1])}
+            ):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / module_file).read_text()), ())
+    return found
+
+
+def test_one_integer_rule_checks_every_integer_argument():
+    # monodromy imports nothing from the package, so it keeps its own copy
+    # of the rule; laurent's exact-coefficient tests take a Fraction too
+    allowed = {"_frozen.py": ["_is_int"], "laurent.py": ["_check_coeff", "LaurentPoly.__mul__"]}
+    for module_file in module_files():
+        if module_file != "monodromy.py":
+            assert integer_tests(module_file) == allowed.get(module_file, []), module_file
+    for name in ("_is_int", "_check_int", "check_degree", "_check_order"):
+        owners = {module_file for module_file in module_files() if defines(module_file, name)}
+        want = {"_is_int": {"_frozen.py"}, "_check_int": {"_frozen.py", "monodromy.py"}}.get(name, set())
+        assert owners == want, name

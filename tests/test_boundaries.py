@@ -4,6 +4,7 @@ structured errors (``MalformedGraph`` for anything that is not a graph, a
 garbage behind, so nothing it built waits for the cycle collector."""
 
 import gc
+import re
 
 import pytest
 
@@ -87,6 +88,14 @@ BAD_ARGUMENTS = {
     "count_covers_total(k4, None)": (lambda: E.count_covers_total(K4, None), "branch type"),
     "enumerate_tuples(k4, None, order)": (lambda: E.enumerate_tuples(K4, None, ORDER), "branch type"),
     "reconstruct_cover(k4, a, order, None)": (lambda: E.reconstruct_cover(K4, A, ORDER, None), "tup"),
+    "reconstruct_cover(k4, a, order, short tup)": (
+        lambda: E.reconstruct_cover(K4, (1, 0, 0, 0, 0, 0), ORDER, E.CoverTuple((1,), (1,), (1,))),
+        "tup",
+    ),
+    "reconstruct_cover(k4, a, order, long wraps)": (
+        lambda: E.reconstruct_cover(K4, A, ORDER, E.CoverTuple(A, A, A + (0,))),
+        "tup",
+    ),
     "compositions(None, 2)": (lambda: E.compositions(None, 2), "d"),
     "compositions(2, None)": (lambda: E.compositions(2, None), "parts"),
     "compositions(2, -1)": (lambda: E.compositions(2, -1), "parts"),
@@ -102,6 +111,25 @@ BAD_ARGUMENTS = {
     "QSeries.zero(True)": (lambda: E.QSeries.zero(True), "order"),
     "truncate(-1)": (lambda: E.QSeries({0: 1}, 4).truncate(-1), "order"),
     "truncate(2.0)": (lambda: E.QSeries({0: 1}, 4).truncate(2.0), "order"),
+    "QSeries({1.5: 1}, 4)": (lambda: E.QSeries({1.5: 1}, 4), "exponent"),
+    "QSeries({'a': 1}, 4)": (lambda: E.QSeries({"a": 1}, 4), "exponent"),
+    "QSeries([], 4)": (lambda: E.QSeries([], 4), "coeffs"),
+    "QSeries ** 1.5": (lambda: E.QSeries({0: 1}, 4) ** 1.5, "exponent"),
+    "QuasimodularRep('a')": (lambda: E.QuasimodularRep("a"), "weight"),
+    "QuasimodularRep(4.0)": (lambda: E.QuasimodularRep(4.0), "weight"),
+    "QuasimodularRep(4, [])": (lambda: E.QuasimodularRep(4, []), "coeffs"),
+    "QuasimodularRep(4, {(-1, 0, 1): 1})": (lambda: E.QuasimodularRep(4, {(-1, 0, 1): 1}), "monomial"),
+    "QuasimodularRep(4, {(0.5, 0.75, 0): 1})": (lambda: E.QuasimodularRep(4, {(0.5, 0.75, 0): 1}), "monomial"),
+    "eisenstein(2.0, 4)": (lambda: E.eisenstein(2.0, 4), "weight"),
+    "LaurentPoly(1.5)": (lambda: E.LaurentPoly(1.5), "arity"),
+    "LaurentPoly(True)": (lambda: E.LaurentPoly(True), "arity"),
+    "LaurentPoly('a')": (lambda: E.LaurentPoly("a"), "arity"),
+    "LaurentPoly(-1)": (lambda: E.LaurentPoly(-1), "arity"),
+    "LaurentPoly(2, 'x')": (lambda: E.LaurentPoly(2, "x"), "terms"),
+    "LaurentPoly(2, {(1.5, 1): 1})": (lambda: E.LaurentPoly(2, {(1.5, 1): 1}), "exponent vector"),
+    "LaurentPoly(2, {1: 1})": (lambda: E.LaurentPoly(2, {1: 1}), "exponent vector"),
+    "LaurentPoly ** True": (lambda: E.LaurentPoly.one(2) ** True, "exponent"),
+    "LaurentPoly ** -1": (lambda: E.LaurentPoly.one(2) ** -1, "exponent"),
     "weight_monomials(None)": (lambda: E.weight_monomials(None), "weight"),
     "verify_tuple(None, alpha, sigma)": (lambda: E.verify_tuple(None, (0, 1), (0, 1)), "taus"),
     "verify_tuple([None], alpha, sigma)": (lambda: E.verify_tuple([None], (0, 1), (0, 1)), "taus"),
@@ -127,6 +155,46 @@ BAD_ARGUMENTS = {
 def test_a_malformed_argument_raises_a_value_error_naming_it(call, name):
     with pytest.raises(ValueError, match=f"^{name} (entry )?must be "):
         call()
+
+
+# an operand that is not a series: the operator gives way, so Python raises
+# TypeError
+SERIES_OPERANDS = {
+    "QSeries * 3": lambda q: q * 3,
+    "QSeries + 1": lambda q: q + 1,
+    "QSeries - 1": lambda q: q - 1,
+    "QSeries * LaurentPoly": lambda q: q * E.LaurentPoly.one(1),
+}
+
+
+@pytest.mark.parametrize("call", SERIES_OPERANDS.values(), ids=list(SERIES_OPERANDS))
+def test_a_series_operator_gives_way_to_an_operand_that_is_not_a_series(call):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        call(E.QSeries({0: 1, 2: 3}, 4))
+
+
+def value_classes():
+    from ellcover._frozen import Frozen
+
+    return sorted(Frozen.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", value_classes(), ids=lambda cls: cls.__name__)
+def test_a_record_built_with_the_wrong_fields_raises_type_error(cls):
+    fields = cls.__slots__
+    with pytest.raises(TypeError):
+        cls(*range(len(fields) + 1))
+    if "__init__" in vars(cls):
+        return  # a normalising record's own signature says the rest
+    listed = re.escape(f"{cls.__name__} takes the fields ({', '.join(fields)})")
+    for call in (
+        lambda: cls(*range(len(fields) + 1)),
+        lambda: cls(*range(len(fields) - 1)),
+        lambda: cls(*range(len(fields)), unknown=1),
+        lambda: cls(*range(len(fields)), **{fields[-1]: 0}),
+    ):
+        with pytest.raises(TypeError, match=f"^{listed}, "):
+            call()
 
 
 # a loop's factor is singular, so every factor builder refuses it at every

@@ -182,6 +182,13 @@ def test_qseries_rejects_inexact_coefficients(c):
         QSeries({0: 1, 2: c}, 4)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, True, "1", None])
+def test_quasimodular_rep_rejects_inexact_coefficients(c):
+    # Fraction(0.5) would build (1/2)*E2^6 from a float
+    with pytest.raises(TypeError, match="exact coefficient"):
+        QuasimodularRep(12, {(6, 0, 0): c})
+
+
 # F_4 in the weight-18 monomials E2^i E4^j E6^k
 F4_REP = {
     (0, 0, 3): Fraction(-53, 80621568),
