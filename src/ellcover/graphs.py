@@ -6,11 +6,16 @@ which formal variable q_k belongs to which edge).  Loops and parallel edges
 are allowed at the type level; validation enforces trivalence, connectedness
 and the vertex/edge cardinalities.
 
-Besides validation this module provides bridge detection, one
+Besides validation this module provides one depth-first search behind
+the bridges and the balanced positive integer flows, one
 refinement-and-individualisation search behind the canonical form, the
-isomorphism test and the automorphism group, enumeration of isomorphism
-classes by genus induction, and the construction of balanced positive
-integer flows (which exist exactly on the bridgeless graphs).
+isomorphism test and the automorphism group, and enumeration of
+isomorphism classes by genus induction.
+
+Every edge off the depth-first tree closes a cycle with it, and the unit
+flows around those cycles sum to a balanced flow.  It is positive exactly
+when every tree edge lies on one of the cycles, that is when no edge is a
+bridge (Robbins, 1939), so the one search answers both questions.
 
 Each search yields a graph's canonical form and its automorphisms at once,
 so enumeration searches every candidate once and extends each class by one
@@ -207,17 +212,24 @@ def validate(graph: FeynmanGraph) -> int:
     return graph.genus
 
 
-def bridges(graph: FeynmanGraph) -> tuple:
-    """Indices (0-based), ascending, of all bridges: the non-loop edges whose
-    removal leaves the graph disconnected (on a disconnected graph, all of
-    them).  Loops are never bridges.
+def _dfs(graph: FeynmanGraph) -> tuple:
+    """One depth-first search from vertex 1: ``(sources, weights,
+    bridges)``, with one source and one weight per edge.
 
-    One depth-first search with low points (Tarjan, 1974): the tree edge
-    into v is a bridge exactly when no other edge leads from v's subtree to
-    a vertex found before v.  The search tells parallel edges apart by
-    index, so none of them is a bridge.  MalformedGraph for an argument
-    that is not a graph (see :func:`_check_shape`) or an edge with an
-    endpoint outside 1..n.
+    A tree edge points from parent to child.  Every other non-loop edge
+    points from its later-found end up to its earlier one, an ancestor, and
+    has weight 1; a tree edge's weight is the number of those edges that
+    leave its child's subtree, kept as a net count per vertex that is added
+    into the parent when the child is popped.  So the weights sum the unit
+    flows around the cycles the non-tree edges close with the tree: they
+    balance at every vertex and are 0 exactly on the tree edges that no
+    cycle crosses, the bridges.  A loop has source ``None`` and weight 1.
+    Parallel edges are told apart by index, so none of them is a bridge.
+
+    ``bridges`` lists, ascending, the tree edges of weight 0, or every
+    non-loop edge when some vertex is unreached.  MalformedGraph for an
+    argument that is not a graph (see :func:`_check_shape`) or an edge with
+    an endpoint outside 1..n.
     """
     _check_shape(graph)
     n = graph.vertex_count
@@ -227,35 +239,48 @@ def bridges(graph: FeynmanGraph) -> tuple:
         if u != v:
             adj[u].append((v, k))
             adj[v].append((u, k))
+    sources = [None] * len(graph.edges)
+    weights = [1] * len(graph.edges)
     found = [0] * (n + 1)  # discovery time, from 1; 0 while unseen
-    low = [0] * (n + 1)
-    out = []
+    net = [0] * (n + 1)  # edges up out of v less those into v; of its subtree once popped
     if n:
-        found[1] = low[1] = time = 1
+        found[1] = time = 1
         # (vertex, index of its tree edge, its unvisited incidences)
         stack = [(1, None, iter(adj[1]))]
         while stack:
             u, via, rest = stack[-1]
             for w, k in rest:
-                if k == via:
-                    continue
-                if found[w]:
-                    low[u] = min(low[u], found[w])
-                else:
+                if not found[w]:
                     time += 1
-                    found[w] = low[w] = time
+                    found[w] = time
+                    sources[k] = u
                     stack.append((w, k, iter(adj[w])))
                     break
+                if k != via and found[w] < found[u]:
+                    sources[k] = u
+                    net[u] += 1
+                    net[w] -= 1
             else:
                 stack.pop()
                 if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > found[parent]:
-                        out.append(via)
+                    weights[via] = net[u]
+                    net[stack[-1][0]] += net[u]
     if not all(found[1:]):
-        return tuple(k for k, (u, v) in enumerate(graph.edges) if u != v)
-    return tuple(sorted(out))
+        return sources, weights, tuple(k for k, (u, v) in enumerate(graph.edges) if u != v)
+    return sources, weights, tuple(k for k, w in enumerate(weights) if not w)
+
+
+def bridges(graph: FeynmanGraph) -> tuple:
+    """Indices (0-based), ascending, of all bridges: the non-loop edges whose
+    removal leaves the graph disconnected (on a disconnected graph, all of
+    them).  Loops are never bridges.
+
+    The tree edges that no other edge's cycle crosses in the one
+    depth-first search of :func:`_dfs`.  MalformedGraph for an argument
+    that is not a graph (see :func:`_check_shape`) or an edge with an
+    endpoint outside 1..n.
+    """
+    return _dfs(graph)[2]
 
 
 def has_bridge(graph: FeynmanGraph):
@@ -534,83 +559,18 @@ class BalancedFlow(Frozen):
     __slots__ = ("orientation", "weights")
 
 
-def _dfs_orientation(graph: FeynmanGraph):
-    """Orient tree edges away from the root and all remaining edges from the
-    later-discovered endpoint to the earlier one.  On a bridgeless connected
-    graph the resulting digraph is strongly connected."""
-    n = graph.vertex_count
-    order = {1: 0}
-    sources = [None] * len(graph.edges)
-    used = [False] * len(graph.edges)
-    stack = [1]
-    while stack:
-        u = stack[-1]
-        advanced = False
-        for k in graph.incident_edges(u):
-            if used[k]:
-                continue
-            a, b = graph.edges[k]
-            if a == b:
-                used[k] = True
-                continue
-            v = b if a == u else a
-            if v not in order:
-                used[k] = True
-                sources[k] = u
-                order[v] = len(order)
-                stack.append(v)
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    for k, (a, b) in enumerate(graph.edges):
-        if sources[k] is None and a != b:
-            sources[k] = a if order[a] > order[b] else b
-    return Orientation(tuple(sources))
-
-
 def balanced_orientation(graph: FeynmanGraph) -> BalancedFlow:
-    """Orientation plus positive integer weights balanced at every vertex.
+    """Orientation plus positive integer weights balanced at every vertex,
+    which exist exactly when the graph has no bridge (HasBridge otherwise).
 
-    Built as a sum of unit flows along directed cycles, one through each
-    edge, which exists exactly when the graph has no bridge.
+    The one depth-first search of :func:`_dfs`: the sum of the unit flows
+    around the cycles that each non-tree edge closes with the tree, and
+    weight 1 on each loop (which has no orientation).
     """
-    b = bridges(graph)
+    sources, weights, b = _dfs(graph)
     if b:
         raise HasBridge(f"no balanced positive flow: bridges at edges {list(b)}")
-    orient = _dfs_orientation(graph)
-    n = len(graph.edges)
-    heads = []
-    for k, (u, v) in enumerate(graph.edges):
-        src = orient.source(k)
-        heads.append(v if src == u else u)
-    weights = [0] * n
-    for k in range(n):
-        if weights[k] > 0:
-            continue
-        # shortest directed path from head(k) back to source(k)
-        target = orient.source(k)
-        start = heads[k]
-        prev = {start: None}
-        queue = deque([start])
-        while queue and target not in prev:
-            u = queue.popleft()
-            for j in graph.incident_edges(u):
-                if orient.source(j) != u:
-                    continue
-                v = heads[j]
-                if v not in prev:
-                    prev[v] = (u, j)
-                    queue.append(v)
-        if target not in prev:
-            raise HasBridge("orientation is not strongly connected")
-        weights[k] += 1
-        v = target
-        while prev[v] is not None:
-            u, j = prev[v]
-            weights[j] += 1
-            v = u
-    flow = BalancedFlow(orient, tuple(weights))
+    flow = BalancedFlow(Orientation(tuple(sources)), tuple(weights))
     assert is_balanced(graph, flow), "internal error: circulation not balanced"
     return flow
 

@@ -120,12 +120,14 @@ the cut forces the bridge's weight to 0, and every weight is positive.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from ._frozen import Frozen, _check_int
+from ._frozen import Frozen, _check_int, _is_int
 from .graphs import FeynmanGraph, _check_shape, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
+from .laurent import _check_coeff
 from .monodromy import hurwitz_numbers
 from .propagator import _factor_terms
 from .quasimodular import QSeries
@@ -608,12 +610,26 @@ def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
 
 
 class MultiSeries(Frozen):
-    """Multigraded generating function: branch type -> count."""
+    """Multigraded generating function: branch type -> count.
+
+    The branch types are tuples of ``arity`` non-negative integers and the
+    counts exact (``int`` or ``Fraction``); anything else raises, as in
+    :class:`~ellcover.quasimodular.QSeries`.
+    """
 
     __slots__ = ("arity", "coeffs")
 
     def __init__(self, arity: int, coeffs: dict):
-        Frozen.__init__(self, arity, {tuple(a): c for a, c in coeffs.items() if c != 0})
+        _check_int(arity, "arity", 0)
+        if not isinstance(coeffs, Mapping):
+            raise ValueError(f"coeffs must be a mapping from branch types to counts, got {coeffs!r}")
+        clean = {}
+        for a, c in coeffs.items():
+            if not (isinstance(a, tuple) and len(a) == arity and all(_is_int(x) and x >= 0 for x in a)):
+                raise ValueError(f"branch type must be a tuple of {arity} non-negative integers, got {a!r}")
+            if _check_coeff(c) != 0:
+                clean[a] = c
+        Frozen.__init__(self, arity, clean)
 
     def coeff(self, a) -> int:
         return self.coeffs.get(tuple(a), 0)

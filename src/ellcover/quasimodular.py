@@ -55,7 +55,8 @@ class QSeries(Frozen):
     exponents < ``order`` (the series is O(q^order)).
 
     Exponents with no stored coefficient are zero.  Reading a coefficient at
-    or beyond the truncation order raises, rather than silently returning 0.
+    or beyond the truncation order, or at an exponent that is not a
+    non-negative integer, raises, rather than silently returning 0.
     Coefficients must be exact (``int`` or ``Fraction``): a float raises
     ``TypeError``, as in :class:`~ellcover.laurent.LaurentPoly`.  Exponents
     must be non-negative integers.
@@ -84,7 +85,7 @@ class QSeries(Frozen):
         return cls({0: 1}, order)
 
     def coeff(self, exponent: int):
-        if exponent >= self.order:
+        if _check_int(exponent, "exponent", 0) >= self.order:
             raise ValueError(f"coefficient of q^{exponent} lies beyond the truncation O(q^{self.order})")
         return self.coeffs.get(exponent, 0)
 

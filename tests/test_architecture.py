@@ -23,7 +23,8 @@ the package, so the cross-oracle checks compare independent code; it lists
 no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
 recurrence.  One routine, ``graphs._canon``, runs the graph refinement
 search: the canonical form, the isomorphism test, the automorphisms and
-enumeration all read its one search per graph.  Every top-level import and
+enumeration all read its one search per graph.  One depth-first search,
+``graphs._dfs``, gives both the bridges and the balanced flow.  Every top-level import and
 every private top-level name of the package is used in it.  The value
 classes are ``Frozen`` records: ``Frozen``'s one constructor binds every
 record's fields, and only the four records that normalise their arguments
@@ -166,6 +167,21 @@ def test_sums_use_automorphisms_only_for_edge_symmetric_counts():
         "f_g": {"_classes"},
     }
     assert search_groups("tropical.py") == {"count_covers_total": {"_group"}, "tropical_series": {"_group"}}
+
+
+def test_one_depth_first_search_gives_bridges_and_flows():
+    # bridges and balanced_orientation read one search each, and the flow
+    # makes no bridge test, no second search and no per-edge walk of its own
+    tops = {getattr(top, "name", None): top for top in ast.parse((PACKAGE / "graphs.py").read_text()).body}
+    for name in ("bridges", "balanced_orientation"):
+        assert [called_name(call) for call in calls_in(tops[name])].count("_dfs") == 1, name
+    assert callers("graphs.py", "_dfs") == {"bridges", "balanced_orientation"}
+    called = {called_name(call) for call in calls_in(tops["balanced_orientation"])}
+    assert not called & {"bridges", "has_bridge", "incident_edges", "deque"}
+    # the search keeps a net count per vertex, not low points
+    assert "low" not in {node.id for node in names_in(tops["_dfs"])}
+    for module_file in module_files():
+        assert not defines(module_file, "_dfs_orientation"), module_file
 
 
 def test_bridges_is_called_only_by_group():

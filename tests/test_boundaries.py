@@ -115,6 +115,17 @@ BAD_ARGUMENTS = {
     "QSeries({'a': 1}, 4)": (lambda: E.QSeries({"a": 1}, 4), "exponent"),
     "QSeries([], 4)": (lambda: E.QSeries([], 4), "coeffs"),
     "QSeries ** 1.5": (lambda: E.QSeries({0: 1}, 4) ** 1.5, "exponent"),
+    "QSeries.coeff(-1)": (lambda: E.QSeries({0: 1}, 4).coeff(-1), "exponent"),
+    "QSeries.coeff(1.5)": (lambda: E.QSeries({0: 1}, 4).coeff(1.5), "exponent"),
+    "QSeries.coeff('a')": (lambda: E.QSeries({0: 1}, 4).coeff("a"), "exponent"),
+    "MultiSeries(True, {})": (lambda: E.MultiSeries(True, {}), "arity"),
+    "MultiSeries(1.5, {})": (lambda: E.MultiSeries(1.5, {}), "arity"),
+    "MultiSeries(-1, {})": (lambda: E.MultiSeries(-1, {}), "arity"),
+    "MultiSeries(2, [])": (lambda: E.MultiSeries(2, []), "coeffs"),
+    "MultiSeries(2, {(1.5, 0): 1})": (lambda: E.MultiSeries(2, {(1.5, 0): 1}), "branch type"),
+    "MultiSeries(2, {(1, 2, 3): 1})": (lambda: E.MultiSeries(2, {(1, 2, 3): 1}), "branch type"),
+    "MultiSeries(2, {(1, -1): 1})": (lambda: E.MultiSeries(2, {(1, -1): 1}), "branch type"),
+    "MultiSeries(2, {1: 1})": (lambda: E.MultiSeries(2, {1: 1}), "branch type"),
     "QuasimodularRep('a')": (lambda: E.QuasimodularRep("a"), "weight"),
     "QuasimodularRep(4.0)": (lambda: E.QuasimodularRep(4.0), "weight"),
     "QuasimodularRep(4, [])": (lambda: E.QuasimodularRep(4, []), "coeffs"),

@@ -106,6 +106,45 @@ def test_one_pass_bridges_match_the_per_edge_walks(g):
         assert bridges(graph) == reference_bridges(graph), graph.edges
 
 
+def assert_flow_exactly_when_bridgeless(graph, want):
+    """``balanced_orientation`` gives a positive balanced flow when the
+    reference bridges ``want`` are none, and raises HasBridge otherwise."""
+    if want:
+        with pytest.raises(HasBridge):
+            balanced_orientation(graph)
+    else:
+        flow = balanced_orientation(graph)
+        assert is_balanced(graph, flow) and all(w >= 1 for w in flow.weights), graph.edges
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_one_search_gives_bridges_and_flows_on_relabelled_classes(g):
+    # the search walks incidences in edge order from vertex 1, so new vertex
+    # labels and a new edge order give it other trees on every class
+    rng = random.Random(1000 + g)
+    for graph in enumerate_genus(g):
+        n = graph.vertex_count
+        for _ in range(5):
+            label = [0] + rng.sample(range(1, n + 1), n)
+            edges = [(label[u], label[v]) for u, v in graph.edges]
+            rng.shuffle(edges)
+            twin = FeynmanGraph.from_edges(n, edges)
+            want = reference_bridges(twin)
+            assert bridges(twin) == want, twin.edges
+            assert_flow_exactly_when_bridgeless(twin, want)
+
+
+def test_a_loop_carries_unit_flow_on_a_bridgeless_graph():
+    # off the trivalent contract (valence 4), but no edge is a bridge: each
+    # loop carries weight 1 and has no orientation
+    graph = FeynmanGraph(2, ((1, 1), (1, 2), (1, 2), (2, 2)))
+    assert bridges(graph) == ()
+    flow = balanced_orientation(graph)
+    assert flow.orientation.sources == (None, 1, 2, None)
+    assert flow.weights == (1, 1, 1, 1)
+    assert is_balanced(graph, flow)
+
+
 def test_one_pass_bridges_match_the_per_edge_walks_on_random_multigraphs():
     # any valence, loops and parallel edges; half start from a random
     # spanning tree, the rest are often disconnected (every non-loop edge is
@@ -120,6 +159,7 @@ def test_one_pass_bridges_match_the_per_edge_walks_on_random_multigraphs():
         graph = FeynmanGraph.from_edges(n, edges)
         want = reference_bridges(graph)
         assert bridges(graph) == want, (n, edges)
+        assert_flow_exactly_when_bridgeless(graph, want)
         connected = _is_connected(n, graph.edges)
         seen.add(("connected" if connected else "disconnected", bool(want)))
         seen.add(("loop", graph.has_loop()))

@@ -81,6 +81,8 @@ def test_value_classes_are_frozen_records(cls, fields, hashable, picklable):
 
 def test_value_classes_normalise_and_validate_their_fields():
     assert MultiSeries(2, {(1, 0): 0, (0, 1): 2}).coeffs == {(0, 1): 2}
+    with pytest.raises(TypeError, match="exact coefficient"):
+        MultiSeries(2, {(1, 0): 0.5})
     assert QSeries({0: 1, 2: 0, 5: 7}, 4).coeffs == {0: 1}
     with pytest.raises(ValueError, match="negative exponents"):
         QSeries({-2: 1}, 4)
