@@ -38,7 +38,8 @@ the bridgeless path never builds a graph with a bridge.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 from math import factorial
 
 from ._frozen import Frozen, _check_int, _is_int
@@ -204,9 +205,10 @@ def validate(graph: FeynmanGraph) -> int:
         raise BadCardinality(
             f"{n} vertices / {e} edges do not match 2g-2 / 3g-3 for any g >= 2"
         )
+    valence = Counter(chain.from_iterable(graph.edges))
     for v in range(1, n + 1):
-        if graph.degree(v) != 3:
-            raise NotTrivalent(f"vertex {v} has valence {graph.degree(v)}, expected 3")
+        if valence[v] != 3:
+            raise NotTrivalent(f"vertex {v} has valence {valence[v]}, expected 3")
     if not _is_connected(n, graph.edges):
         raise NotConnected("graph is not connected")
     return graph.genus
@@ -576,15 +578,32 @@ def balanced_orientation(graph: FeynmanGraph) -> BalancedFlow:
 
 
 def is_balanced(graph: FeynmanGraph, flow: BalancedFlow) -> bool:
-    """Check positivity and per-vertex conservation of a flow."""
-    if any(w <= 0 for w in flow.weights):
+    """Whether every weight is a positive integer, every non-loop edge's
+    source is one of its endpoints, and in-flow equals out-flow at every
+    vertex.
+
+    MalformedGraph for an argument that is not a graph (see
+    :func:`_check_shape`) or an edge with an endpoint outside 1..n, and a
+    ValueError naming ``flow`` unless it is a :class:`BalancedFlow` with one
+    source and one weight per edge.
+    """
+    _check_shape(graph)
+    _check_endpoints(graph.vertex_count, graph.edges)
+    m = len(graph.edges)
+    if not (
+        isinstance(flow, BalancedFlow)
+        and isinstance(flow.orientation, Orientation)
+        and all(isinstance(f, (tuple, list)) and len(f) == m for f in (flow.orientation.sources, flow.weights))
+    ):
+        raise ValueError(f"flow must be a BalancedFlow with one source and one weight per edge, got {flow!r}")
+    if not all(_is_int(w) and w > 0 for w in flow.weights):
         return False
     net = [0] * (graph.vertex_count + 1)
-    for k, (u, v) in enumerate(graph.edges):
+    for (u, v), src, w in zip(graph.edges, flow.orientation.sources, flow.weights):
         if u == v:
             continue
-        src = flow.orientation.source(k)
-        snk = v if src == u else u
-        net[src] += flow.weights[k]
-        net[snk] -= flow.weights[k]
-    return all(x == 0 for x in net)
+        if src not in (u, v):
+            return False
+        net[src] += w
+        net[v if src == u else u] -= w
+    return not any(net)

@@ -226,12 +226,14 @@ def compositions(d: int, parts: int):
 @lru_cache(maxsize=256)
 def _bundle_terms(degree_sets: tuple, w_max: int, d_max: int) -> tuple:
     """The product of parallel edge factors, one per entry of
-    ``degree_sets`` (each edge's branch degrees, ascending), as (total
-    degree, exponent, coefficient) triples merged on (total degree, exponent)
-    and truncated at total degree ``d_max``.  Every edge runs from the same
-    source to the same sink, so each term stands for coefficient *
-    (x_source / x_sink)^exponent.  Sorted by degree ascending, then exponent
-    descending; built once per key rather than once per vertex order."""
+    ``degree_sets`` (each edge's branch degrees, which must be ascending, as
+    every caller's are: nothing sorts them, and the loop over them stops at
+    the first past ``d_max``), as (total degree, exponent, coefficient)
+    triples merged on (total degree, exponent) and truncated at total degree
+    ``d_max``.  Every edge runs from the same source to the same sink, so
+    each term stands for coefficient * (x_source / x_sink)^exponent.
+    Sorted by degree ascending, then exponent descending; built once per key
+    rather than once per vertex order."""
     factor = {a: _factor_terms(a, w_max) for a in set().union(*degree_sets)}
     terms = {(0, 0): 1}
     for ds in degree_sets:
@@ -609,6 +611,15 @@ def gromov_witten_d(graph: FeynmanGraph, d: int) -> int:
     return i_gamma_series(graph, d).coeff(2 * d)
 
 
+def _branch_type(a, arity: int) -> tuple:
+    """``a`` if it is a tuple of ``arity`` non-negative integers, the key
+    rule of :class:`MultiSeries`; ValueError naming the branch type
+    otherwise."""
+    if not (isinstance(a, tuple) and len(a) == arity and all(_is_int(x) and x >= 0 for x in a)):
+        raise ValueError(f"branch type must be a tuple of {arity} non-negative integers, got {a!r}")
+    return a
+
+
 class MultiSeries(Frozen):
     """Multigraded generating function: branch type -> count.
 
@@ -625,14 +636,15 @@ class MultiSeries(Frozen):
             raise ValueError(f"coeffs must be a mapping from branch types to counts, got {coeffs!r}")
         clean = {}
         for a, c in coeffs.items():
-            if not (isinstance(a, tuple) and len(a) == arity and all(_is_int(x) and x >= 0 for x in a)):
-                raise ValueError(f"branch type must be a tuple of {arity} non-negative integers, got {a!r}")
+            _branch_type(a, arity)
             if _check_coeff(c) != 0:
                 clean[a] = c
         Frozen.__init__(self, arity, clean)
 
-    def coeff(self, a) -> int:
-        return self.coeffs.get(tuple(a), 0)
+    def coeff(self, a: tuple) -> int:
+        """The count of branch type ``a``, which follows the constructor's
+        key rule."""
+        return self.coeffs.get(_branch_type(a, self.arity), 0)
 
     def sorted_items(self):
         """Monomials in graded reverse lexicographic order, highest degree

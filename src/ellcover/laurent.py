@@ -26,6 +26,25 @@ def _check_coeff(c):
     raise TypeError(f"exact coefficient (int or Fraction) required, got {type(c).__name__}")
 
 
+def _exponents(exps, arity: int) -> tuple:
+    """``exps`` if it is a tuple of ``arity`` integers, the key rule of
+    :class:`LaurentPoly`; ValueError naming the exponent vector otherwise
+    (an :class:`ArityMismatch` for a wrong length)."""
+    if not (isinstance(exps, tuple) and all(map(_is_int, exps))):
+        raise ValueError(f"exponent vector must be a tuple of integers, got {exps!r}")
+    if len(exps) != arity:
+        raise ArityMismatch(f"exponent vector must be of length {arity}, got {exps!r}")
+    return exps
+
+
+def _check_slot(var, arity: int) -> int:
+    """``var`` if it is a variable slot 0..arity-1; ValueError naming it
+    otherwise."""
+    if _check_int(var, "var", 0) >= arity:
+        raise ValueError(f"var must be a variable slot below the arity {arity}, got {var}")
+    return var
+
+
 def coeff_str(c) -> str:
     """Canonical "p" / "p/q" rendering of an exact coefficient."""
     c = Fraction(c)
@@ -47,10 +66,7 @@ class LaurentPoly(Frozen):
             raise ValueError(f"terms must be a mapping from exponent vectors to coefficients, got {terms!r}")
         clean = {}
         for exps, c in terms.items():
-            if not (isinstance(exps, tuple) and all(map(_is_int, exps))):
-                raise ValueError(f"exponent vector must be a tuple of integers, got {exps!r}")
-            if len(exps) != arity:
-                raise ArityMismatch(f"exponent vector {exps} has length {len(exps)}, expected {arity}")
+            _exponents(exps, arity)
             if _check_coeff(c) != 0:
                 clean[exps] = clean.get(exps, 0) + c
         Frozen.__init__(self, arity, {e: c for e, c in clean.items() if c != 0})
@@ -76,8 +92,9 @@ class LaurentPoly(Frozen):
     @classmethod
     def variable(cls, arity: int, index: int) -> "LaurentPoly":
         """The variable x_index (0-based slot) as a polynomial."""
+        _check_int(arity, "arity", 0)
         exps = [0] * arity
-        exps[index] = 1
+        exps[_check_slot(index, arity)] = 1
         return cls(arity, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------
@@ -152,9 +169,10 @@ class LaurentPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps: Iterable[int]):
-        """Coefficient of a single monomial."""
-        return self.terms.get(tuple(exps), 0)
+    def coeff(self, exps: tuple):
+        """Coefficient of a single monomial; ``exps`` follows the
+        constructor's key rule."""
+        return self.terms.get(_exponents(exps, self.arity), 0)
 
     def constant_term(self):
         """Coefficient of the all-zero exponent vector."""
@@ -167,8 +185,8 @@ class LaurentPoly(Frozen):
         Iterating this over every variable at exponent 0 computes the
         multivariate constant term one variable at a time.
         """
-        if not 0 <= var < self.arity:
-            raise IndexError(f"variable index {var} out of range for arity {self.arity}")
+        _check_slot(var, self.arity)
+        _check_int(exponent, "exponent")
         out = {}
         for e, c in self.terms.items():
             if e[var] == exponent:
@@ -179,6 +197,7 @@ class LaurentPoly(Frozen):
 
     def support_in(self, var: int) -> set:
         """Set of exponents of variable ``var`` occurring in the support."""
+        _check_slot(var, self.arity)
         return {e[var] for e in self.terms}
 
     # -- presentation ------------------------------------------------------

@@ -185,6 +185,18 @@ def weight_monomials(weight: int) -> list:
     return out
 
 
+def _monomial(ijk, weight: int) -> tuple:
+    """``ijk`` if it is a triple (i, j, k) of non-negative integers with
+    2i + 4j + 6k = ``weight``, the key rule of :class:`QuasimodularRep`;
+    ValueError naming the monomial otherwise."""
+    if not (isinstance(ijk, tuple) and len(ijk) == 3 and all(_is_int(p) and p >= 0 for p in ijk)):
+        raise ValueError(f"monomial must be a triple (i, j, k) of non-negative integers, got {ijk!r}")
+    i, j, k = ijk
+    if 2 * i + 4 * j + 6 * k != weight:
+        raise ValueError(f"monomial {(i, j, k)} is not of weight {weight}")
+    return ijk
+
+
 class QuasimodularRep(Frozen):
     """Exact coefficients over the monomial basis E2^i E4^j E6^k of one
     weight-homogeneous graded piece."""
@@ -199,17 +211,15 @@ class QuasimodularRep(Frozen):
             raise ValueError(f"coeffs must be a mapping from monomials (i, j, k) to coefficients, got {coeffs!r}")
         clean = {}
         for ijk, c in coeffs.items():
-            if not (isinstance(ijk, tuple) and len(ijk) == 3 and all(_is_int(p) and p >= 0 for p in ijk)):
-                raise ValueError(f"monomial must be a triple (i, j, k) of non-negative integers, got {ijk!r}")
-            i, j, k = ijk
-            if 2 * i + 4 * j + 6 * k != weight:
-                raise ValueError(f"monomial {(i, j, k)} is not of weight {weight}")
+            _monomial(ijk, weight)
             if _check_coeff(c) != 0:
                 clean[ijk] = Fraction(c)
         Frozen.__init__(self, weight, clean)
 
-    def coeff(self, ijk):
-        return self.coeffs.get(tuple(ijk), Fraction(0))
+    def coeff(self, ijk: tuple) -> Fraction:
+        """The coefficient of E2^i E4^j E6^k; ``ijk`` follows the
+        constructor's key rule."""
+        return self.coeffs.get(_monomial(ijk, self.weight), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.coeffs

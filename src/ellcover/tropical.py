@@ -12,11 +12,14 @@ with the given branch profile over the base point, and it never touches
 Laurent-polynomial arithmetic, so it serves as an independent oracle for the
 integral path.
 
-All enumeration runs on one graded depth-first search (:func:`_search`).
-Each edge carries its choices for every branch degree it may take, sorted by
-degree, and the search keeps the running total degree: the first choice that
-would push it past the cap ends that edge's loop, since every later choice
-does too.  Edges are assigned in an order that saturates vertices early, and
+All enumeration runs on one graded depth-first search (:func:`_search`), a
+generator on an explicit stack that yields each tuple with its degree and
+weight product, so a caller collects, sums or stops at the first tuple as it
+likes.  Each edge carries its choices for every branch degree it may take,
+in degree order (every caller passes each edge an ascending set of degrees),
+and the search keeps the running total degree: the first choice that would
+push it past the cap ends that edge's loop, since every later choice does
+too.  Edges are assigned in an order that saturates vertices early, and
 a saturated vertex must balance, which prunes the search: the edge that
 saturates a vertex must carry the vertex's running balance, so its weight
 and direction are fixed and only the choices with that weight and source are
@@ -109,47 +112,44 @@ class TropicalCover(Frozen):
 
 def _options(graph, rank, degrees, d_max):
     """Per edge, its (branch degree, weight, source, wrap) choices over the
-    branch degrees in ``degrees[k]``, sorted by branch degree; degree-0
-    choices point from the vertex of lower ``rank`` and stop at weight
-    ``d_max``."""
-    out = []
+    branch degrees in ``degrees[k]``, and the same choices indexed by
+    (weight, source), both in one pass and in degree order: ``degrees[k]``
+    must be ascending (a singleton or a range), which every caller's is.
+    Degree-0 choices point from the vertex of lower ``rank`` and stop at
+    weight ``d_max``."""
+    options, forced = [], []
     for k, (u, v) in enumerate(graph.edges):
-        options = []
+        ends = (u,) if u == v else (u, v)
+        forward = (u if rank[u] < rank[v] else v,)
+        choices, index = [], {}
         for a in degrees[k]:
-            if a > 0:
-                for w in divisors(a):
-                    options.append((a, w, u, a // w))
-                    if u != v:
-                        options.append((a, w, v, a // w))
-            else:
-                src = u if rank[u] < rank[v] else v
-                options.extend((0, w, src, 0) for w in range(1, d_max + 1))
-        options.sort(key=lambda opt: opt[0])
-        out.append(options)
-    return out
+            weights, sources = (divisors(a), ends) if a else (range(1, d_max + 1), forward)
+            for w in weights:
+                for src in sources:
+                    opt = (a, w, src, a // w)
+                    choices.append(opt)
+                    index.setdefault((w, src), []).append(opt)
+        options.append(choices)
+        forced.append(index)
+    return options, forced
 
 
-def _search(graph, order, degrees, d_max, leaf):
-    """Call ``leaf(degree, multiplicity, chosen)`` for every admissible
-    tuple of total branch degree at most ``d_max``, where ``chosen[k]`` is
-    edge k's (branch degree, weight, source, wrap) choice; degree-0 weights
-    stop at ``d_max`` (exact, see the module docstring).  The caller has
-    checked the order."""
+def _search(graph, order, degrees, d_max):
+    """Yield ``(degree, multiplicity, chosen)`` for every admissible tuple
+    of total branch degree at most ``d_max``, where ``chosen[k]`` is edge
+    k's (branch degree, weight, source, wrap) choice; ``chosen`` is one list
+    that the search goes on to change, so a caller reads it before asking
+    for the next tuple.  Degree-0 weights stop at ``d_max`` (exact, see the
+    module docstring).  Each ``degrees[k]`` is ascending, so the first
+    choice past the cap ends an edge's loop.  The caller has checked the
+    order."""
     rank = {lab: i for i, lab in enumerate(order)}
-    options = _options(graph, rank, degrees, d_max)
+    options, forced = _options(graph, rank, degrees, d_max)
     edges = graph.edges
     m = len(edges)
-    # per edge, (weight, source) -> its choices in degree order, for an edge
-    # that saturates a vertex
-    forced = []
-    for opts in options:
-        index = {}
-        for opt in opts:
-            index.setdefault(opt[1:3], []).append(opt)
-        forced.append(index)
     # assign edges in an order that completes vertices early, so balance can
     # be checked (and the search pruned) as soon as a vertex is saturated
-    edge_seq = sorted(range(m), key=lambda k: (max(rank[edges[k][0]], rank[edges[k][1]]), k))
+    edge_seq = [k for _, k in sorted((max(rank[u], rank[v]), k) for k, (u, v) in enumerate(edges))]
     remaining = [0] * (graph.vertex_count + 1)
     for u, v in edges:
         remaining[u] += 1
@@ -167,7 +167,7 @@ def _search(graph, order, degrees, d_max, leaf):
             degree, mult = pending
             pending = None
             if len(frames) == m:
-                leaf(degree, mult, chosen)
+                yield degree, mult, chosen
                 continue
             k = edge_seq[len(frames)]
             u, v = edges[k]
@@ -222,15 +222,8 @@ def enumerate_tuples(graph: FeynmanGraph, a, order) -> list:
     """
     order = check_order(graph, order)
     a = check_branch_type(graph, a)
-    total = sum(a)
-    results = []
-
-    def collect(degree, mult, chosen):
-        _, weights, sources, wraps = zip(*chosen)
-        results.append(CoverTuple(weights, sources, wraps))
-
-    _search(graph, order, [(x,) for x in a], total, collect)
-    return results
+    # zip(*chosen) gives the branch degrees, weights, sources and wraps
+    return [CoverTuple(*list(zip(*chosen))[1:]) for _, _, chosen in _search(graph, order, [(x,) for x in a], sum(a))]
 
 
 def _graded_counts(graph, orders, degrees, d_max) -> dict:
@@ -239,13 +232,9 @@ def _graded_counts(graph, orders, degrees, d_max) -> dict:
     that degree, for degrees up to d_max.  One search per order: nothing is
     shared between orders."""
     counts = {}
-
-    def add(degree, mult, chosen):
-        # weight is the loop variable below: the weight of the order searched
-        counts[degree] = counts.get(degree, 0) + weight * mult
-
     for order, weight in orders:
-        _search(graph, order, degrees, d_max, add)
+        for degree, mult, _ in _search(graph, order, degrees, d_max):
+            counts[degree] = counts.get(degree, 0) + weight * mult
     return counts
 
 

@@ -3,7 +3,9 @@
 ``integrals._group`` gives: it alone validates a sum's graph, makes the
 bridge decision (no automorphism at all, so no orbit, for a graph with a
 bridge) and picks the automorphisms, so a new way of summing is a change to
-one function.  No callback stands between a sum and the search.  The search
+one function.  No callback stands between a sum and either search: the
+order search returns its orders or sums, and the tropical tuple search,
+``tropical._search``, is a generator that yields its tuples.  The search
 keeps one lexicographically first order per orbit of acyclic orientations
 (an order enters a count only through the orientation it induces); no orbit
 builder is left in the package, and no sum walks the n! orders.  Only sums
@@ -35,6 +37,7 @@ the only other ``isinstance(..., int)`` tests are laurent's two tests for
 an exact coefficient."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import ellcover
@@ -258,16 +261,51 @@ def test_sym_lists_no_partition_and_makes_one_pass_per_series():
     assert "f_g" not in callers("integrals.py", "check_budget")
 
 
+def top_level(module_file, name):
+    """The top-level definition of ``name`` in a module."""
+    return next(top for top in ast.parse((PACKAGE / module_file).read_text()).body if getattr(top, "name", None) == name)
+
+
 def test_the_guard_sees_calls_inside_lambdas():
-    # tropical._search calls max only from the sort key it hands sorted, a
-    # lambda, and enumerate_tuples makes its CoverTuples only in a nested
-    # function
-    search = next(top for top in ast.parse((PACKAGE / "tropical.py").read_text()).body if getattr(top, "name", None) == "_search")
-    in_lambdas = [call for node in ast.walk(search) if isinstance(node, ast.Lambda) for call in calls_in(node)]
-    maxes = [call for call in calls_in(search) if called_name(call) == "max"]
-    assert maxes and all(call in in_lambdas for call in maxes)
-    assert "_search" in callers("tropical.py", "max")
-    assert "enumerate_tuples" in callers("tropical.py", "CoverTuple")
+    # MultiSeries calls reversed only from the sort key it hands sorted, a
+    # lambda, and graphs._extensions pairs vertices only in its nested
+    # function new_orbit
+    for module_file, owner, kind, name in [("integrals.py", "MultiSeries", ast.Lambda, "reversed"),
+                                           ("graphs.py", "_extensions", ast.FunctionDef, "_pair")]:
+        top = top_level(module_file, owner)
+        inner = [call for node in ast.walk(top) if isinstance(node, kind) for call in calls_in(node)]
+        found = [call for call in calls_in(top) if called_name(call) == name]
+        assert found and all(call in inner for call in found), owner
+        assert owner in callers(module_file, name), owner
+
+
+def test_the_tuple_search_is_a_generator():
+    # its callers loop over the tuples it yields, and none hands it a
+    # callback or passes it on
+    from ellcover import tropical
+
+    assert inspect.isgeneratorfunction(tropical._search)
+    assert list(inspect.signature(tropical._search).parameters) == ["graph", "order", "degrees", "d_max"]
+    searches = {"enumerate_tuples", "_graded_counts"}
+    assert callers("tropical.py", "_search") == mentions("tropical.py", "_search") == searches
+
+
+def test_tropical_defines_no_nested_function():
+    # the tuple search keeps its own explicit stack, so no closure or lambda
+    # is left in the module to hold a reference cycle or a late binding
+    for top in ast.parse((PACKAGE / "tropical.py").read_text()).body:
+        for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+            nested = [node for node in ast.walk(scope)
+                      if node is not scope and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+            assert nested == [], getattr(top, "name", None)
+
+
+def test_options_alone_builds_the_choice_index():
+    # one pass builds each edge's choices and their (weight, source) index,
+    # and nothing sorts the choices: every caller passes ascending degrees
+    assert callers("tropical.py", "_options") == {"_search"}
+    assert callers("tropical.py", "setdefault") == {"_options"}
+    assert not {"sort", "sorted"} & {called_name(call) for call in calls_in(top_level("tropical.py", "_options"))}
 
 
 def package_imports(module_file):

@@ -16,6 +16,7 @@ K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K4 = E.FeynmanGraph.from_edges(4, K4_EDGES)
 A = (1, 0, 1, 0, 1, 1)
 ORDER = (1, 2, 3, 4)
+K4_FLOW = graphs.BalancedFlow(graphs.Orientation((1, 1, 1, 2, 2, 3)), (1, 1, 1, 1, 1, 1))
 
 
 def orientation_orbits(graph):
@@ -35,6 +36,7 @@ GRAPH_ENTRY_POINTS = {
     "automorphism_count": lambda g: E.automorphism_count(g),
     "vertex_automorphisms": lambda g: graphs.vertex_automorphisms(g),
     "balanced_orientation": lambda g: E.balanced_orientation(g),
+    "is_balanced": lambda g: graphs.is_balanced(g, K4_FLOW),
     # the orbit listings left the package: the orientation orbits come from
     # the order search, and the n!-order reference of the tests reaches
     # the graph only through vertex_automorphisms
@@ -118,6 +120,9 @@ BAD_ARGUMENTS = {
     "QSeries.coeff(-1)": (lambda: E.QSeries({0: 1}, 4).coeff(-1), "exponent"),
     "QSeries.coeff(1.5)": (lambda: E.QSeries({0: 1}, 4).coeff(1.5), "exponent"),
     "QSeries.coeff('a')": (lambda: E.QSeries({0: 1}, 4).coeff("a"), "exponent"),
+    "MultiSeries.coeff('ab')": (lambda: E.MultiSeries(2, {(1, 0): 3}).coeff("ab"), "branch type"),
+    "MultiSeries.coeff((1.5,))": (lambda: E.MultiSeries(2, {(1, 0): 3}).coeff((1.5,)), "branch type"),
+    "MultiSeries.coeff(5)": (lambda: E.MultiSeries(2, {(1, 0): 3}).coeff(5), "branch type"),
     "MultiSeries(True, {})": (lambda: E.MultiSeries(True, {}), "arity"),
     "MultiSeries(1.5, {})": (lambda: E.MultiSeries(1.5, {}), "arity"),
     "MultiSeries(-1, {})": (lambda: E.MultiSeries(-1, {}), "arity"),
@@ -131,7 +136,12 @@ BAD_ARGUMENTS = {
     "QuasimodularRep(4, [])": (lambda: E.QuasimodularRep(4, []), "coeffs"),
     "QuasimodularRep(4, {(-1, 0, 1): 1})": (lambda: E.QuasimodularRep(4, {(-1, 0, 1): 1}), "monomial"),
     "QuasimodularRep(4, {(0.5, 0.75, 0): 1})": (lambda: E.QuasimodularRep(4, {(0.5, 0.75, 0): 1}), "monomial"),
+    "QuasimodularRep.coeff('ab')": (lambda: E.QuasimodularRep(2, {(1, 0, 0): 1}).coeff("ab"), "monomial"),
+    "QuasimodularRep.coeff((1.5, 0, 0))": (lambda: E.QuasimodularRep(2, {(1, 0, 0): 1}).coeff((1.5, 0, 0)), "monomial"),
+    "QuasimodularRep.coeff((1, 0))": (lambda: E.QuasimodularRep(2, {(1, 0, 0): 1}).coeff((1, 0)), "monomial"),
+    "QuasimodularRep.coeff((-1, 0, 0))": (lambda: E.QuasimodularRep(2, {(1, 0, 0): 1}).coeff((-1, 0, 0)), "monomial"),
     "eisenstein(2.0, 4)": (lambda: E.eisenstein(2.0, 4), "weight"),
+    "eisenstein(3, 4)": (lambda: E.eisenstein(3, 4), "weight"),
     "LaurentPoly(1.5)": (lambda: E.LaurentPoly(1.5), "arity"),
     "LaurentPoly(True)": (lambda: E.LaurentPoly(True), "arity"),
     "LaurentPoly('a')": (lambda: E.LaurentPoly("a"), "arity"),
@@ -139,6 +149,17 @@ BAD_ARGUMENTS = {
     "LaurentPoly(2, 'x')": (lambda: E.LaurentPoly(2, "x"), "terms"),
     "LaurentPoly(2, {(1.5, 1): 1})": (lambda: E.LaurentPoly(2, {(1.5, 1): 1}), "exponent vector"),
     "LaurentPoly(2, {1: 1})": (lambda: E.LaurentPoly(2, {1: 1}), "exponent vector"),
+    "LaurentPoly(2, {(1,): 1})": (lambda: E.LaurentPoly(2, {(1,): 1}), "exponent vector"),
+    "LaurentPoly.coeff('ab')": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff("ab"), "exponent vector"),
+    "LaurentPoly.coeff((1.5, -1))": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff((1.5, -1)), "exponent vector"),
+    "LaurentPoly.coeff((1,))": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff((1,)), "exponent vector"),
+    "coeff_in(5, 0)": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff_in(5, 0), "var"),
+    "coeff_in(-1, 0)": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff_in(-1, 0), "var"),
+    "coeff_in('a', 0)": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff_in("a", 0), "var"),
+    "coeff_in(0, 1.5)": (lambda: E.LaurentPoly(2, {(1, -1): 3}).coeff_in(0, 1.5), "exponent"),
+    "support_in(2)": (lambda: E.LaurentPoly(2, {(1, -1): 3}).support_in(2), "var"),
+    "LaurentPoly.variable(2, -1)": (lambda: E.LaurentPoly.variable(2, -1), "var"),
+    "LaurentPoly.variable(2, 2)": (lambda: E.LaurentPoly.variable(2, 2), "var"),
     "LaurentPoly ** True": (lambda: E.LaurentPoly.one(2) ** True, "exponent"),
     "LaurentPoly ** -1": (lambda: E.LaurentPoly.one(2) ** -1, "exponent"),
     "weight_monomials(None)": (lambda: E.weight_monomials(None), "weight"),
@@ -159,6 +180,11 @@ BAD_ARGUMENTS = {
     "expand_zero_term(None, 1, 2, 1)": (lambda: E.expand_zero_term(None, 1, 2, 1), "arity"),
     "expand_zero_term(2, -1, 1, 1)": (lambda: E.expand_zero_term(2, -1, 1, 1), "source"),
     "expand_zero_term(2, 0, 1, None)": (lambda: E.expand_zero_term(2, 0, 1, None), "w_max"),
+    "is_balanced(k4, None)": (lambda: graphs.is_balanced(K4, None), "flow"),
+    "is_balanced(k4, short flow)": (
+        lambda: graphs.is_balanced(K4, graphs.BalancedFlow(K4_FLOW.orientation, (1,) * 5)),
+        "flow",
+    ),
 }
 
 
@@ -226,8 +252,9 @@ def test_a_loop_raises_loop_edge_at_every_degree(call):
         call()
 
 
-# FeynmanGraph's constructor checks types only; from_edges and validate
-# check the endpoints
+# FeynmanGraph's constructor checks types only; from_edges and the
+# depth-first search check the endpoints (validate rejects such a graph as
+# NotTrivalent, since no vertex 1..n counts the outside endpoint)
 OUTSIDE = {
     "(1, 5)": E.FeynmanGraph(2, ((1, 5), (1, 2), (1, 2))),
     "(0, 1)": E.FeynmanGraph(2, ((0, 1), (1, 2), (1, 2))),
@@ -239,6 +266,12 @@ OUTSIDE = {
 def test_an_endpoint_outside_the_vertices_raises_malformed_graph_naming_the_edge(call, graph):
     with pytest.raises(E.MalformedGraph, match=r'^"edges"\[0\] = .* references a vertex outside 1\.\.2$'):
         call(graph)
+
+
+@pytest.mark.parametrize("graph", OUTSIDE.values(), ids=list(OUTSIDE))
+def test_validate_rejects_an_endpoint_outside_the_vertices_as_not_trivalent(graph):
+    with pytest.raises(E.NotTrivalent, match="^vertex 2 has valence 2, expected 3$"):
+        E.validate(graph)
 
 
 ENTRY_POINTS = {

@@ -24,7 +24,7 @@ from ellcover import (
     validate,
 )
 from ellcover import graphs
-from ellcover.graphs import _canon, _is_connected, is_balanced, vertex_automorphisms
+from ellcover.graphs import BalancedFlow, Orientation, _canon, _is_connected, is_balanced, vertex_automorphisms
 
 
 def test_validate_genus(theta, dumbbell, caterpillar, k4):
@@ -44,6 +44,58 @@ def test_validate_errors():
         validate(two_thetas)
     with pytest.raises(GraphError):
         FeynmanGraph.from_edges(2, [[1, 3]])
+
+
+def reference_validate(graph):
+    """``validate`` with one edge scan per vertex (``FeynmanGraph.degree``):
+    the reference for its one valence count."""
+    n, e = graph.vertex_count, len(graph.edges)
+    if n < 2 or n % 2 or 2 * e != 3 * n:
+        raise BadCardinality(f"{n} vertices / {e} edges do not match 2g-2 / 3g-3 for any g >= 2")
+    for v in range(1, n + 1):
+        if graph.degree(v) != 3:
+            raise NotTrivalent(f"vertex {v} has valence {graph.degree(v)}, expected 3")
+    if not _is_connected(n, graph.edges):
+        raise NotConnected("graph is not connected")
+    return graph.genus
+
+
+def outcome(call, graph):
+    """The genus a call returns, or the type and message of its error."""
+    try:
+        return call(graph)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_matches_the_per_vertex_scan_on_random_multigraphs(monkeypatch):
+    # random trivalent multigraphs (paired stubs), some cut short, some with
+    # one endpoint moved to another vertex or to 0, n + 1 or a negative
+    # label, which no vertex 1..n counts
+    rng = random.Random(23)
+    samples = []
+    for i in range(1500):
+        n = rng.randint(0, 8)
+        stubs = list(range(1, n + 1)) * 3
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[::2], stubs[1::2]))
+        if i % 5 == 0:
+            edges = edges[: rng.randint(0, len(edges))]
+        if edges and i % 3 == 0:
+            k = rng.randrange(len(edges))
+            edges[k] = (rng.choice((0, n + 1, -1, rng.randint(1, n))), edges[k][1])
+        samples.append(FeynmanGraph(n, tuple(edges)))
+    want = [outcome(reference_validate, graph) for graph in samples]
+    assert {BadCardinality, NotTrivalent, NotConnected, 2, 3} <= {w if isinstance(w, int) else w[0] for w in want}
+    # a graph with an endpoint outside 1..n fails as NotTrivalent, if its
+    # cardinalities are right
+    outside = [w for graph, w in zip(samples, want)
+               if any(not 1 <= x <= graph.vertex_count for e in graph.edges for x in e)
+               and not (isinstance(w, tuple) and w[0] is BadCardinality)]
+    assert outside and all(w[0] is NotTrivalent for w in outside)
+    # validate counts the valences once and never scans per vertex
+    monkeypatch.setattr(FeynmanGraph, "degree", None)
+    assert [outcome(validate, graph) for graph in samples] == want
 
 
 def test_json_roundtrip(caterpillar):
@@ -143,6 +195,49 @@ def test_a_loop_carries_unit_flow_on_a_bridgeless_graph():
     assert flow.orientation.sources == (None, 1, 2, None)
     assert flow.weights == (1, 1, 1, 1)
     assert is_balanced(graph, flow)
+
+
+def test_is_balanced_checks_the_flow_it_is_given(theta):
+    flow = balanced_orientation(theta)
+    sources, weights = flow.orientation.sources, flow.weights
+    assert is_balanced(theta, BalancedFlow(Orientation(list(sources)), list(weights)))
+    # a source off its edge is not counted at some other vertex
+    two = FeynmanGraph(4, ((1, 2), (1, 2), (3, 4)))
+    assert not is_balanced(two, BalancedFlow(Orientation((3, 1, 2)), (1, 1, 1)))
+    assert not is_balanced(theta, BalancedFlow(Orientation((None,) + sources[1:]), weights))
+    # every weight is a positive integer, a loop's too
+    for bad in (0, -1, 1.5, True, Fraction(1), None):
+        assert not is_balanced(theta, BalancedFlow(flow.orientation, (bad,) + weights[1:])), bad
+    loops = FeynmanGraph(2, ((1, 1), (1, 2), (1, 2), (2, 2)))
+    assert is_balanced(loops, BalancedFlow(Orientation((None, 1, 2, None)), (1, 1, 1, 1)))
+    assert not is_balanced(loops, BalancedFlow(Orientation((None, 1, 2, None)), (1, 1, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [
+        None,
+        (Orientation((1, 1, 2)), (1, 1, 2)),
+        BalancedFlow((1, 1, 2), (1, 1, 2)),
+        BalancedFlow(Orientation((1, 1)), (1, 1, 2)),
+        BalancedFlow(Orientation((1, 1, 2)), (1, 2)),
+        BalancedFlow(Orientation((1, 1, 2)), (1, 1, 2, 1)),
+        BalancedFlow(Orientation(None), (1, 1, 2)),
+        BalancedFlow(Orientation((1, 1, 2)), 4),
+    ],
+    ids=["None", "pair", "bare sources", "short sources", "short weights", "long weights", "None sources",
+         "int weights"],
+)
+def test_is_balanced_names_a_flow_of_the_wrong_shape(theta, flow):
+    with pytest.raises(ValueError, match="^flow must be a BalancedFlow with one source and one weight per edge"):
+        is_balanced(theta, flow)
+
+
+def test_is_balanced_checks_the_graph():
+    flow = BalancedFlow(Orientation((1, 1, 2)), (1, 1, 2))
+    for graph in (None, [(1, 2)] * 3, FeynmanGraph(2, ((1, 2), (1, 2), (1, 3))), FeynmanGraph(2.0, ((1, 2),) * 3)):
+        with pytest.raises(MalformedGraph):
+            is_balanced(graph, flow)
 
 
 def test_one_pass_bridges_match_the_per_edge_walks_on_random_multigraphs():

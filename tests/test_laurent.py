@@ -52,6 +52,11 @@ def test_arity_mismatch():
         P(1, {(1,): 1}) + P(2, {(1, 0): 1})
     with pytest.raises(ArityMismatch):
         P(1, {(1,): 1}) * P(2, {(1, 0): 1})
+    # an exponent vector of the wrong length, built or read
+    for call in (lambda: P(2, {(1,): 1}), lambda: P(2, {(1, 0, 0): 1}), lambda: P(2, {(1, -1): 3}).coeff((1,))):
+        with pytest.raises(ArityMismatch, match=r"^exponent vector must be of length 2, got \("):
+            call()
+    assert P(2, {(1, -1): 3}).coeff((1, -1)) == 3 and P(2, {(1, -1): 3}).coeff((0, 0)) == 0
 
 
 def test_floats_rejected():

@@ -84,6 +84,11 @@ def test_qseries_arithmetic():
     assert (a * b).coeffs == {2: -3, 4: -8}  # (1+3q^2)(-3q^2+q^4) mod q^6
     assert (a**2).coeffs == {0: 1, 2: 6, 4: 9}
     assert str(QSeries({4: 32, 6: 1792}, 14)) == "32*q^4+1792*q^6"
+    # subtraction adds the negated series and keeps the shorter truncation
+    assert (a - b).coeffs == {0: 1, 2: 6, 4: -1}
+    assert (a - QSeries({0: 1, 2: 3, 4: 2}, 4)) == QSeries({}, 4)
+    assert a.scale(Fraction(1, 3)) == QSeries({0: Fraction(1, 3), 2: 1}, 6)
+    assert a.scale(0).is_zero() and a.scale(0).order == 6
 
 
 def test_weight_monomials():

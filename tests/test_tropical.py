@@ -16,6 +16,7 @@ from ellcover import (
     tropical_series,
 )
 from ellcover.integrals import all_orders, compositions
+from ellcover.tropical import _search
 
 
 def test_known_tuple_is_enumerated(caterpillar):
@@ -220,3 +221,14 @@ def test_tropical_series_rejects_negative_degree(k4):
     with pytest.raises(ValueError, match="d_max"):
         tropical_series(k4, -1)
     assert tropical_series(k4, 0).coeffs == {}
+
+
+def test_the_search_stops_at_the_first_tuple(caterpillar, dumbbell):
+    # the search yields its tuples, so whether an order has any is one next()
+    a = (0, 2, 2, 0, 1, 0)
+    order = (1, 3, 4, 2)
+    degree, mult, chosen = next(_search(caterpillar, order, [(x,) for x in a], sum(a)))
+    first = enumerate_tuples(caterpillar, a, order)[0]
+    assert degree == first.degree == 5 and mult == first.multiplicity
+    assert [opt[1:] for opt in chosen] == list(zip(first.weights, first.sources, first.wraps))
+    assert next(_search(dumbbell, (1, 2), [(1,), (1,), (1,)], 3), None) is None

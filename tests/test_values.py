@@ -90,3 +90,11 @@ def test_value_classes_normalise_and_validate_their_fields():
     assert QuasimodularRep(4, {(0, 1, 0): 3, (2, 0, 0): 0}).coeffs == {(0, 1, 0): Fraction(3)}
     with pytest.raises(ValueError, match="not of weight 4"):
         QuasimodularRep(4, {(1, 0, 0): 1})
+    # coeff reads a key by the constructor's rule: a key the constructor
+    # would take and that holds nothing reads 0, any other raises
+    series = MultiSeries(2, {(1, 0): 0, (0, 1): 2})
+    assert (series.coeff((0, 1)), series.coeff((1, 0)), series.coeff((5, 5))) == (2, 0, 0)
+    rep = QuasimodularRep(4, {(0, 1, 0): 3})
+    assert (rep.coeff((0, 1, 0)), rep.coeff((2, 0, 0))) == (Fraction(3), Fraction(0))
+    with pytest.raises(ValueError, match="not of weight 4"):
+        rep.coeff((1, 0, 0))
