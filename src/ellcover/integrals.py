@@ -13,8 +13,9 @@ intermediate supports small; v is then the source of every factor it
 multiplies.  v's edges to one later neighbour w are parallel, with v as
 their common source, so they are multiplied as one bundle: the product of
 their factors, merged on (total degree, exponent), comes out of a table
-built once per (degree sets, weight bound, degree bound) and already
-sorted.  That is one multiply per later neighbour rather than one per edge.
+built once per process for each (degree sets, weight bound, degree bound)
+and already sorted.  That is one multiply per later neighbour rather than
+one per edge.
 The last bundle of v is multiplied as a matched product: each term of the
 running product meets only the bundle terms that bring its x_v exponent to
 0, so x_v^0 is extracted as the product is formed and the terms the
@@ -26,11 +27,13 @@ bundles after it take x to 0: for the last one, read off the first term of
 x's group.  The terms of the bundle before it that pass are kept per x_v
 exponent, sorted by their slack under the room, so each term of the running
 product walks its row until the slack drops below its degree.  Rows and
-rooms are built the first time their exponent is met.  This is exact: a
-dropped term has no completion within the bound, so it adds nothing to the
-step's output, and every coefficient is positive, so nothing cancels.  At
-degree 10 it cuts the pairs that the ladder's and K4's series visit before
-their matched multiplies from 2,558 and 16,272 to 1,172 and 6,751.
+rooms are built the first time their exponent is met, and kept with the
+step (see :class:`_Kernel`), so every kernel that meets the same step reads
+them again.  This is exact: a dropped term has no completion within the
+bound, so it adds nothing to the step's output, and every coefficient is
+positive, so nothing cancels.  At degree 10 it cuts the pairs that the
+ladder's and K4's series visit before their matched multiplies from 2,558
+and 16,272 to 1,172 and 6,751.
 
 One kernel, :class:`_Kernel`, computes every integral, one vertex step
 (:func:`_vertex_step`) at a time.  Monomials are packed into ints with one
@@ -325,70 +328,92 @@ def _row(stages, i, ds) -> list:
     return row
 
 
-class _Kernel:
-    """The packing and bundle set-up of one kernel pass (see
-    :func:`_eliminate`), shared by :func:`_eliminate` and
-    :func:`_order_search`: ``zero`` is the packed monomial 1 and ``top``
-    the weight of the degree digit.  :meth:`step` eliminates one vertex.
-    Each (v, w) bundle's offsets, and each vertex's step for one set of
-    later neighbours (its filtered rows included), are built when first
-    needed and then kept."""
+@lru_cache(maxsize=256)
+def _bundle(degree_sets: tuple, w_max: int, d_max: int, top: int, shift: int, bias: int) -> tuple:
+    """The packed bundle of the parallel edges with the (ascending, sorted)
+    ``degree_sets`` from a source to a sink whose places differ by
+    ``shift``, as (terms, matched, room): the (degree, exponent, key offset,
+    coefficient) terms in :func:`_bundle_terms` order; their (key offset,
+    coefficient) pairs grouped by the source digit that they take to the
+    bias; and per such digit, the degree bound less the least degree in its
+    group.  Shared by every kernel (see :class:`_Kernel`)."""
+    terms, matched, room = [], {}, {}
+    for t, e, c in _bundle_terms(degree_sets, w_max, d_max):
+        offset = t * top + e * shift
+        terms.append((t, e, offset, c))
+        matched.setdefault(bias - e, []).append((offset, c))
+        room.setdefault(bias - e, d_max - t)  # the table ascends by degree
+    return terms, matched, room
 
-    __slots__ = (
-        "zero", "top", "radix", "bias", "limit", "place", "w_max", "d_max", "neighbours", "adjacent", "steps", "bundles"
-    )
+
+@lru_cache(maxsize=256)
+def _step(p: int, top: int, bias: int, w_max: int, d_max: int, bundles: tuple) -> tuple:
+    """The :func:`_vertex_step` arguments that eliminate the vertex of place
+    ``p`` through its ``bundles``, one (sorted degree sets, shift) per later
+    neighbour in neighbour order, the last one matched.  The rows and rooms
+    of the bundles before the last start empty and are filled as steps meet
+    them, by any kernel that reads the entry; the last bundle's room comes
+    with its table."""
+    built = [_bundle(sets, w_max, d_max, top, shift, bias) for sets, shift in bundles]
+    stages = [(terms, {}, {}) for terms, _, _ in built[:-1]]
+    stages += [(None, None, room) for _, _, room in built[-1:]]
+    matched = built[-1][1] if built else None
+    return p, 2 * bias + 1, bias, (d_max + 1) * top, top, stages, matched
+
+
+class _Kernel:
+    """The packing of one kernel pass (see :func:`_eliminate`), shared by
+    :func:`_eliminate` and :func:`_order_search`: ``zero`` is the packed
+    monomial 1 and ``top`` the weight of the degree digit.  :meth:`step`
+    eliminates one vertex.
+
+    Its set-up is read from two bounded memos that every kernel of the
+    process shares: :func:`_bundle`, keyed by (sorted degree sets, w_max,
+    d_max, top, shift, bias), and :func:`_step`, keyed by (place of v, top,
+    bias, w_max, d_max, the later neighbours' (sorted degree sets, shift) in
+    neighbour order).  The keys are sound: the radix is 2 bias + 1 and the
+    limit (d_max + 1) top, so every packed term, matched group, room and
+    filtered row is a function of the key alone, whatever graph, order or
+    call first built it.  They hold the packed ints rather than a shift-free
+    form: the vertex count and the radix are fixed per genus and degree
+    bound, so (top, shift) recurs across relabellings, classes and calls,
+    and a step read again pays no per-term offset loop.  ``steps`` keeps a
+    reference to each step read, per vertex and set of later neighbours, so
+    a hot step costs one dict lookup, and a step that the memo evicts stays
+    valid for the kernels that hold it."""
+
+    __slots__ = ("zero", "top", "bias", "place", "w_max", "d_max", "neighbours", "adjacent", "steps")
 
     def __init__(self, graph, degrees, w_max, d_max):
         n = graph.vertex_count
         weight = max([w_max] + [max(ds) for ds in degrees])
         self.bias = 6 * weight + 1
-        self.radix = 2 * self.bias + 1
-        self.place = [self.radix ** (v - 1) for v in range(n + 1)]
-        self.top = self.radix**n
-        self.limit = (d_max + 1) * self.top
+        radix = 2 * self.bias + 1
+        self.place = [radix ** (v - 1) for v in range(n + 1)]
+        self.top = radix**n
         self.zero = (self.top - 1) // 2  # every vertex digit at the bias: the monomial 1
         self.w_max, self.d_max = w_max, d_max
-        # per vertex, neighbour w -> the degree sets of the edges to w
-        self.neighbours = [{} for _ in range(n + 1)]
+        neighbours = [{} for _ in range(n + 1)]
         for k, (u, v) in enumerate(graph.edges):
-            self.neighbours[u].setdefault(v, []).append(tuple(degrees[k]))
-            self.neighbours[v].setdefault(u, []).append(tuple(degrees[k]))
+            neighbours[u].setdefault(v, []).append(tuple(degrees[k]))
+            neighbours[v].setdefault(u, []).append(tuple(degrees[k]))
+        # per vertex, neighbour w -> the sorted degree sets of the edges to w
+        self.neighbours = [{w: tuple(sorted(sets)) for w, sets in ws.items()} for ws in neighbours]
         self.adjacent = [sum(1 << w for w in ws) for ws in self.neighbours]
         # steps[v]: bitmask of later neighbours -> v's _vertex_step arguments
         self.steps = [{} for _ in range(n + 1)]
-        self.bundles = {}
 
     def step(self, state, v, placed) -> dict:
         """``state`` with vertex v eliminated, the vertices of the bitmask
-        ``placed`` eliminated before it."""
+        ``placed`` eliminated before it.  The first time v meets a set of
+        later neighbours, its arguments are read from :func:`_step`."""
         later = self.adjacent[v] & ~placed
         args = self.steps[v].get(later)
         if args is None:
-            bundles = [self.bundle(v, w) for w in self.neighbours[v] if later >> w & 1]
-            # the rows and rooms of the bundles before the last are built as
-            # the step meets them; the last bundle's room comes with its table
-            stages = [(terms, {}, {}) for terms, _, _ in bundles[:-1]]
-            stages += [(None, None, room) for _, _, room in bundles[-1:]]
-            matched = bundles[-1][1] if bundles else None
-            args = self.steps[v][later] = (self.place[v], self.radix, self.bias, self.limit, self.top, stages, matched)
+            p = self.place[v]
+            bundles = tuple((sets, p - self.place[w]) for w, sets in self.neighbours[v].items() if later >> w & 1)
+            args = self.steps[v][later] = _step(p, self.top, self.bias, self.w_max, self.d_max, bundles)
         return _vertex_step(state, *args)
-
-    def bundle(self, v, w) -> tuple:
-        """The edges from source v to sink w as (terms, matched, room): the
-        (degree, exponent, key offset, coefficient) terms in table order;
-        their (key offset, coefficient) pairs grouped by the digit of v that
-        they take to the bias; and per such digit, the degree bound less the
-        least degree in its group."""
-        if (v, w) not in self.bundles:
-            shift = self.place[v] - self.place[w]
-            terms, matched, room = [], {}, {}
-            for t, e, c in _bundle_terms(tuple(sorted(self.neighbours[v][w])), self.w_max, self.d_max):
-                offset = t * self.top + e * shift
-                terms.append((t, e, offset, c))
-                matched.setdefault(self.bias - e, []).append((offset, c))
-                room.setdefault(self.bias - e, self.d_max - t)  # the table ascends by degree
-            self.bundles[v, w] = terms, matched, room
-        return self.bundles[v, w]
 
 
 def _eliminate(graph, order, degrees, w_max, d_max) -> dict:

@@ -67,7 +67,7 @@ sound for these counts:
 
 from __future__ import annotations
 
-from ._frozen import Frozen, _check_int
+from ._frozen import Frozen, _check_int, _is_int
 from .graphs import FeynmanGraph
 from .integrals import _group, _order_search, check_branch_type, check_order
 from .propagator import divisors
@@ -274,6 +274,13 @@ def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> Tropica
     The fiber count of edge k over the base point is its wrap count, so the
     fiber condition  fiber_count * weight = branch degree  holds by
     construction, and the degree is the total branch degree.
+
+    The tuple is checked as :func:`_search` builds one: a ValueError names
+    the first edge whose weight is not a positive integer, whose source is
+    not one of its endpoints, whose fiber count times weight is not its
+    branch degree, or which has branch degree 0 and is not sourced at its
+    earlier endpoint in ``order``; and then the first vertex whose in-flow
+    and out-flow differ.
     """
     a = check_branch_type(graph, a)
     order = check_order(graph, order)
@@ -281,9 +288,22 @@ def reconstruct_cover(graph: FeynmanGraph, a, order, tup: CoverTuple) -> Tropica
         not isinstance(field, (tuple, list)) or len(field) != len(a) for field in (tup.weights, tup.sources, tup.wraps)
     ):
         raise ValueError(f"tup must be a CoverTuple with one weight, source and wrap per edge, got {tup!r}")
-    for k, (w, wrap) in enumerate(zip(tup.weights, tup.wraps)):
-        if wrap * w != a[k]:
-            raise ValueError(f"edge {k}: fiber count {wrap} * weight {w} != branch degree {a[k]}")
+    rank = {lab: i for i, lab in enumerate(order)}
+    net = [0] * (graph.vertex_count + 1)
+    for k, ((u, v), w, src, wrap) in enumerate(zip(graph.edges, tup.weights, tup.sources, tup.wraps)):
+        if not (_is_int(w) and w > 0):
+            raise ValueError(f"edge {k}: weight must be a positive integer, got {w!r}")
+        if not (_is_int(src) and src in (u, v)):
+            raise ValueError(f"edge {k}: source {src!r} is not an endpoint of ({u}, {v})")
+        if not _is_int(wrap) or wrap * w != a[k]:
+            raise ValueError(f"edge {k}: fiber count {wrap!r} * weight {w} != branch degree {a[k]}")
+        if not a[k] and rank[src] > min(rank[u], rank[v]):
+            raise ValueError(f"edge {k}: branch degree 0 must be sourced at its earlier endpoint, not {src}")
+        net[src] += w
+        net[v if src == u else u] -= w
+    for x in range(1, graph.vertex_count + 1):
+        if net[x]:
+            raise ValueError(f"vertex {x}: out-flow less in-flow is {net[x]}, not 0")
     return TropicalCover(
         graph=graph,
         order=order,

@@ -18,9 +18,12 @@ searches and counts the automorphisms of no bridged graph.  One kernel
 set-up, ``integrals._Kernel``, serves the order search and the single-order
 pass ``integrals._eliminate`` (behind the two single-order entry points
 alone); its one vertex step is the only caller of ``integrals._vertex_step``,
-which alone builds the rows that filter its bundles (``integrals._row``),
-and it reads its edge factors only from one memo of bundle tables,
-``integrals._bundle_terms``.  The symmetric-group path imports nothing from
+which alone builds the rows that filter its bundles (``integrals._row``).
+The kernel reads its set-up only from one chain of bounded memos shared by
+every kernel of the process: the vertex steps (``integrals._step``), which
+alone read the packed bundles (``integrals._bundle``), which alone read the
+bundle tables (``integrals._bundle_terms``), the one reader of edge factor
+terms.  The symmetric-group path imports nothing from
 the package, so the cross-oracle checks compare independent code; it lists
 no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
 recurrence.  One routine, ``graphs._canon``, runs the graph refinement
@@ -239,15 +242,28 @@ def test_one_vertex_step_serves_every_integral():
 
 def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
     # the per-(degree sets, w_max, d_max) bundle tables are the one memo of
-    # edge factor terms, and only the kernel set-up reads them
-    assert callers("integrals.py", "_bundle_terms") == {"_Kernel"}
+    # edge factor terms; the packed bundles alone read them, the step set-up
+    # alone reads the packed bundles, and the kernel alone reads the steps
     assert callers("integrals.py", "_factor_terms") == {"_bundle_terms"}
-    tree = ast.parse((PACKAGE / "integrals.py").read_text())
-    memo = next(top for top in tree.body if getattr(top, "name", None) == "_bundle_terms")
-    assert [ast.unparse(d).split("(")[0] for d in memo.decorator_list] == ["lru_cache"]
+    assert callers("integrals.py", "_bundle_terms") == {"_bundle"}
+    assert callers("integrals.py", "_bundle") == {"_step"}
+    assert callers("integrals.py", "_step") == {"_Kernel"}
+    for name in ("_bundle_terms", "_bundle", "_step"):
+        # each memo is bounded by a fixed size, not by an option
+        (memo,) = top_level("integrals.py", name).decorator_list
+        assert isinstance(memo, ast.Call) and memo.func.id == "lru_cache", name
+        (size,) = memo.keywords
+        assert size.arg == "maxsize" and type(size.value.value) is int, name
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         if module_file != "integrals.py":
-            assert callers(module_file, "_bundle_terms") == set(), module_file
+            for name in ("_bundle_terms", "_bundle", "_step"):
+                assert callers(module_file, name) == set(), (module_file, name)
+    # the kernel keeps references to steps, and builds no bundle of its own
+    kernel = top_level("integrals.py", "_Kernel")
+    assert [node.name for node in kernel.body if isinstance(node, ast.FunctionDef)] == ["__init__", "step"]
+    assert "bundles" not in ast.literal_eval(next(
+        node.value for node in kernel.body if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__"
+    ))
 
 
 def test_sym_lists_no_partition_and_makes_one_pass_per_series():

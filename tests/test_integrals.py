@@ -793,11 +793,14 @@ def test_factor_term_tables_are_built_once_per_degree_and_bound(monkeypatch, gen
     # one bundle table per (degree sets, w_max, d_max), not one per vertex
     # order: graded to d = 3, genus 4 needs a single-edge and a double-edge
     # table, each reading the four degrees' terms once, and the 65 orbit
-    # representatives of its 5 classes build no more tables than one class
+    # representatives of its 5 classes build no more tables than one class.
+    # The packed bundles and steps above the tables are memos too, so every
+    # kernel memo starts cold: a warm step would read no table at all
     calls = []
     real = integrals._factor_terms
     monkeypatch.setattr(integrals, "_factor_terms", lambda *args: calls.append(args) or real(*args))
-    integrals._bundle_terms.cache_clear()
+    for memo in KERNEL_MEMOS:
+        memo.cache_clear()
     doubled = next(graph for graph in genus4_bridgeless if len(set(graph.edges)) < len(graph.edges))
     i_gamma_series(doubled, 3)
     assert integrals._bundle_terms.cache_info().misses == 2
@@ -805,6 +808,40 @@ def test_factor_term_tables_are_built_once_per_degree_and_bound(monkeypatch, gen
         i_gamma_series(graph, 3)
     assert integrals._bundle_terms.cache_info().misses == 2
     assert sorted(calls) == [(0, 3), (0, 3), (1, 3), (1, 3), (2, 3), (2, 3), (3, 3), (3, 3)]
+
+
+KERNEL_MEMOS = (integrals._bundle_terms, integrals._bundle, integrals._step)
+
+
+def test_shared_kernel_tables_change_no_value(caterpillar, k4):
+    # every kernel of the process shares the packed bundles and steps, rows
+    # included: cold, warm and on a relabelled copy, the degree-10 series
+    # equal the reference orbit sums, which read neither memo
+    rng = random.Random(24)
+    for graph in (caterpillar, k4):
+        degrees = [range(11)] * len(graph.edges)
+        want = {2 * t: c for t, c in reference_pass(graph, orientation_orbits(graph), degrees, 10, 10).items()}
+        for memo in KERNEL_MEMOS:
+            memo.cache_clear()
+        assert i_gamma_series(graph, 10).coeffs == want
+        assert integrals._step.cache_info().misses > 0
+        assert i_gamma_series(graph, 10).coeffs == want
+        copy = relabelled(graph, rng)
+        assert copy.edges != graph.edges
+        assert i_gamma_series(copy, 10).coeffs == want
+
+
+def test_evicted_kernel_tables_change_no_value(k4):
+    # the step memo is bounded: flooding it past its size with the branch
+    # types of one genus-3 class evicts steps that the genus-4 and genus-5
+    # sums then build again, to the same values
+    for memo in KERNEL_MEMOS:
+        memo.cache_clear()
+    generating_function(k4, 5)
+    info = integrals._step.cache_info()
+    assert info.misses > info.maxsize == info.currsize
+    for g in (4, 5):
+        assert f_g(g, 3) == f_g(g, 3, oracle="sym")
 
 
 def test_skipping_the_bridge_test_gives_the_same_value():

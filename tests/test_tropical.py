@@ -89,6 +89,38 @@ def test_reconstruct_rejects_mismatched_fibers(caterpillar):
         reconstruct_cover(caterpillar, (0, 2, 2, 0, 1, 0), (1, 3, 4, 2), bad)
 
 
+def test_reconstruct_rejects_a_tuple_the_search_cannot_make(k4):
+    # a degree-0 edge has wrap 0, so the fiber condition holds for any
+    # weight on it: weights, sources and balance are checked on their own
+    with pytest.raises(ValueError, match="^edge 1: weight"):
+        reconstruct_cover(
+            k4, (1, 0, 1, 0, 1, 1), (1, 2, 3, 4),
+            CoverTuple((1, -3, 1, 2.5, 1, 1), (1, 9, 1, "x", 2, 3), (1, 0, 1, 0, 1, 1)),
+        )
+    a, order = (0, 0, 2, 0, 1, 0), (1, 2, 3, 4)
+    good = CoverTuple((1, 1, 2, 2, 1, 3), (1, 1, 4, 2, 4, 3), (0, 0, 1, 0, 1, 0))
+    assert good in enumerate_tuples(k4, a, order)
+    assert reconstruct_cover(k4, a, order, good).multiplicity == 12
+
+    def changed(field, k, value):
+        fields = {"weights": list(good.weights), "sources": list(good.sources), "wraps": list(good.wraps)}
+        fields[field][k] = value
+        return CoverTuple(**{name: tuple(values) for name, values in fields.items()})
+
+    for bad, message in [
+        (changed("weights", 1, -3), "edge 1: weight must be a positive integer"),
+        (changed("weights", 3, 2.5), "edge 3: weight must be a positive integer"),
+        (changed("weights", 3, True), "edge 3: weight must be a positive integer"),
+        (changed("sources", 1, 9), "edge 1: source 9 is not an endpoint"),
+        (changed("sources", 3, "x"), "edge 3: source 'x' is not an endpoint"),
+        (changed("wraps", 2, 1.0), r"edge 2: fiber count 1.0 \* weight 2"),
+        (changed("sources", 0, 2), "edge 0: branch degree 0 must be sourced at its earlier endpoint"),
+        (changed("weights", 0, 2), "vertex 1: out-flow less in-flow is 1, not 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            reconstruct_cover(k4, a, order, bad)
+
+
 def test_all_edges_wrap_once_when_weights_equal_degrees(caterpillar):
     # for branch types with every entry positive, picking w_k = a_k forces
     # wrap count 1 on every edge
