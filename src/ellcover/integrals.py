@@ -39,12 +39,12 @@ One kernel, :class:`_Kernel`, computes every integral, one vertex step
 (:func:`_vertex_step`) at a time.  Monomials are packed into ints with one
 digit per vertex, and vertex v owns digit v - 1 whatever the order.  The
 state after eliminating a prefix of an order then does not depend on the
-rest of it, so the order search below keeps one state per depth and shares
-it across every order through that prefix; :func:`_eliminate` runs a single
-order.  With label digits a term's key offset can be positive or negative
-within one degree, but a key passes the degree bound exactly when its
-degree digit does (no digit carries), so cutting a sorted-by-degree factor
-at the first overshoot stays exact.
+rest of it, so the order search below passes it down its recursion and
+shares it across every order through that prefix; :func:`_eliminate` runs
+a single order.  With label digits a term's key offset can be positive or
+negative within one degree, but a key passes the degree bound exactly when
+its degree digit does (no digit carries), so cutting a sorted-by-degree
+factor at the first overshoot stays exact.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
@@ -100,7 +100,7 @@ placed, weighed 2 ext(o), and neither the first-vertex rule nor the leaf
 test applies: reversal flips the pair.  So the search keeps one order per
 orbit, with no seen set and no orbit built.
 
-Given a kernel, the search is fused with it: one state per depth, one
+Given a kernel, the search is fused with it: one state per prefix, one
 vertex step (:class:`_Kernel`) per node, and a prefix whose state is empty
 is cut, which is exact, since every completion of that prefix has constant
 term 0.  Most orientations vanish at low degree (at (g, d) = (6, 3), 202 of
@@ -470,9 +470,10 @@ def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
 
     Given the kernel's ``degrees``, ``w_max`` and ``d_max`` (as for
     :func:`_eliminate`), it returns total branch degree -> the kernel sum
-    over all orders, keeping one state per depth and cutting every prefix
-    whose state is empty.  Without them, it returns the (order, weight)
-    pairs it keeps, the weights summing to n!.
+    over all orders, passing each prefix's state down the recursion
+    (:func:`_place`) and cutting every prefix whose state is empty.
+    Without them, it returns the (order, weight) pairs it keeps, the
+    weights summing to n!.
     """
     n = graph.vertex_count
     kernel = None
@@ -488,64 +489,54 @@ def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
             adjacent[u] |= 1 << v
             adjacent[v] |= 1 << u
     # the trivial group keeps pair 0, the least adjacent pair, forward
-    trivial = len(maps) == 1
-    first, second = min((u, v) if u < v else (v, u) for u, v in graph.edges if u != v)
-    out = {} if kernel else []
-    order = []
-    before = [0] * (n + 1)  # before[v]: the bitmask of the vertices placed before v
-    placed = 0
-    states = [{kernel.zero: 1} if kernel else None]
-    fixing = [maps]  # per depth: the maps that fix every placed vertex
+    pair = min((u, v) if u < v else (v, u) for u, v in graph.edges if u != v) if len(maps) == 1 else None
     low = [min(img[v] for img in maps) for v in range(n + 1)]  # least images
-    todo = [None]
-    while todo:
-        candidates = todo[-1]
-        if candidates is None:
-            # the vertices the rules let the search place at this depth,
-            # largest first, so that the least is tried first
-            candidates = todo[-1] = []
-            for v in range(n, 0, -1):
-                if (
-                    placed >> v & 1
-                    or trivial and v == second and not placed >> first & 1
-                    or any(img[v] < v for img in fixing[-1])
-                    # the first-vertex rule; no least image is below 1
-                    or not trivial and order and order[0] > 1 and _ends_below(v, placed, adjacent, low, order[0])
-                ):
-                    continue
-                for u in reversed(order):
-                    if u > v:
-                        # v needs a neighbour placed at or after u
-                        if adjacent[v] & placed & ~before[u]:
-                            candidates.append(v)
-                        break
-                else:
-                    candidates.append(v)
-        if not candidates:
-            todo.pop()
-            if order:
-                placed ^= 1 << order.pop()
-                states.pop()
-                fixing.pop()
+    out = {} if kernel else []
+    state = {kernel.zero: 1} if kernel else None
+    _place([], 0, state, maps, [0] * (n + 1), adjacent, low, pair, maps, kernel, out)
+    return out
+
+
+def _place(order, placed, state, fixing, before, adjacent, low, pair, maps, kernel, out):
+    """Place each vertex that the rules let follow the prefix ``order`` (the
+    bitmask ``placed``, with the kernel ``state`` after it and the
+    automorphisms ``fixing`` that fix each of its vertices), least first,
+    and recurse; add each leaf that the leaf test keeps to ``out``.
+    ``before[v]`` is the bitmask of the vertices placed before v; ``pair``
+    is pair 0 with the trivial group, else None."""
+    n = len(adjacent) - 1
+    for v in range(1, n + 1):
+        if (
+            placed >> v & 1
+            or pair and v == pair[1] and not placed >> pair[0] & 1
+            or any(img[v] < v for img in fixing)
+            # the first-vertex rule; no least image is below 1
+            or not pair and order and order[0] > 1 and _ends_below(v, placed, adjacent, low, order[0])
+        ):
             continue
-        v = candidates.pop()
-        state = states[-1]
+        for u in reversed(order):
+            if u > v:
+                break
+        else:
+            u = 0
+        # for the last placed vertex u above it, v needs a neighbour placed
+        # at or after u
+        if u and not adjacent[v] & placed & ~before[u]:
+            continue
         before[v] = placed
         if len(order) < n - 1:
-            if kernel:
-                state = kernel.step(state, v, placed)
-                if not state:
-                    continue  # every completion of this prefix is 0
+            after = kernel.step(state, v, placed) if kernel else None
+            if kernel and not after:
+                continue  # every completion of this prefix is 0
             order.append(v)
-            placed |= 1 << v
-            states.append(state)
-            fixing.append([img for img in fixing[-1] if img[v] == v])
-            todo.append(None)
+            fixed = [img for img in fixing if img[v] == v]
+            _place(order, placed | 1 << v, after, fixed, before, adjacent, low, pair, maps, kernel, out)
+            order.pop()
             continue
         # a leaf; the last vertex needs no step (see _eliminate)
         leaf = order + [v]
         preds = [adjacent[u] & before[u] for u in range(n + 1)]
-        weight = 2 if trivial else _orbit_size(leaf, preds, [a & ~p for a, p in zip(adjacent, preds)], maps)
+        weight = 2 if pair else _orbit_size(leaf, preds, [a & ~p for a, p in zip(adjacent, preds)], maps)
         if not weight:
             continue
         weight *= _extension_count(preds)
@@ -555,7 +546,6 @@ def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
         for key, c in state.items():
             t = (key - kernel.zero) // kernel.top
             out[t] = out.get(t, 0) + weight * c
-    return out
 
 
 def _ends_below(v, placed, adjacent, low, head) -> bool:

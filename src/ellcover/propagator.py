@@ -38,6 +38,7 @@ def _check_slots(arity, **slots) -> None:
 
 
 def divisors(n: int) -> list:
+    _check_int(n, "n", 1)
     return [w for w in range(1, n + 1) if n % w == 0]
 
 
@@ -133,8 +134,9 @@ def edge_factor(arity: int, edge_index: int, endpoints, a_k: int, order, w_max: 
         u = v = None
     if not all(_is_int(x) and 1 <= x <= arity for x in (u, v)):
         raise ValueError(f"endpoints must be a pair of vertices in 1..{arity}, got {endpoints!r}")
+    _check_int(edge_index, "edge_index", 0)
     _check_int(a_k, "a_k", 0)
-    _check_int(w_max, "w_max")
+    _check_int(w_max, "w_max", 1)
     if u == v:
         raise LoopEdge(f"edge {u}-{v} is a loop; its factor is singular")
     try:

@@ -36,8 +36,8 @@ class Underdetermined(ValueError):
 
 def divisor_sigma(n: int, power: int = 1) -> int:
     """Sum of the ``power``-th powers of the divisors of n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_int(n, "n", 1)
+    _check_int(power, "power", 0)
     total = 0
     d = 1
     while d * d <= n:
@@ -134,6 +134,8 @@ class QSeries(Frozen):
 
     def same_coefficients(self, other: "QSeries") -> bool:
         """Equality of coefficients on the common truncation range."""
+        if not isinstance(other, QSeries):
+            raise ValueError(f"other must be a QSeries, got {other!r}")
         order = min(self.order, other.order)
         return all(
             self.coeffs.get(e, 0) == other.coeffs.get(e, 0)

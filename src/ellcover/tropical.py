@@ -13,14 +13,15 @@ Laurent-polynomial arithmetic, so it serves as an independent oracle for the
 integral path.
 
 All enumeration runs on one graded depth-first search (:func:`_search`), a
-generator on an explicit stack that yields each tuple with its degree and
-weight product, so a caller collects, sums or stops at the first tuple as it
-likes.  Each edge carries its choices for every branch degree it may take,
-in degree order (every caller passes each edge an ascending set of degrees),
-and the search keeps the running total degree: the first choice that would
-push it past the cap ends that edge's loop, since every later choice does
-too.  Edges are assigned in an order that saturates vertices early, and
-a saturated vertex must balance, which prunes the search: the edge that
+generator that assigns one edge per level of a recursion (:func:`_assign`)
+and yields each tuple with its degree and weight product, so a caller
+collects, sums or stops at the first tuple as it likes.  Each edge carries
+its choices for every branch degree it may take, in degree order (every
+caller passes each edge an ascending set of degrees), and the search keeps
+the running total degree: the first choice that would push it past the cap
+ends that edge's loop, since every later choice does too.  Edges are
+assigned in an order that saturates vertices early, fixed per vertex order,
+and a saturated vertex must balance, which prunes the search: the edge that
 saturates a vertex must carry the vertex's running balance, so its weight
 and direction are fixed and only the choices with that weight and source are
 tried.  A fixed branch type gives every edge one degree
@@ -146,71 +147,50 @@ def _search(graph, order, degrees, d_max):
     rank = {lab: i for i, lab in enumerate(order)}
     options, forced = _options(graph, rank, degrees, d_max)
     edges = graph.edges
-    m = len(edges)
     # assign edges in an order that completes vertices early, so balance can
-    # be checked (and the search pruned) as soon as a vertex is saturated
+    # be checked (and the search pruned) as soon as a vertex is saturated,
+    # which is at its last edge in the sequence
     edge_seq = [k for _, k in sorted((max(rank[u], rank[v]), k) for k, (u, v) in enumerate(edges))]
-    remaining = [0] * (graph.vertex_count + 1)
-    for u, v in edges:
-        remaining[u] += 1
-        remaining[v] += 1
-    balance = [0] * (graph.vertex_count + 1)
-    chosen = [None] * m
-
-    # depth-first with an explicit stack: frame i holds edge edge_seq[i], its
-    # endpoints' open flags, the iterator over its remaining choices, the
-    # choice now applied (to undo) and the degree and product before it
-    frames = []
-    pending = (0, 1)  # the degree and product of a frame to open
-    while frames or pending:
-        if pending:
-            degree, mult = pending
-            pending = None
-            if len(frames) == m:
-                yield degree, mult, chosen
-                continue
-            k = edge_seq[len(frames)]
-            u, v = edges[k]
-            remaining[u] -= 1
-            remaining[v] -= 1
-            u_open = remaining[u] > 0
-            v_open = remaining[v] > 0
-            if (u_open and v_open) or u == v:
-                # a loop leaves the balance as it is, so it keeps every choice
-                choices = options[k]
-            else:
-                # x saturates: a positive balance b needs weight b into x, a
-                # negative one weight -b out of x; a zero balance admits nothing
-                x, y = (v, u) if u_open else (u, v)
-                b = balance[x]
-                choices = forced[k].get((b, y) if b > 0 else (-b, x), ())
-            frames.append([k, u_open, v_open, iter(choices), None, degree, mult])
-        frame = frames[-1]
-        k, u_open, v_open, rest, applied, degree, mult = frame
+    last = {x: i for i, k in enumerate(edge_seq) for x in edges[k]}
+    steps = []
+    for i, k in enumerate(edge_seq):
         u, v = edges[k]
-        if applied:
-            _, w, src, _ = applied
-            snk = v if src == u else u
-            balance[src] -= w
-            balance[snk] += w
-            frame[4] = None
-        for opt in rest:
-            a, w, src, _ = opt
-            if degree + a > d_max:
-                break
-            snk = v if src == u else u
-            balance[src] += w
-            balance[snk] -= w
-            if (u_open or balance[u] == 0) and (v_open or balance[v] == 0):
-                chosen[k] = frame[4] = opt
-                pending = (degree + a, mult * w)
-                break
-            balance[src] -= w
-            balance[snk] += w
-        if not pending:
-            frames.pop()
-            remaining[u] += 1
-            remaining[v] += 1
+        steps.append((k, u, v, last[u] > i, last[v] > i, options[k], forced[k]))
+    yield from _assign(steps, 0, 0, 1, [0] * (graph.vertex_count + 1), [None] * len(edges), d_max)
+
+
+def _assign(steps, i, degree, mult, balance, chosen, d_max):
+    """Yield the tuples of :func:`_search` that extend the choices made for
+    the edges before position i of ``steps``, which have total branch degree
+    ``degree``, weight product ``mult`` and out-flow less in-flow
+    ``balance`` per vertex.  ``steps[i]`` holds the edge, its endpoints,
+    whether each is still open after it, and its choices and their
+    (weight, source) index."""
+    if i == len(steps):
+        yield degree, mult, chosen
+        return
+    k, u, v, u_open, v_open, options, forced = steps[i]
+    if (u_open and v_open) or u == v:
+        # a loop leaves the balance as it is, so it keeps every choice
+        choices = options
+    else:
+        # x saturates: a positive balance b needs weight b into x, a
+        # negative one weight -b out of x; a zero balance admits nothing
+        x, y = (v, u) if u_open else (u, v)
+        b = balance[x]
+        choices = forced.get((b, y) if b > 0 else (-b, x), ())
+    for opt in choices:
+        a, w, src, _ = opt
+        if degree + a > d_max:
+            break
+        snk = v if src == u else u
+        balance[src] += w
+        balance[snk] -= w
+        if (u_open or balance[u] == 0) and (v_open or balance[v] == 0):
+            chosen[k] = opt
+            yield from _assign(steps, i + 1, degree + a, mult * w, balance, chosen, d_max)
+        balance[src] -= w
+        balance[snk] += w
 
 
 def enumerate_tuples(graph: FeynmanGraph, a, order) -> list:

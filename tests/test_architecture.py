@@ -5,7 +5,10 @@ bridge decision (no automorphism at all, so no orbit, for a graph with a
 bridge) and picks the automorphisms, so a new way of summing is a change to
 one function.  No callback stands between a sum and either search: the
 order search returns its orders or sums, and the tropical tuple search,
-``tropical._search``, is a generator that yields its tuples.  The search
+``tropical._search``, is a generator that yields its tuples.  Both
+searches are plain recursion through one module-level function each
+(``integrals._place``, ``tropical._assign``), so neither module defines a
+nested function to hold a reference cycle.  The order search
 keeps one lexicographically first order per orbit of acyclic orientations
 (an order enters a count only through the orientation it induces); no orbit
 builder is left in the package, and no sum walks the n! orders.  Only sums
@@ -201,7 +204,7 @@ def test_bridges_is_called_only_by_group():
     validating = callers("integrals.py", "validate") | callers("integrals.py", "check_order")
     assert "_group" in validating
     sums = {"gromov_witten_a", "gromov_witten_d", "generating_function", "i_gamma_series", "f_g"}
-    assert validating.isdisjoint(sums | {"_order_search", "_orbit_size", "_eliminate", "_Kernel"})
+    assert validating.isdisjoint(sums | {"_order_search", "_place", "_orbit_size", "_eliminate", "_Kernel"})
     assert callers("tropical.py", "validate") == set()
     assert callers("tropical.py", "check_order").isdisjoint({"count_covers_total", "tropical_series"})
 
@@ -307,13 +310,34 @@ def test_the_tuple_search_is_a_generator():
 
 
 def test_tropical_defines_no_nested_function():
-    # the tuple search keeps its own explicit stack, so no closure or lambda
-    # is left in the module to hold a reference cycle or a late binding
-    for top in ast.parse((PACKAGE / "tropical.py").read_text()).body:
+    # the tuple search recurses through a module-level function, so no
+    # closure or lambda is left in the module to hold a reference cycle or a
+    # late binding
+    assert nested_functions("tropical.py", (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) == []
+
+
+def nested_functions(module_file, kinds):
+    """Names of the top-level functions and classes of a module that define
+    a node of ``kinds`` inside a function (a method counts as top level)."""
+    found = []
+    for top in ast.parse((PACKAGE / module_file).read_text()).body:
         for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
-            nested = [node for node in ast.walk(scope)
-                      if node is not scope and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
-            assert nested == [], getattr(top, "name", None)
+            if any(node is not scope and isinstance(node, kinds) for node in ast.walk(scope)):
+                found.append(getattr(top, "name", None))
+    return found
+
+
+def test_both_searches_recurse_through_a_module_level_function():
+    # each search calls itself by its module-level name, which holds no
+    # reference cycle, so neither keeps a stack of its own or defines a
+    # nested function (integrals keeps two sort-key lambdas, which close
+    # over nothing)
+    assert callers("integrals.py", "_place") == {"_order_search", "_place"}
+    assert callers("tropical.py", "_assign") == {"_search", "_assign"}
+    assert nested_functions("integrals.py", (ast.FunctionDef, ast.AsyncFunctionDef)) == []
+    for module_file, name in [("integrals.py", "_order_search"), ("integrals.py", "_place"),
+                              ("tropical.py", "_search"), ("tropical.py", "_assign")]:
+        assert not any(isinstance(node, ast.While) for node in ast.walk(top_level(module_file, name))), name
 
 
 def test_options_alone_builds_the_choice_index():

@@ -10,7 +10,7 @@ import pytest
 
 import ellcover as E
 import reference
-from ellcover import graphs, integrals
+from ellcover import graphs, integrals, propagator, quasimodular
 
 K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 K4 = E.FeynmanGraph.from_edges(4, K4_EDGES)
@@ -174,6 +174,21 @@ BAD_ARGUMENTS = {
     "edge_factor(..., a_k=None, ...)": (lambda: E.edge_factor(2, 0, (1, 2), None, (1, 2), 1), "a_k"),
     "edge_factor(..., order=None, ...)": (lambda: E.edge_factor(2, 0, (1, 2), 0, None, 1), "order"),
     "edge_factor(..., w_max=None)": (lambda: E.edge_factor(2, 0, (1, 2), 0, (1, 2), None), "w_max"),
+    "edge_factor(2, 'x', ...)": (lambda: E.edge_factor(2, "x", (1, 2), 1, (1, 2), 1), "edge_index"),
+    "edge_factor(2, -1, ...)": (lambda: E.edge_factor(2, -1, (1, 2), 1, (1, 2), 1), "edge_index"),
+    "edge_factor(2, True, ...)": (lambda: E.edge_factor(2, True, (1, 2), 1, (1, 2), 1), "edge_index"),
+    "edge_factor(..., a_k=1, ..., w_max=0)": (lambda: E.edge_factor(2, 0, (1, 2), 1, (1, 2), 0), "w_max"),
+    "edge_factor(..., a_k=1, ..., w_max=-1)": (lambda: E.edge_factor(2, 0, (1, 2), 1, (1, 2), -1), "w_max"),
+    "edge_factor(..., a_k=0, ..., w_max=0)": (lambda: E.edge_factor(2, 0, (1, 2), 0, (1, 2), 0), "w_max"),
+    "divisors(2.5)": (lambda: propagator.divisors(2.5), "n"),
+    "divisors(0)": (lambda: propagator.divisors(0), "n"),
+    "divisor_sigma(2.0)": (lambda: quasimodular.divisor_sigma(2.0), "n"),
+    "divisor_sigma(True)": (lambda: quasimodular.divisor_sigma(True), "n"),
+    "divisor_sigma(0)": (lambda: quasimodular.divisor_sigma(0), "n"),
+    "divisor_sigma(4, -1)": (lambda: quasimodular.divisor_sigma(4, -1), "power"),
+    "divisor_sigma(4, 1.0)": (lambda: quasimodular.divisor_sigma(4, 1.0), "power"),
+    "QSeries.same_coefficients(None)": (lambda: E.QSeries({0: 1}, 4).same_coefficients(None), "other"),
+    "QSeries.same_coefficients({0: 1})": (lambda: E.QSeries({0: 1}, 4).same_coefficients({0: 1}), "other"),
     "propagator_coeff(None, 1, 1, 1)": (lambda: E.propagator_coeff(None, 1, 1, 1), "arity"),
     "propagator_coeff(2, 0, 2, 1)": (lambda: E.propagator_coeff(2, 0, 2, 1), "y"),
     "propagator_coeff(2, 0, 1, None)": (lambda: E.propagator_coeff(2, 0, 1, None), "d"),

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from math import comb, factorial
@@ -34,7 +35,7 @@ from ellcover.integrals import (
 from ellcover.tropical import _graded_counts
 from ellcover.laurent import LaurentPoly
 from ellcover.propagator import edge_factor
-from reference import order_orbits, orientation_orbits, trivial_group, vertex_step
+from reference import first_extension, order_orbits, orientation_orbits, trivial_group, vertex_step
 
 
 BRANCH = (0, 0, 0, 0, 1, 1)
@@ -978,6 +979,91 @@ def test_order_search_matches_the_orbit_path(g):
                 # the representatives kept sum to the same series
                 assert orbit_pass(copy, kept, degrees, d) == want, (copy.edges, len(group))
     assert nonzero
+
+
+def least_representative(graph, order, maps):
+    """The least lexicographically first topological order among the images
+    of the acyclic orientation that ``order`` induces, under the
+    automorphisms ``maps`` with and without reversal: the one order that the
+    search keeps for that orbit."""
+    n = graph.vertex_count
+    rank = {v: i for i, v in enumerate(order)}
+    arcs = {(u, v) if rank[u] < rank[v] else (v, u) for u, v in graph.edges if u != v}
+    firsts = []
+    for img in maps:
+        for flip in (False, True):
+            preds = [0] * (n + 1)
+            for u, v in arcs:
+                src, snk = (img[v], img[u]) if flip else (img[u], img[v])
+                preds[snk] |= 1 << src
+            firsts.append(first_extension(preds))
+    return min(firsts)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_order_search_keeps_the_reference_orbits_in_lexicographic_order(g):
+    # without a kernel, the search lists the reference orbits item for item,
+    # with their weights, in lexicographic order, since the recursion tries
+    # the least vertex first.  With the trivial group both keep pair 0
+    # forward, so they keep the same order per orbit; otherwise the search
+    # keeps the least lexicographically first order in the orbit
+    for graph, maps in graphs._classes(g, bridgeless=True):
+        reversal = trivial_group(graph)
+        assert integrals._order_search(graph, reversal) == sorted(orientation_orbits(graph, reversal)), graph.edges
+        want = sorted((least_representative(graph, order, maps), w) for order, w in orientation_orbits(graph, maps))
+        assert integrals._order_search(graph, maps) == want, graph.edges
+
+
+def test_the_searches_recurse_no_deeper_than_the_graph(monkeypatch):
+    # both searches are plain recursion through a module-level name, so a
+    # spy on that name sees every level.  On every genus-5 class the order
+    # search nests one call per prefix, of 0 to n - 1 vertices (the last
+    # vertex is placed in the loop), so n - 1 = 2g - 3 recursive calls below
+    # its own; the tuple search one per edge and one for the complete tuple,
+    # m + 1 in all
+    depth, deepest = [0], {}
+
+    def spying(module, name):
+        real = getattr(module, name)
+
+        def enter():
+            depth[0] += 1
+            deepest[name] = max(deepest.get(name, 0), depth[0])
+
+        def place(*args):
+            enter()
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        def assign(*args):
+            enter()
+            try:
+                yield from real(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(module, name, assign if inspect.isgeneratorfunction(real) else place)
+
+    spying(integrals, "_place")
+    spying(tropical, "_assign")
+    tuple_depths = []
+    for graph, maps in graphs._classes(5, bridgeless=True):
+        n, m = graph.vertex_count, len(graph.edges)
+        deepest.clear()
+        kept = integrals._order_search(graph, maps)
+        assert deepest == {"_place": n} and depth == [0], graph.edges
+        # the kernel cuts empty prefixes, so it may stop short of a leaf
+        deepest.clear()
+        integrals._order_search(graph, maps, [range(3)] * m, 2, 2)
+        assert 1 <= deepest["_place"] <= n and depth == [0], graph.edges
+        deepest.clear()
+        tropical._graded_counts(graph, kept, [range(3)] * m, 2)
+        assert deepest["_assign"] <= m + 1 and depth == [0], graph.edges
+        tuple_depths.append(deepest["_assign"] - m)
+    # some order has a tuple of degree at most 2, so the search reaches it
+    assert max(tuple_depths) == 1
 
 
 @pytest.mark.parametrize("g", [3, 4])
