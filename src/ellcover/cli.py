@@ -133,9 +133,8 @@ def cmd_covers(args):
 
 def cmd_qfit(args):
     graph = _load_graph(args.graph)
-    g = graphs_mod.validate(graph)
     series = integrals.i_gamma_series(graph, args.max_degree)
-    rep = quasimodular.fit(series, g)
+    rep = quasimodular.fit(series, graph.genus)
     payload = {
         "weight": rep.weight,
         "coefficients": {

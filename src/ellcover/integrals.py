@@ -13,27 +13,20 @@ intermediate supports small; v is then the source of every factor it
 multiplies.  v's edges to one later neighbour w are parallel, with v as
 their common source, so they are multiplied as one bundle: the product of
 their factors, merged on (total degree, exponent), comes out of a table
-built once per process for each (degree sets, weight bound, degree bound)
-and already sorted.  That is one multiply per later neighbour rather than
-one per edge.
-The last bundle of v is multiplied as a matched product: each term of the
-running product meets only the bundle terms that bring its x_v exponent to
-0, so x_v^0 is extracted as the product is formed and the terms the
-extraction would drop are never made.  Each earlier bundle is filtered by
-the bundles after it: a term is made only if they can still bring the x_v
-exponent to 0 within the degree bound.  Per x_v exponent x, the room of a
-bundle is the degree bound less the least degree in which it and the
-bundles after it take x to 0: for the last one, read off the first term of
-x's group.  The terms of the bundle before it that pass are kept per x_v
-exponent, sorted by their slack under the room, so each term of the running
-product walks its row until the slack drops below its degree.  Rows and
-rooms are built the first time their exponent is met, and kept with the
-step (see :class:`_Kernel`), so every kernel that meets the same step reads
-them again.  This is exact: a dropped term has no completion within the
-bound, so it adds nothing to the step's output, and every coefficient is
-positive, so nothing cancels.  At degree 10 it cuts the pairs that the
-ladder's and K4's series visit before their matched multiplies from 2,558
-and 16,272 to 1,172 and 6,751.
+built once per process for each (degree sets, weight bound, degree bound).
+That is one multiply per later neighbour rather than one per edge.
+
+Every bundle is multiplied by one rule: a term is made only if the bundles
+after it can still bring the x_v exponent to 0 within the degree bound.  The
+last bundle asks that of an end room, so x_v^0 is extracted as the last
+product is formed.  Rooms are caps on the packed keys, and each bundle keeps
+the terms that pass per x_v exponent in a row, largest cap first, so each
+term of the running product walks its row until it reaches a cap (see
+:func:`_vertex_step`).  Rows and rooms are built the first time their
+exponent is met and kept for every later kernel (see :class:`_Kernel`).
+This is exact: a dropped term has no completion within the bound, so it
+adds nothing to the step's output, and every coefficient is positive, so
+nothing cancels.
 
 One kernel, :class:`_Kernel`, computes every integral, one vertex step
 (:func:`_vertex_step`) at a time.  Monomials are packed into ints with one
@@ -43,8 +36,8 @@ rest of it, so the order search below passes it down its recursion and
 shares it across every order through that prefix; :func:`_eliminate` runs
 a single order.  With label digits a term's key offset can be positive or
 negative within one degree, but a key passes the degree bound exactly when
-its degree digit does (no digit carries), so cutting a sorted-by-degree
-factor at the first overshoot stays exact.
+its degree digit does (no digit carries), so a cap on the keys stands for a
+bound on the degree.
 
 Summing over all (2g-2)! vertex orders gives the labelled count for the
 branch type; summing those over compositions of d gives degree counts and
@@ -252,32 +245,27 @@ def _bundle_terms(degree_sets: tuple, w_max: int, d_max: int) -> tuple:
     return tuple(sorted(((t, e, c) for (t, e), c in terms.items()), key=lambda x: (x[0], -x[1])))
 
 
-def _vertex_step(state, p, radix, bias, limit, top, stages, matched) -> dict:
+def _vertex_step(state, p, radix, bias, stages) -> dict:
     """Eliminate the vertex v whose packed digit has place ``p``: multiply
     the running product ``state`` by each of v's bundles to its later
-    neighbours in turn, the last one as ``matched``, with v's x^0 extracted
-    as that product is formed.
+    neighbours in turn, with v's x^0 extracted as the last product is
+    formed.
 
-    ``matched`` holds the last bundle's (key offset, coefficient) pairs
-    grouped by the digit a key needs to end at the bias, so each key reads
-    its digit once and visits only its group, and stops at the first offset
-    that takes it to ``limit`` (see :func:`_eliminate` for why that is
-    exact).  It is None for a vertex whose edges were all multiplied
-    earlier: its step keeps the keys whose digit is at the bias.
-
-    ``stages`` holds one (terms, rows, room) per bundle, the last bundle's
-    with its room alone.  A bundle's terms are (degree, exponent, key
-    offset, coefficient) in table order, and its ``room[x]`` is the degree
-    bound less the least degree in which it and the bundles after it can
-    take v's digit from x to the bias.  A key of degree t and digit ds meets
-    the term (t', e, offset, c) only if t + t' <= room[ds + e] of the next
-    bundle: any other product has no partner within the degree bound in the
-    bundles after it, and every coefficient is positive, so nothing cancels
-    and dropping it changes no output.  ``rows[ds]`` (see :func:`_row`)
-    lists the terms that pass for some t, by slack room[ds + e] - t',
-    largest first, so each key walks its row until the slack drops below its
-    degree, with no limit check: the bound keeps every sum below ``limit``.
+    ``stages`` holds one (groups, rows, room) per bundle, its (degree * top,
+    key offset, coefficient) terms grouped by exponent, and then the end
+    stage, whose room is {bias: (d_max + 1) * top}.  A room maps a digit to
+    a cap: a key with that digit has a completion within the degree bound in
+    the stages from there on exactly when it is below the cap.  A key with
+    digit ds meets a term of exponent e only if their sum is below the next
+    room at ds + e: any other product has no completion, and every
+    coefficient is positive, so dropping it changes no output.
+    ``rows[ds]`` (see :func:`_row`) lists the terms that some key meets, by
+    the cap below which a key meets them, largest first, so each key walks
+    its row until it reaches a cap.  A vertex with no later neighbour has
+    the end stage alone: its step keeps the keys whose digit is at the bias.
     """
+    if len(stages) == 1:
+        return {key: c for key, c in state.items() if key // p % radix == bias}
     for i in range(len(stages) - 1):
         rows = stages[i][1]
         product = {}
@@ -287,44 +275,36 @@ def _vertex_step(state, p, radix, bias, limit, top, stages, matched) -> dict:
             row = rows.get(ds)
             if row is None:
                 row = _row(stages, i, ds)
-            t = key // top
-            for slack, offset, c2 in row:
-                if slack < t:
+            for cap, offset, c2 in row:
+                if key >= cap:
                     break
                 s = key + offset
                 # all coefficients are positive, so nothing cancels
                 product[s] = get(s, 0) + c * c2
         state = product
-    if matched is None:
-        return {key: c for key, c in state.items() if key // p % radix == bias}
-    product = {}
-    get = product.get
-    for key, c in state.items():
-        for offset, c2 in matched.get(key // p % radix, ()):
-            s = key + offset
-            if s >= limit:
-                break
-            product[s] = get(s, 0) + c * c2
-    return product
+    return state
 
 
 def _row(stages, i, ds) -> list:
-    """Bundle i's row for v's digit ds, as (slack, key offset, coefficient)
-    by slack, largest first (see :func:`_vertex_step`), with its room at
-    ds: built the first time ds is met, after the rows of the later bundles
-    that it reads."""
-    terms, rows, room = stages[i]
+    """Bundle i's row for v's digit ds, as (cap, key offset, coefficient)
+    by cap, largest first (see :func:`_vertex_step`), and its room at ds:
+    built the first time ds is met, after the later rooms that it reads.
+    A group's terms ascend by degree, so its scan stops at the first that
+    no key can meet."""
+    groups, rows, room = stages[i]
     later = stages[i + 1][2]
-    if i + 2 < len(stages):
-        for x in {ds + e for _, e, _, _ in terms}:
-            if x not in later:
-                _row(stages, i + 1, x)
-    row = rows[ds] = sorted(
-        ((slack, offset, c) for t, e, offset, c in terms if (slack := later.get(ds + e, -1) - t) >= 0),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    room[ds] = row[0][0] if row else -1
+    row = []
+    for e, terms in groups:
+        if ds + e not in later and i + 2 < len(stages):
+            _row(stages, i + 1, ds + e)
+        bound = later.get(ds + e, 0)
+        for t, offset, c in terms:
+            if t >= bound:
+                break
+            row.append((bound - t, offset, c))
+    row.sort(key=itemgetter(0), reverse=True)
+    rows[ds] = row
+    room[ds] = row[0][0] if row else 0
     return row
 
 
@@ -332,33 +312,30 @@ def _row(stages, i, ds) -> list:
 def _bundle(degree_sets: tuple, w_max: int, d_max: int, top: int, shift: int, bias: int) -> tuple:
     """The packed bundle of the parallel edges with the (ascending, sorted)
     ``degree_sets`` from a source to a sink whose places differ by
-    ``shift``, as (terms, matched, room): the (degree, exponent, key offset,
-    coefficient) terms in :func:`_bundle_terms` order; their (key offset,
-    coefficient) pairs grouped by the source digit that they take to the
-    bias; and per such digit, the degree bound less the least degree in its
-    group.  Shared by every kernel (see :class:`_Kernel`)."""
-    terms, matched, room = [], {}, {}
+    ``shift``, as a :func:`_vertex_step` stage: its (degree * top, key
+    offset, coefficient) terms grouped by exponent, each group ascending by
+    degree, with the rows and room that it has as a step's last bundle.
+    Those read only the end room, which the key fixes, so every step that
+    ends on the bundle shares them.  Shared by every kernel (see
+    :class:`_Kernel`)."""
+    groups = {}
     for t, e, c in _bundle_terms(degree_sets, w_max, d_max):
-        offset = t * top + e * shift
-        terms.append((t, e, offset, c))
-        matched.setdefault(bias - e, []).append((offset, c))
-        room.setdefault(bias - e, d_max - t)  # the table ascends by degree
-    return terms, matched, room
+        groups.setdefault(e, []).append((t * top, t * top + e * shift, c))
+    return tuple(groups.items()), {}, {}
 
 
 @lru_cache(maxsize=256)
 def _step(p: int, top: int, bias: int, w_max: int, d_max: int, bundles: tuple) -> tuple:
     """The :func:`_vertex_step` arguments that eliminate the vertex of place
     ``p`` through its ``bundles``, one (sorted degree sets, shift) per later
-    neighbour in neighbour order, the last one matched.  The rows and rooms
-    of the bundles before the last start empty and are filled as steps meet
-    them, by any kernel that reads the entry; the last bundle's room comes
-    with its table."""
-    built = [_bundle(sets, w_max, d_max, top, shift, bias) for sets, shift in bundles]
-    stages = [(terms, {}, {}) for terms, _, _ in built[:-1]]
-    stages += [(None, None, room) for _, _, room in built[-1:]]
-    matched = built[-1][1] if built else None
-    return p, 2 * bias + 1, bias, (d_max + 1) * top, top, stages, matched
+    neighbour in neighbour order: one stage per bundle, then the end stage.
+    The last bundle's stage is its :func:`_bundle` entry; the others get
+    rows and rooms of their own, which start empty and are filled as steps
+    meet them, by any kernel that reads the entry."""
+    stages = [_bundle(sets, w_max, d_max, top, shift, bias) for sets, shift in bundles]
+    stages[:-1] = [(groups, {}, {}) for groups, _, _ in stages[:-1]]
+    stages.append((None, None, {bias: (d_max + 1) * top}))
+    return p, 2 * bias + 1, bias, stages
 
 
 class _Kernel:
@@ -372,15 +349,15 @@ class _Kernel:
     d_max, top, shift, bias), and :func:`_step`, keyed by (place of v, top,
     bias, w_max, d_max, the later neighbours' (sorted degree sets, shift) in
     neighbour order).  The keys are sound: the radix is 2 bias + 1 and the
-    limit (d_max + 1) top, so every packed term, matched group, room and
-    filtered row is a function of the key alone, whatever graph, order or
-    call first built it.  They hold the packed ints rather than a shift-free
-    form: the vertex count and the radix are fixed per genus and degree
-    bound, so (top, shift) recurs across relabellings, classes and calls,
-    and a step read again pays no per-term offset loop.  ``steps`` keeps a
-    reference to each step read, per vertex and set of later neighbours, so
-    a hot step costs one dict lookup, and a step that the memo evicts stays
-    valid for the kernels that hold it."""
+    end room {bias: (d_max + 1) top}, so every packed term, row and room,
+    a :func:`_bundle` entry's too, is a function of the key alone, whatever
+    graph, order or call first built it.  They hold the packed ints rather
+    than a shift-free form: the vertex count and the radix are fixed per
+    genus and degree bound, so (top, shift) recurs across relabellings,
+    classes and calls, and a step read again pays no per-term offset loop.
+    ``steps`` keeps a reference to each step read, per vertex and set of
+    later neighbours, so a hot step costs one dict lookup, and a step that
+    the memo evicts stays valid for the kernels that hold it."""
 
     __slots__ = ("zero", "top", "bias", "place", "w_max", "d_max", "neighbours", "adjacent", "steps")
 
@@ -442,11 +419,10 @@ def _eliminate(graph, order, degrees, w_max, d_max) -> dict:
     e to v's exponent and -e to w's, so its key offset is
     t * top + e * (R^(v-1) - R^(w-1)).  That shift is positive when w has
     the smaller label, so within one degree the offsets need not ascend.
-    The break at the first offset that takes a key to ``limit`` is exact all
-    the same: no digit carries, so a sum overshoots exactly when its degree
-    digit passes d_max, which depends on t alone, and the tables are sorted
-    by degree.  x_v^0 is extracted inside the multiply by v's last bundle
-    (:func:`_vertex_step`).
+    The caps of :func:`_vertex_step` are exact all the same: no digit
+    carries, so a key of degree s is s * top + r with 0 <= r < top, and it
+    is below (s' + 1) * top exactly when s <= s'.  x_v^0 is extracted inside
+    the multiply by v's last bundle.
     """
     if d_max < 1 or graph.has_loop():
         return {}

@@ -5,8 +5,9 @@ and helpers that no count of the library calls.
 * :func:`orientation_orbits` builds the orbits of acyclic orientations pair
   by pair, marking each orbit's images in a seen set: the orbit pass that
   the library's order search replaced.
-* :func:`vertex_step` is the kernel's vertex step without the filter on
-  the bundles before the last: it makes every term of their products.
+* :func:`vertex_step` is the kernel's vertex step without its filter: it
+  makes every term of each bundle's product within the degree bound, then
+  keeps the keys whose digit is at the bias.
 * The permutation and partition helpers build the monodromy tests'
   tuple-by-tuple references (``ellcover.monodromy`` lists no partition and
   builds no permutation).
@@ -137,31 +138,24 @@ def extension_count(preds) -> int:
     return ways.popitem()[1]
 
 
-def vertex_step(state, p, radix, bias, limit, top, stages, matched) -> dict:
+def vertex_step(state, p, radix, bias, stages, d_max, top) -> dict:
     """``ellcover.integrals._vertex_step`` on the same arguments, with every
-    bundle but the last multiplied in full: every term of state x bundle
-    below ``limit`` is made, whether or not the bundles after it can bring
-    the vertex's digit to the bias within the degree bound; ``top`` and the
-    rows and rooms are not read."""
-    for factor, _, _ in stages[:-1]:
+    bundle multiplied in full: each product of the state and a bundle's
+    terms of total degree at most ``d_max`` (the degree digit has weight
+    ``top``) is made, whether or not the bundles after it can bring the
+    vertex's digit to the bias; then the keys whose digit is at the bias are
+    kept.  Only the terms' key offsets and coefficients are read, no row,
+    room or cap."""
+    for groups, _, _ in stages[:-1]:
         product = {}
         for key, c in state.items():
-            for _, _, offset, c2 in factor:
-                s = key + offset
-                if s >= limit:
-                    break
-                product[s] = product.get(s, 0) + c * c2
+            for _, terms in groups:
+                for _, offset, c2 in terms:
+                    s = key + offset
+                    if s // top <= d_max:
+                        product[s] = product.get(s, 0) + c * c2
         state = product
-    if matched is None:
-        return {key: c for key, c in state.items() if key // p % radix == bias}
-    product = {}
-    for key, c in state.items():
-        for offset, c2 in matched.get(key // p % radix, ()):
-            s = key + offset
-            if s >= limit:
-                break
-            product[s] = product.get(s, 0) + c * c2
-    return product
+    return {key: c for key, c in state.items() if key // p % radix == bias}
 
 
 # -- permutations and partitions, on 0-based points ----------------------

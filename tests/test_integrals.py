@@ -476,8 +476,9 @@ def test_bundled_parallel_edges_match_the_reference(genus4_bridgeless):
 def reference_eliminate(graph, order, degrees, w_max, d_max):
     """The single-order kernel as it was before the prefix-sharing pass:
     vertex ``order[i]`` owns packed digit i, so every later endpoint has the
-    higher place and a bundle's offsets ascend.  Same bundle tables, same
-    matched last multiply; one order per call, nothing shared."""
+    higher place and a bundle's offsets ascend.  Same bundle tables; each
+    bundle multiplied in full, the last one only into the terms that bring
+    the digit to the bias; one order per call, nothing shared."""
     n = graph.vertex_count
     weight = max([w_max] + [max(ds) for ds in degrees])
     bias = 6 * weight + 1
@@ -572,8 +573,8 @@ def test_offsets_that_descend_within_a_degree_break_exactly(k4, genus4_bridgeles
     # each vertex owns the digit of its label, so in the order n, ..., 1 every
     # later neighbour w of v has a smaller label: v's shift R^(v-1) - R^(w-1)
     # is positive and a bundle's offsets descend within one degree.  The
-    # break at the limit stays exact, as overshooting depends on the degree
-    # digit alone; the LaurentPoly reference, with no packing, agrees.  The
+    # caps on the keys stay exact, as a key's degree is its degree digit
+    # alone; the LaurentPoly reference, with no packing, agrees.  The
     # reversed orbit representatives have such a descent too
     rng = random.Random(97)
 
@@ -602,36 +603,83 @@ def test_offsets_that_descend_within_a_degree_break_exactly(k4, genus4_bridgeles
 
 
 def test_the_filtered_vertex_step_matches_the_full_one(monkeypatch, genus4_bridgeless):
-    # the step multiplies each bundle of a vertex before its last only where
-    # the bundles after it can still bring the vertex's digit to the bias
-    # within the degree bound; every call returns exactly what the reference
-    # step, which makes every term of those products, returns on the same
+    # the step multiplies each bundle of a vertex only where the bundles
+    # after it, or for the last bundle the end room, can still bring the
+    # vertex's digit to the bias within the degree bound; every call returns
+    # exactly what the reference step, which makes every term of those
+    # products and then keeps the digits at the bias, returns on the same
     # arguments, at each degree bound up to 10 on genus 2 and 3 and up to 6
     # on genus 4
     real = integrals._vertex_step
-    seen = {"filtered": 0, "dropped": 0}
+    seen = {"filtered": 0, "dropped": 0, "dropped from the last": 0, "no later neighbour": 0}
+    bound = {}
 
     def checked(state, *args):
-        want = vertex_step(state, *args)
+        _, radix, bias, stages = args
+        d_max, top = bound["d_max"], radix ** bound["n"]
+        # the last bundle is filtered by the end room: digit at the bias,
+        # degree at most d_max
+        assert stages[-1][2] == {bias: (d_max + 1) * top}
+        want = vertex_step(state, *args, d_max, top)
         got = real(state, *args)
         assert got == want
-        stages = args[5]
-        seen["filtered"] += len(stages) > 1
-        # some row of a bundle before the last left out a term
-        seen["dropped"] += any(len(row) < len(terms) for terms, rows, _ in stages[:-1] for row in rows.values())
+        # per bundle, whether some row left out one of its terms
+        dropped = [
+            any(len(row) < sum(len(terms) for _, terms in groups) for row in rows.values())
+            for groups, rows, _ in stages[:-1]
+        ]
+        seen["filtered"] += len(stages) > 2
+        seen["dropped"] += any(dropped[:-1])
+        seen["dropped from the last"] += any(dropped[-1:])
+        seen["no later neighbour"] += len(stages) == 1
         return got
 
     monkeypatch.setattr(integrals, "_vertex_step", checked)
     classes = [(graph, 10) for graph in enumerate_genus(2, bridgeless=True) + enumerate_genus(3, bridgeless=True)]
     for graph, d_max in classes + [(graph, 6) for graph in genus4_bridgeless]:
         for d in range(1, d_max + 1):
+            bound.update(d_max=d, n=graph.vertex_count)
             i_gamma_series(graph, d)
-    assert seen["filtered"] and seen["dropped"], seen
+    assert all(seen.values()), seen
+
+
+def test_packed_keys_never_carry(monkeypatch, genus4_bridgeless):
+    # the caps compare whole keys for a degree bound, which is exact only if
+    # no digit carries: at weight bound W every vertex digit of every key a
+    # step returns stays within 6W of the bias, and the degree digit within
+    # d_max, on every bridgeless class of genus 2-4 and a relabelled copy
+    rng = random.Random(29)
+    real = integrals._vertex_step
+    bound = {}
+    checked_keys = 0
+
+    def checked(state, *args):
+        nonlocal checked_keys
+        _, radix, bias, _ = args
+        # i_gamma_series(h, d) has weight bound and degree bound d
+        d, n = bound["d"], bound["n"]
+        assert bias == 6 * d + 1
+        got = real(state, *args)
+        for key in got:
+            assert all(abs(key // radix**i % radix - bias) <= 6 * d for i in range(n)), key
+            assert key // radix**n <= d, key
+        checked_keys += len(got)
+        return got
+
+    monkeypatch.setattr(integrals, "_vertex_step", checked)
+    classes = enumerate_genus(2, bridgeless=True) + enumerate_genus(3, bridgeless=True) + genus4_bridgeless
+    for graph in classes:
+        copy = relabelled(graph, rng)
+        for d in range(1, 7):
+            for h in (graph, copy):
+                bound.update(d=d, n=h.vertex_count)
+                i_gamma_series(h, d)
+    assert checked_keys
 
 
 def test_the_kernel_matches_the_laurent_reference_at_high_degree(k4, caterpillar):
-    # at d = 8 the filter drops most of the products before the matched
-    # multiply (it rarely drops any at d <= 3); every orbit representative of the two genus-3
+    # at d = 8 the filter drops most of the products of the bundles before
+    # the last (it rarely drops any at d <= 3); every orbit representative of the two genus-3
     # classes against the LaurentPoly reference, with no packing and no filter
     nonzero = 0
     for graph in (k4, caterpillar):
