@@ -75,13 +75,7 @@ v only when
   This loses nothing: if g fixes the prefix p and g(v) < v, every order c
   through p + v has g(c) <lex c, and g(c) is a topological order of g(o),
   so lexfirst(g(o)) <= g(c) <lex c = lexfirst(o) and the leaf test below
-  drops c anyway;
-* first vertex: no source of o (a placed vertex with no earlier
-  neighbour) and no sink (a vertex all of whose neighbours are placed
-  before it) has a least image below c[0].  This loses nothing either:
-  lexfirst(g(o)) starts with the least image under g of a source, and
-  lexfirst(reversal of g(o)) with that of a sink, so either would start
-  below c.
+  drops c anyway.
 
 At a leaf c = lexfirst(o), c is kept only if no h in Gamma has
 lexfirst(h(o)) <lex c.  Each lexfirst(h(o)) is built greedily (the
@@ -89,9 +83,9 @@ available vertex of least image; for a reversed h, available once its
 successors are placed) and abandoned at its first difference from c.  The
 h that tie are those with h(o) = o, so they number |Stab(o)|.  With the
 trivial group only orders with pair 0 (the least adjacent pair) forward are
-placed, weighed 2 ext(o), and neither the first-vertex rule nor the leaf
-test applies: reversal flips the pair.  So the search keeps one order per
-orbit, with no seen set and no orbit built.
+placed, weighed 2 ext(o), and the leaf test does not apply: reversal
+flips the pair.  So the search keeps one order per orbit, with no seen set
+and no orbit built.
 
 Given a kernel, the search is fused with it: one state per prefix, one
 vertex step (:class:`_Kernel`) per node, and a prefix whose state is empty
@@ -122,7 +116,16 @@ from functools import lru_cache
 from operator import itemgetter
 
 from ._frozen import Frozen, _check_int, _is_int
-from .graphs import FeynmanGraph, _check_shape, _classes, _edge_symmetry, bridges, validate, vertex_automorphisms
+from .graphs import (
+    FeynmanGraph,
+    GenusTooLarge,
+    _check_shape,
+    _classes,
+    _edge_symmetry,
+    bridges,
+    validate,
+    vertex_automorphisms,
+)
 from .laurent import _check_coeff
 from .monodromy import hurwitz_numbers
 from .propagator import _factor_terms
@@ -466,14 +469,13 @@ def _order_search(graph, maps, degrees=None, w_max=None, d_max=None):
             adjacent[v] |= 1 << u
     # the trivial group keeps pair 0, the least adjacent pair, forward
     pair = min((u, v) if u < v else (v, u) for u, v in graph.edges if u != v) if len(maps) == 1 else None
-    low = [min(img[v] for img in maps) for v in range(n + 1)]  # least images
     out = {} if kernel else []
     state = {kernel.zero: 1} if kernel else None
-    _place([], 0, state, maps, [0] * (n + 1), adjacent, low, pair, maps, kernel, out)
+    _place([], 0, state, maps, [0] * (n + 1), adjacent, pair, maps, kernel, out)
     return out
 
 
-def _place(order, placed, state, fixing, before, adjacent, low, pair, maps, kernel, out):
+def _place(order, placed, state, fixing, before, adjacent, pair, maps, kernel, out):
     """Place each vertex that the rules let follow the prefix ``order`` (the
     bitmask ``placed``, with the kernel ``state`` after it and the
     automorphisms ``fixing`` that fix each of its vertices), least first,
@@ -486,8 +488,6 @@ def _place(order, placed, state, fixing, before, adjacent, low, pair, maps, kern
             placed >> v & 1
             or pair and v == pair[1] and not placed >> pair[0] & 1
             or any(img[v] < v for img in fixing)
-            # the first-vertex rule; no least image is below 1
-            or not pair and order and order[0] > 1 and _ends_below(v, placed, adjacent, low, order[0])
         ):
             continue
         for u in reversed(order):
@@ -506,7 +506,7 @@ def _place(order, placed, state, fixing, before, adjacent, low, pair, maps, kern
                 continue  # every completion of this prefix is 0
             order.append(v)
             fixed = [img for img in fixing if img[v] == v]
-            _place(order, placed | 1 << v, after, fixed, before, adjacent, low, pair, maps, kernel, out)
+            _place(order, placed | 1 << v, after, fixed, before, adjacent, pair, maps, kernel, out)
             order.pop()
             continue
         # a leaf; the last vertex needs no step (see _eliminate)
@@ -522,18 +522,6 @@ def _place(order, placed, state, fixing, before, adjacent, low, pair, maps, kern
         for key, c in state.items():
             t = (key - kernel.zero) // kernel.top
             out[t] = out.get(t, 0) + weight * c
-
-
-def _ends_below(v, placed, adjacent, low, head) -> bool:
-    """Whether placing v after the vertices of the bitmask ``placed`` makes
-    a source (v, if no neighbour is placed) or a sink (v or a neighbour of
-    it, once all of its own neighbours are placed) whose least image
-    ``low[u]`` is below ``head``, the first vertex."""
-    after = placed | 1 << v
-    if low[v] < head and not adjacent[v] & placed:
-        return True
-    ends = (adjacent[v] | 1 << v) & ~placed
-    return any(low[u] < head and not adjacent[u] & ~after for u in range(1, len(low)) if ends >> u & 1)
 
 
 def _orbit_size(order, preds, succs, maps) -> int:
@@ -699,8 +687,7 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
       over the bridgeless trivalent genus-g graphs (a graph with a bridge
       adds nothing), genus at most 6.  One order search sums each class at
-      every degree: the graph sums of ``f_g(6, 3)`` take about 0.3 s, and
-      those of ``f_g(6, 5)`` about 6 s (2-core x86_64 VM, CPython 3.11);
+      every degree;
     * ``"tropical"``: the same sum of
       :func:`~ellcover.tropical.tropical_series`, genus at most 5 (the bound
       of :func:`~ellcover.graphs.enumerate_genus`);
@@ -712,7 +699,9 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     The two graph paths hand the order search the automorphisms that
     enumeration found with each class.  The classes are valid and
     bridgeless by construction, so no class is validated, tested for a
-    bridge or searched for its automorphisms again.
+    bridge or searched for its automorphisms again.  A genus above the
+    oracle's bound raises :class:`~ellcover.graphs.GenusTooLarge` naming
+    the oracle and its bound.
 
     Every coefficient is checked to be a non-negative integer.
     """
@@ -730,7 +719,12 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
         degrees = [range(d_max + 1)] * (3 * g - 3)  # every class has 3g - 3 edges
         # the tropical oracle keeps enumeration's bound: its genus-6 cost is
         # unmeasured
-        for graph, maps in _classes(g, bridgeless=True, max_genus=6 if oracle == "integral" else 5):
+        bound = 6 if oracle == "integral" else 5
+        if g > bound:
+            raise GenusTooLarge(
+                f"genus {g} exceeds the {oracle} oracle's genus bound {bound}; oracle=\"sym\" has no genus bound"
+            )
+        for graph, maps in _classes(g, bridgeless=True, max_genus=bound):
             if oracle == "integral":
                 counts = _order_search(graph, maps, degrees, d_max, d_max)
             else:

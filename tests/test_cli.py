@@ -115,6 +115,15 @@ def test_fg_sym_over_budget_exits_2(capsys, monkeypatch):
     assert "over the budget 100000000" in err
 
 
+def test_fg_over_the_genus_bound_exits_2(capsys):
+    code, out, err = run(capsys, "fg", "--genus", "7", "--max-degree", "1")
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        "error: GenusTooLarge: genus 7 exceeds the integral oracle's genus bound 6; "
+        'oracle="sym" has no genus bound'
+    )
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
 def test_fg_sym_with_a_bad_budget_variable_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("HURWITZ_WORK_BUDGET", value)

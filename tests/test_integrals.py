@@ -959,9 +959,10 @@ def test_f6_through_degree_three():
     series = f_g(6, 3)
     assert series == f_g(6, 3, oracle="sym")
     assert series.coeffs == {4: 2, 6: 118096}
-    with pytest.raises(GenusTooLarge):
+    unbounded = '; oracle="sym" has no genus bound$'
+    with pytest.raises(GenusTooLarge, match="^genus 6 exceeds the tropical oracle's genus bound 5" + unbounded):
         f_g(6, 1, oracle="tropical")
-    with pytest.raises(GenusTooLarge):
+    with pytest.raises(GenusTooLarge, match="^genus 7 exceeds the integral oracle's genus bound 6" + unbounded):
         f_g(7, 1)
 
 

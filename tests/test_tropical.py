@@ -244,6 +244,12 @@ def test_f_g_oracles_agree():
     assert f_g(2, 4, oracle="sym") == f_g(2, 4)
 
 
+def test_f_g_tropical_at_genus_5_agrees_with_sym():
+    # the tropical oracle's largest genus, end to end: its 1,665 orders come
+    # from the kernel-free order search alone
+    assert f_g(5, 2, oracle="tropical") == f_g(5, 2, oracle="sym")
+
+
 def test_f_g_rejects_unknown_oracle():
     with pytest.raises(ValueError, match="oracle"):
         f_g(2, 2, oracle="character")
