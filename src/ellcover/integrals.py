@@ -53,19 +53,20 @@ orientations and keep the counts:
 * vertex automorphisms: phi gives I(a, phi o order) = I(a o psi, order) for
   an edge map psi induced by phi, so they are used only for sums that are
   symmetric in the edges, that is over all compositions of d
-  (:func:`gromov_witten_d`, :func:`i_gamma_series`, :func:`f_g`).  ``f_g``
-  passes the automorphisms that enumeration found with each class, and
-  takes |Aut| from them, so it searches no class again.
+  (:func:`gromov_witten_d`, :func:`i_gamma_series`, the tropical
+  :func:`f_g`).  ``f_g`` passes the automorphisms that enumeration found
+  with each class, and takes |Aut| from them, so it searches no class
+  again.
 
 With G the automorphisms used, every sum is one orientation per orbit of
 Gamma = G x {identity, reversal}, weighed by its orbit size
 2|G| / |Stab(o)| times ext(o).  Every sum calls one search,
 :func:`_order_search`, with the G that :func:`_group` gives: it validates
 the graph and gives no automorphism at all for a graph with a bridge (its
-counts all vanish, and an empty group has no orbits).  ``f_g`` passes its
-classes' automorphisms directly, since they are valid and bridgeless by
-construction.  The search is the only enumerator of vertex orders: a
-depth-first search that stands for each orientation by its
+counts all vanish, and an empty group has no orbits).  The tropical
+``f_g`` passes its classes' automorphisms directly, since they are valid
+and bridgeless by construction.  The search is the only enumerator of
+vertex orders: a depth-first search that stands for each orientation by its
 lexicographically first topological order, lexfirst(o), and places a vertex
 v only when
 
@@ -105,6 +106,11 @@ test.  They return zero for a graph with a loop, whose factor is singular;
 a loop of a connected trivalent graph always sits behind a bridge.  On any
 other graph with a bridge the extraction gives zero by itself: balance at
 the cut forces the bridge's weight to 0, and every weight is positive.
+
+The integral ``f_g`` uses neither the kernel nor the search: one sweep over
+the cuts of the vertex order 1..n (:func:`_sweep`) sums the edge factors of
+:mod:`.propagator` over every graph at once, with no graph built (see
+:func:`f_g` for the identity).
 """
 
 from __future__ import annotations
@@ -113,6 +119,7 @@ import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, perm
 from operator import itemgetter
 
 from ._frozen import Frozen, _check_int, _is_int
@@ -127,7 +134,7 @@ from .graphs import (
     vertex_automorphisms,
 )
 from .laurent import _check_coeff
-from .monodromy import hurwitz_numbers
+from .monodromy import check_budget, hurwitz_numbers
 from .propagator import _factor_terms
 from .quasimodular import QSeries
 
@@ -677,6 +684,116 @@ def i_gamma_series(graph: FeynmanGraph, d_max: int) -> QSeries:
     return QSeries({2 * d: c for d, c in counts.items()}, 2 * d_max + 2)
 
 
+@lru_cache(maxsize=16)
+def _open_terms(d_max: int) -> tuple:
+    """For m = 0..3 new edges opened at one vertex: exponent sum -> the
+    (total degree, sorted exponents, coefficient) of every ordered m-tuple
+    of edge terms (see :func:`_sweep`), merged on (total degree, sorted
+    exponents), ascending, and truncated at total degree ``d_max`` >= 1.
+    Three new edges are opened only by a vertex that closes none, so only
+    their sum 0 is built."""
+    one = {}  # exponent -> (degree, coefficient) of one edge's terms
+    for a in range(d_max + 1):
+        for e, c in _factor_terms(a, d_max):
+            one.setdefault(e, []).append((a, c))
+    tables = [{(0, ()): 1}]
+    for m in (1, 2, 3):
+        grown = {}
+        for (t, exps), c in tables[-1].items():
+            for e in [-sum(exps)] if m == 3 else one:
+                for a, c2 in one.get(e, ()):
+                    if t + a <= d_max:
+                        key = (t + a, tuple(sorted(exps + (e,))))
+                        grown[key] = grown.get(key, 0) + c * c2
+        tables.append(grown)
+    out = []
+    for table in tables:
+        by_sum = {}
+        for (t, exps), c in sorted(table.items()):
+            by_sum.setdefault(sum(exps), []).append((t, exps, c))
+        out.append(by_sum)
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _moves(pool: tuple, d_max: int) -> tuple:
+    """Every way one vertex of the sweep (see :func:`_sweep`) leaves the
+    open edges with the sorted exponents ``pool``, as (degree added, next
+    pool, number of ways), merged on the first two and ascending by degree.
+    The vertex closes k <= 3 edges of the pool, k_e of those with exponent
+    e, in prod C(mult_e, k_e) * 3!/(3 - k)! ways, and opens 3 - k new ones
+    whose exponents sum to the closed ones', so its own exponent is 0.
+
+    A state with this pool has total degree at least ``low``: an open edge
+    of exponent -2w has a degree a > 0 with w | a.  So a move that adds
+    more than d_max - low is left out; no state makes it within the bound.
+    """
+    opened = _open_terms(d_max)
+    low = -sum(e for e in pool if e < 0) // 2
+    moves = {}
+    for k in range(min(3, len(pool)) + 1):
+        for closed in set(itertools.combinations(pool, k)):
+            ways = perm(3, k)
+            for e in set(closed):
+                ways *= comb(pool.count(e), closed.count(e))
+            rest = list(pool)
+            for e in closed:
+                rest.remove(e)
+            for t, exps, c in opened[3 - k].get(sum(closed), ()):
+                if low + t > d_max:
+                    break
+                key = (t, tuple(sorted(rest + list(exps))))
+                moves[key] = moves.get(key, 0) + ways * c
+    return tuple(sorted((t, nxt, c) for (t, nxt), c in moves.items()))
+
+
+def _sweep(g: int, d_max: int) -> dict:
+    """Total branch degree d -> the coefficient of q^{2d} in F_g, for
+    1 <= d <= d_max, from the Feynman sum with no graph (see :func:`f_g`
+    for the identity).  The budget of :func:`~ellcover.monodromy.check_budget`
+    is checked first: the exponential formula's ~(g - 1)^2 (d + 1)^2 / 4
+    big-int steps fit within its estimate.
+
+    Vertices 1..n = 2g - 2 are placed in turn.  A state is (total degree,
+    sorted exponents of the open edges: placed source, unplaced sink) with
+    the number of weighted half-edge matchings that reach it; each vertex
+    moves it by :func:`_moves`.  A step whose pool outgrows what the
+    vertices left can close, 3 per vertex, is skipped.  The states with an
+    empty pool after k vertices sum to Z_k."""
+    check_budget(d_max, g)
+    if d_max < 1:
+        return {}
+    n = 2 * g - 2
+    states = {(0, ()): 1}
+    z = [[1] + [0] * d_max]
+    for v in range(1, n + 1):
+        room = 3 * (n - v)
+        grown = {}
+        for (t, pool), c in states.items():
+            for dt, nxt, ways in _moves(pool, d_max):
+                if t + dt > d_max:
+                    break
+                if len(nxt) <= room:
+                    key = (t + dt, nxt)
+                    grown[key] = grown.get(key, 0) + c * ways
+        states = grown
+        z.append([states.get((t, ()), 0) for t in range(d_max + 1)])
+    # connected sums: the block of vertex 1 has j vertices, an even number
+    connected = {}
+    for m in range(2, n + 1, 2):
+        cm = z[m][:]
+        for j in range(2, m, 2):
+            b = comb(m - 1, j - 1)
+            zr = z[m - j]
+            for t1, x in enumerate(connected[j]):
+                if x:
+                    x *= b
+                    for t2 in range(1, d_max + 1 - t1):
+                        cm[t1 + t2] -= x * zr[t2]
+        connected[m] = cm
+    return {t: Fraction(x, 6**n) for t, x in enumerate(connected[n]) if x}
+
+
 ORACLES = ("integral", "tropical", "sym")
 
 
@@ -684,26 +801,53 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     """Generating series of the genus-g Hurwitz numbers of an elliptic curve
     up to q^{2 d_max}, by one of three independent paths:
 
-    * ``"integral"``: the automorphism-weighted sum of :func:`i_gamma_series`
-      over the bridgeless trivalent genus-g graphs (a graph with a bridge
-      adds nothing), genus at most 6.  One order search sums each class at
-      every degree;
-    * ``"tropical"``: the same sum of
-      :func:`~ellcover.tropical.tropical_series`, genus at most 5 (the bound
-      of :func:`~ellcover.graphs.enumerate_genus`);
+    * ``"integral"``: the Feynman sum F_g = sum over the trivalent genus-g
+      graphs Gamma of (1 / |Aut Gamma|) sum over the vertex orders Omega of
+      I(Gamma, Omega), the single-order series of
+      :func:`i_gamma_coeffs_for_order`, by one sweep (:func:`_sweep`) that
+      builds no graph, at every genus whose work fits
+      :func:`~ellcover.monodromy.check_budget`;
+    * ``"tropical"``: the automorphism-weighted sum of
+      :func:`~ellcover.tropical.tropical_series` over the bridgeless
+      trivalent genus-g graphs (a graph with a bridge adds nothing), genus
+      at most 5 (the bound of :func:`~ellcover.graphs.enumerate_genus`).
+      The order search takes the automorphisms that enumeration found with
+      each class, so no class is validated, tested for a bridge or searched
+      for its automorphisms again;
     * ``"sym"``: :func:`~ellcover.monodromy.hurwitz_numbers`, the
       symmetric-group character formula for every degree up to ``d_max`` in
-      one pass (no graphs, so the genus bound does not apply); its work
-      budget is checked before any degree is counted.
+      one pass (no graphs, so the genus bound does not apply).
 
-    The two graph paths hand the order search the automorphisms that
-    enumeration found with each class.  The classes are valid and
-    bridgeless by construction, so no class is validated, tested for a
-    bridge or searched for its automorphisms again.  A genus above the
-    oracle's bound raises :class:`~ellcover.graphs.GenusTooLarge` naming
-    the oracle and its bound.
+    The integral path rests on three steps, with n = 2g - 2:
 
-    Every coefficient is checked to be a non-negative integer.
+    * (i) relabelling: a class has n! / |Aut_V| labellings on 1..n, and a
+      relabelling takes each order to the identity, so F_g is the sum over
+      the loopless trivalent multigraphs G on the labels 1..n of
+      I(G, identity) / prod_{u<v} m_uv!, with m_uv the edges from u to v
+      (a graph with a loop adds 0);
+    * (ii) Wick: G arises from 6^n / prod m_uv! perfect matchings of the 3n
+      half-edges with no pair inside a vertex, so F_g is 6^-n times the sum
+      over those matchings;
+    * (iii) the sweep: the vertices are placed in label order, and the
+      state is the total degree and the exponents of the open edges, which
+      cross the cut from a placed source to an unplaced sink.  A vertex
+      closes k of them and opens 3 - k, and its exponent must come to 0.
+      The states with no open edge after k vertices give Z_k, the sum over
+      every graph on k vertices, disconnected ones included, and the
+      exponential formula C_m = Z_m - sum_{j<m} C(m-1, j-1) C_j Z_{m-j}
+      leaves the connected sums: F_g = C_n / 6^n.
+
+    The pool stays small: every placed vertex is balanced, so the open
+    exponents sum to 0; an exponent is +-2w for an edge of weight w, and a
+    negative one needs a degree a > 0 with w | a.  So p open edges need
+    total degree at least p / 2, the pool holds at most 2 d_max edges, and
+    the number of states depends on d_max alone.
+
+    The tropical oracle at a genus above 5 raises
+    :class:`~ellcover.graphs.GenusTooLarge` naming the oracle and its
+    bound.  The integral and ``sym`` paths check their work budget before
+    any degree is counted.  Every coefficient is checked to be a
+    non-negative integer.
     """
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}, expected one of {', '.join(ORACLES)}")
@@ -711,24 +855,22 @@ def f_g(g: int, d_max: int, oracle: str = "integral") -> QSeries:
     _check_int(d_max, "d_max", 0)
     if oracle == "sym":
         total = {2 * d: h for d, h in enumerate(hurwitz_numbers(d_max, g), 1)}
+    elif oracle == "integral":
+        total = {2 * d: c for d, c in _sweep(g, d_max).items()}
     else:
-        if oracle == "tropical":
-            # tropical imports this module, so it is imported here
-            from .tropical import _graded_counts
-        total = {}
-        degrees = [range(d_max + 1)] * (3 * g - 3)  # every class has 3g - 3 edges
-        # the tropical oracle keeps enumeration's bound: its genus-6 cost is
-        # unmeasured
-        bound = 6 if oracle == "integral" else 5
+        # tropical imports this module, so it is imported here; the oracle
+        # keeps enumeration's bound: its genus-6 cost is unmeasured
+        from .tropical import _graded_counts
+
+        bound = 5
         if g > bound:
             raise GenusTooLarge(
                 f"genus {g} exceeds the {oracle} oracle's genus bound {bound}; oracle=\"sym\" has no genus bound"
             )
+        total = {}
+        degrees = [range(d_max + 1)] * (3 * g - 3)  # every class has 3g - 3 edges
         for graph, maps in _classes(g, bridgeless=True, max_genus=bound):
-            if oracle == "integral":
-                counts = _order_search(graph, maps, degrees, d_max, d_max)
-            else:
-                counts = _graded_counts(graph, _order_search(graph, maps), degrees, d_max)
+            counts = _graded_counts(graph, _order_search(graph, maps), degrees, d_max)
             aut = len(maps) * _edge_symmetry(graph)
             for d, c in counts.items():
                 total[2 * d] = total.get(2 * d, 0) + Fraction(c, aut)

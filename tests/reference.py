@@ -8,17 +8,24 @@ and helpers that no count of the library calls.
 * :func:`vertex_step` is the kernel's vertex step without its filter: it
   makes every term of each bundle's product within the degree bound, then
   keeps the keys whose digit is at the bias.
+* :func:`class_sum` is the integral F_g by the class path that the sweep
+  replaced: the kernel's order search on every bridgeless class, divided
+  by |Aut|.
 * The permutation and partition helpers build the monodromy tests'
   tuple-by-tuple references (``ellcover.monodromy`` lists no partition and
   builds no permutation).
 
-Only the automorphisms come from the library.
+Only the automorphisms, and for :func:`class_sum` the classes and the
+order search, come from the library.
 """
 
 import itertools
+from fractions import Fraction
 from math import factorial
 
-from ellcover.graphs import vertex_automorphisms
+from ellcover.graphs import _classes, _edge_symmetry, vertex_automorphisms
+from ellcover.integrals import _order_search
+from ellcover.quasimodular import QSeries
 
 
 def trivial_group(graph) -> list:
@@ -156,6 +163,21 @@ def vertex_step(state, p, radix, bias, stages, d_max, top) -> dict:
                         product[s] = product.get(s, 0) + c * c2
         state = product
     return {key: c for key, c in state.items() if key // p % radix == bias}
+
+
+def class_sum(g: int, d: int) -> QSeries:
+    """F_g up to q^{2d} as the sum over the bridgeless genus-g classes of
+    the order search's graph series (each order's integrals at every
+    degree up to d), divided by |Aut| = |vertex automorphisms| x the
+    permutations of parallel edges.  Coefficients stay Fractions, so a
+    non-integral sum shows as such."""
+    total = {}
+    degrees = [range(d + 1)] * (3 * g - 3)
+    for graph, maps in _classes(g, bridgeless=True, max_genus=max(g, 5)):
+        aut = len(maps) * _edge_symmetry(graph)
+        for t, c in _order_search(graph, maps, degrees, d, d).items():
+            total[2 * t] = total.get(2 * t, 0) + Fraction(c, aut)
+    return QSeries(total, 2 * d + 2)
 
 
 # -- permutations and partitions, on 0-based points ----------------------

@@ -12,12 +12,14 @@ nested function to hold a reference cycle.  The order search
 keeps one lexicographically first order per orbit of acyclic orientations
 (an order enters a count only through the orientation it induces); no orbit
 builder is left in the package, and no sum walks the n! orders.  Only sums
-symmetric in the edges use the automorphisms.  ``f_g`` sums over the
-bridgeless classes of ``graphs._classes`` (the classes of
+symmetric in the edges use the automorphisms.  The tropical ``f_g`` sums
+over the bridgeless classes of ``graphs._classes`` (the classes of
 ``enumerate_genus`` with the automorphisms their search found), which grow
 from the theta graph by edge insertion alone, so it hands the search their
 automorphisms directly: it makes no bridge test of its own and builds,
-searches and counts the automorphisms of no bridged graph.  One kernel
+searches and counts the automorphisms of no bridged graph.  The integral
+``f_g`` builds no graph: one sweep, ``integrals._sweep``, sums over every
+graph at once.  One kernel
 set-up, ``integrals._Kernel``, serves the order search and the single-order
 pass ``integrals._eliminate`` (behind the two single-order entry points
 alone); its one vertex step is the only caller of ``integrals._vertex_step``,
@@ -25,8 +27,9 @@ which alone builds the rows that filter its bundles (``integrals._row``).
 The kernel reads its set-up only from one chain of bounded memos shared by
 every kernel of the process: the vertex steps (``integrals._step``), which
 alone read the packed bundles (``integrals._bundle``), which alone read the
-bundle tables (``integrals._bundle_terms``), the one reader of edge factor
-terms.  The symmetric-group path imports nothing from
+bundle tables (``integrals._bundle_terms``), which read the edge factor
+terms; the sweep's tables of opened edges (``integrals._open_terms``) are
+their only other reader.  The symmetric-group path imports nothing from
 the package, so the cross-oracle checks compare independent code; it lists
 no partition, and ``f_g`` reads the whole ``sym`` series off one pass of its
 recurrence.  One routine, ``graphs._canon``, runs the graph refinement
@@ -244,14 +247,20 @@ def test_one_vertex_step_serves_every_integral():
 
 
 def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
-    # the per-(degree sets, w_max, d_max) bundle tables are the one memo of
-    # edge factor terms; the packed bundles alone read them, the step set-up
-    # alone reads the packed bundles, and the kernel alone reads the steps
-    assert callers("integrals.py", "_factor_terms") == {"_bundle_terms"}
+    # the per-(degree sets, w_max, d_max) bundle tables are the kernel's one
+    # memo of edge factor terms; the packed bundles alone read them, the
+    # step set-up alone reads the packed bundles, and the kernel alone reads
+    # the steps.  The sweep's per-d_max tables of opened edges are the only
+    # other reader of the terms; its moves alone read them, and the sweep
+    # alone reads its moves, for f_g alone
+    assert callers("integrals.py", "_factor_terms") == {"_bundle_terms", "_open_terms"}
     assert callers("integrals.py", "_bundle_terms") == {"_bundle"}
     assert callers("integrals.py", "_bundle") == {"_step"}
     assert callers("integrals.py", "_step") == {"_Kernel"}
-    for name in ("_bundle_terms", "_bundle", "_step"):
+    assert callers("integrals.py", "_open_terms") == {"_moves"}
+    assert callers("integrals.py", "_moves") == {"_sweep"}
+    assert callers("integrals.py", "_sweep") == {"f_g"}
+    for name in ("_bundle_terms", "_bundle", "_step", "_open_terms", "_moves"):
         # each memo is bounded by a fixed size, not by an option
         (memo,) = top_level("integrals.py", name).decorator_list
         assert isinstance(memo, ast.Call) and memo.func.id == "lru_cache", name
@@ -259,7 +268,7 @@ def test_eliminate_reads_its_factors_only_from_the_bundle_memo():
         assert size.arg == "maxsize" and type(size.value.value) is int, name
     for module_file in sorted(p.name for p in PACKAGE.glob("*.py")):
         if module_file != "integrals.py":
-            for name in ("_bundle_terms", "_bundle", "_step"):
+            for name in ("_bundle_terms", "_bundle", "_step", "_open_terms", "_moves", "_sweep"):
                 assert callers(module_file, name) == set(), (module_file, name)
     # the kernel keeps references to steps, and builds no bundle of its own
     kernel = top_level("integrals.py", "_Kernel")

@@ -116,12 +116,19 @@ def test_fg_sym_over_budget_exits_2(capsys, monkeypatch):
 
 
 def test_fg_over_the_genus_bound_exits_2(capsys):
-    code, out, err = run(capsys, "fg", "--genus", "7", "--max-degree", "1")
+    code, out, err = run(capsys, "fg", "--genus", "6", "--max-degree", "1", "--oracle", "tropical")
     assert code == 2 and out == ""
     assert err.strip() == (
-        "error: GenusTooLarge: genus 7 exceeds the integral oracle's genus bound 6; "
+        "error: GenusTooLarge: genus 6 exceeds the tropical oracle's genus bound 5; "
         'oracle="sym" has no genus bound'
     )
+
+
+def test_fg_integral_runs_past_genus_six(capsys):
+    # the integral oracle builds no graph, so it has no genus bound
+    code, out, _ = run(capsys, "fg", "--genus", "8", "--max-degree", "3")
+    assert code == 0
+    assert run(capsys, "fg", "--genus", "8", "--max-degree", "3", "--oracle", "sym") == (0, out, "")
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])

@@ -1,12 +1,16 @@
 import inspect
 import itertools
 import random
+import time
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellcover import (
     BadCardinality,
+    BudgetExceeded,
     CoverTuple,
     FeynmanGraph,
     GenusTooLarge,
@@ -35,7 +39,7 @@ from ellcover.integrals import (
 from ellcover.tropical import _graded_counts
 from ellcover.laurent import LaurentPoly
 from ellcover.propagator import edge_factor
-from reference import first_extension, order_orbits, orientation_orbits, trivial_group, vertex_step
+from reference import class_sum, first_extension, order_orbits, orientation_orbits, trivial_group, vertex_step
 
 
 BRANCH = (0, 0, 0, 0, 1, 1)
@@ -691,13 +695,15 @@ def test_the_kernel_matches_the_laurent_reference_at_high_degree(k4, caterpillar
 
 
 @pytest.mark.parametrize(
-    "g, d, oracle, searches", [(4, 3, "integral", 11), (5, 3, "integral", 57), (4, 2, "tropical", 11)]
+    "g, d, oracle, searches, enumerated",
+    [(4, 3, "integral", 0, 11), (5, 3, "integral", 0, 57), (4, 2, "tropical", 11, 11)],
 )
-def test_f_g_searches_each_candidate_once(monkeypatch, g, d, oracle, searches):
-    # f_g takes the orbits' automorphisms and |Aut| from the searches of
-    # enumeration, so it makes no search of its own: as many as the
-    # bridgeless enumerate_genus, which searches no bridged graph (before:
-    # 68 for f_g(4, 3), then 58 with every class grown)
+def test_f_g_searches_each_candidate_once(monkeypatch, g, d, oracle, searches, enumerated):
+    # the tropical f_g takes the orbits' automorphisms and |Aut| from the
+    # searches of enumeration, so it makes no search of its own: as many as
+    # the bridgeless enumerate_genus, which searches no bridged graph
+    # (before: 68 for f_g(4, 3), then 58 with every class grown).  The
+    # integral f_g builds no graph, so it makes no search at all
     calls = []
     search = graphs._search
     monkeypatch.setattr(graphs, "_search", lambda graph: calls.append(graph) or search(graph))
@@ -706,7 +712,7 @@ def test_f_g_searches_each_candidate_once(monkeypatch, g, d, oracle, searches):
     assert len(calls) == searches
     calls.clear()
     enumerate_genus(g, bridgeless=True)
-    assert len(calls) == searches
+    assert len(calls) == enumerated
 
 
 def test_elimination_order_independence(genus4_bridgeless):
@@ -883,14 +889,14 @@ def test_shared_kernel_tables_change_no_value(caterpillar, k4):
 def test_evicted_kernel_tables_change_no_value(k4):
     # the step memo is bounded: flooding it past its size with the branch
     # types of one genus-3 class evicts steps that the genus-4 and genus-5
-    # sums then build again, to the same values
+    # class sums then build again, to the same values
     for memo in KERNEL_MEMOS:
         memo.cache_clear()
     generating_function(k4, 5)
     info = integrals._step.cache_info()
     assert info.misses > info.maxsize == info.currsize
     for g in (4, 5):
-        assert f_g(g, 3) == f_g(g, 3, oracle="sym")
+        assert class_sum(g, 3) == f_g(g, 3, oracle="sym")
 
 
 def test_skipping_the_bridge_test_gives_the_same_value():
@@ -953,17 +959,44 @@ def test_f5_through_degree_three():
 
 
 def test_f6_through_degree_three():
-    # genus 6 through the integral oracle: 66 bridgeless classes, summed by
-    # the order search.  The tropical oracle and the full enumeration keep
-    # the genus bound 5
+    # genus 6 through the integral oracle, which has no genus bound.  The
+    # tropical oracle and the full enumeration keep the genus bound 5
     series = f_g(6, 3)
     assert series == f_g(6, 3, oracle="sym")
     assert series.coeffs == {4: 2, 6: 118096}
     unbounded = '; oracle="sym" has no genus bound$'
     with pytest.raises(GenusTooLarge, match="^genus 6 exceeds the tropical oracle's genus bound 5" + unbounded):
         f_g(6, 1, oracle="tropical")
-    with pytest.raises(GenusTooLarge, match="^genus 7 exceeds the integral oracle's genus bound 6" + unbounded):
-        f_g(7, 1)
+
+
+@pytest.mark.parametrize("g, d", [(2, 5), (3, 5), (4, 5), (5, 5), (6, 3)])
+def test_the_sweep_equals_the_class_sum(g, d):
+    # the sweep against the class path it replaced: the kernel's order
+    # search on every bridgeless class, divided by |Aut|
+    assert f_g(g, d) == class_sum(g, d)
+
+
+def test_the_sweep_equals_sym_past_the_old_genus_bound():
+    for g in range(2, 13):
+        for d in range(5):
+            assert f_g(g, d) == f_g(g, d, oracle="sym"), (g, d)
+    assert f_g(20, 3) == f_g(20, 3, oracle="sym")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 20), st.integers(0, 3))
+def test_the_sweep_equals_sym_at_random_genus_and_degree(g, d):
+    assert f_g(g, d) == f_g(g, d, oracle="sym")
+
+
+@pytest.mark.parametrize("g, d", [(2, 10**5), (10**4, 3)])
+def test_the_sweep_checks_the_work_budget_before_any_work(monkeypatch, g, d):
+    # the same estimate as sym's, refused before a table is built
+    monkeypatch.delenv("HURWITZ_WORK_BUDGET", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"^estimated work for degree {d}, genus {g} is at least "):
+        f_g(g, d)
+    assert time.perf_counter() - start < 0.01
 
 
 def relabelled(graph, rng):
